@@ -24,7 +24,14 @@ from spatialqr.numeric import (
     verify_qr,
     write_matrix,
 )
-from spatialqr.simulator import SimConfig, folded_unroll, report_to_json, run, spec_unroll
+from spatialqr.simulator import (
+    SimConfig,
+    SimulationError,
+    folded_unroll,
+    report_to_json,
+    run,
+    spec_unroll,
+)
 from spatialqr.specdsl import builtin_qr_spec, validate
 
 EXIT_OK = 0
@@ -315,6 +322,9 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SimulationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except (DimensionError, ValueError) as exc:
         if isinstance(exc, (NonFiniteError, SingularMatrixError)):
             print(f"error: {exc}", file=sys.stderr)

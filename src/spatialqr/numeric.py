@@ -313,7 +313,7 @@ def verify_qr(
     for j in range(1, n + 1):
         for i in range(j + 1, m + 1):
             v = r.get(i, j)
-            lower_max = max(lower_max, abs(v))
+            lower_max = _worst(lower_max, abs(v))
             if v != 0.0:
                 triangular = False
 

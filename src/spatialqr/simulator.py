@@ -2,13 +2,15 @@
 
 Iterations are placed onto PEs according to which loop dims are unrolled,
 values travel through bounded FIFO channels (relay chains included), and a
-deterministic sweep scheduler fires each PE's iterations in program order.
+deterministic event-driven sweep scheduler fires each PE's iterations in
+program order.
 Store directives drain final values into an assembled result matrix, and the
 report carries occupancy and deadlock diagnostics.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from collections import deque
@@ -43,6 +45,10 @@ class DrainError(ValueError):
     """Store directives covered a result position twice or not at all."""
 
 
+class SimulationError(RuntimeError):
+    """A run exhausted ``max_steps`` or left values behind in its channels."""
+
+
 @dataclass(frozen=True)
 class PeId:
     """One processing element: a function plus its unrolled-dim coordinates."""
@@ -67,11 +73,19 @@ class ChannelKey:
 
 
 class Channel:
-    """Bounded FIFO; producers block when full, consumers when empty."""
+    """Bounded FIFO; producers block when full, consumers when empty.
 
-    def __init__(self, key: ChannelKey, capacity: int):
+    ``src`` and ``dst`` are the indices of the producer and consumer PEs in
+    :attr:`Wiring.pes`.
+    """
+
+    __slots__ = ("key", "capacity", "src", "dst", "queue", "max_occupancy", "sends")
+
+    def __init__(self, key: ChannelKey, capacity: int, src: int, dst: int):
         self.key = key
         self.capacity = capacity
+        self.src = src
+        self.dst = dst
         self.queue: deque = deque()
         self.max_occupancy = 0
         self.sends = 0
@@ -149,26 +163,26 @@ def place(spec: SpatialSpec, cfg: SimConfig, m: int, n: int) -> dict[IterNode, P
 
 # --- firing plans -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairFetch:
-    key: ChannelKey
+    chan: Channel
     ports: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChanFetch:
-    key: ChannelKey
+    chan: Channel
     port: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemFetch:
     row: int
     col: int
     port: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstFetch:
     value: float
     port: int
@@ -177,41 +191,57 @@ class ConstFetch:
 Fetch = Union[PairFetch, ChanFetch, MemFetch, ConstFetch]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairPush:
-    key: ChannelKey
+    chan: Channel
     forward: bool  # True: forward the consumed pair; False: emit own outputs (0, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataPush:
-    key: ChannelKey
+    chan: Channel
     index: int
 
 
 Push = Union[PairPush, DataPush]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoreOp:
     index: int
     position: tuple[int, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class FiringPlan:
+    """One iteration's firing, with its readiness check compiled in.
+
+    The plan is ready when every queue in ``pops`` holds a value and every
+    queue in ``room`` has a free slot.  ``wire`` guarantees that a firing
+    pops at most one value from, and pushes at most one value into, each
+    channel, so these two sets are the whole check; a channel the plan both
+    pops and pushes frees its own slot and needs no room check.  ``wakes``
+    lists the PE indices whose readiness this firing can change: the
+    consumers of the channels it pushes to, the producers of the channels it
+    pops from, and its own PE.
+    """
+
     node: IterNode
     kernel: str
     fetches: tuple[Fetch, ...]
     pushes: tuple[Push, ...]
     stores: tuple[StoreOp, ...]
+    pops: tuple[deque, ...]
+    room: tuple[deque, ...]
+    wakes: tuple[int, ...]
 
 
 @dataclass
 class Wiring:
     channels: dict[ChannelKey, Channel]
     plans: dict[IterNode, FiringPlan]
-    local_order: dict[PeId, list[IterNode]]
+    pes: list[PeId]  # sorted; a PE's index here is its scheduling priority
+    programs: list[list[FiringPlan]]  # per PE index, in program order
     graph: DataflowGraph  # post-relay view when relaying is enabled
 
 
@@ -232,19 +262,25 @@ def wire(graph: DataflowGraph, placement: dict[IterNode, PeId], cfg: SimConfig) 
     local_order: dict[PeId, list[IterNode]] = {}
     for node in work.nodes:
         local_order.setdefault(placement[node], []).append(node)
-    local_index = {
-        node: i for nodes in local_order.values() for i, node in enumerate(nodes)
+    pes = sorted(local_order, key=lambda pe: (pe.func, pe.fixed))
+    # node -> (index of its PE in ``pes``, its position in that PE's program)
+    position = {
+        node: (pe, i)
+        for pe, nodes in enumerate(local_order[pe] for pe in pes)
+        for i, node in enumerate(nodes)
     }
 
     channels: dict[ChannelKey, Channel] = {}
     flows: dict[ChannelKey, list[tuple[int, int]]] = {}
 
-    def channel_for(key: ChannelKey, src: IterNode, dst: IterNode) -> ChannelKey:
-        if key not in channels:
-            channels[key] = Channel(key, cfg.channel_capacity)
+    def channel_for(key: ChannelKey, src: IterNode, dst: IterNode) -> Channel:
+        (src_pe, src_i), (dst_pe, dst_i) = position[src], position[dst]
+        chan = channels.get(key)
+        if chan is None:
+            chan = channels[key] = Channel(key, cfg.channel_capacity, src_pe, dst_pe)
             flows[key] = []
-        flows[key].append((local_index[src], local_index[dst]))
-        return key
+        flows[key].append((src_i, dst_i))
+        return chan
 
     consts = {"M": graph.m, "N": graph.n}
     fetches: dict[IterNode, list[Fetch]] = {node: [] for node in work.nodes}
@@ -258,13 +294,13 @@ def wire(graph: DataflowGraph, placement: dict[IterNode, PeId], cfg: SimConfig) 
         if cs_edges:
             pair_key = _pair_channel(cs_edges, node, placement)
             src_node = cs_edges[0].source.node
-            channel_for(pair_key, src_node, node)
+            chan = channel_for(pair_key, src_node, node)
             ports = tuple(sorted(e.port for e in cs_edges))
             if len(ports) == 1:
                 ports = (ports[0], ports[0] + 1)
-            fetches[node].append(PairFetch(pair_key, ports))
+            fetches[node].append(PairFetch(chan, ports))
             pushes[src_node].append(
-                PairPush(pair_key, forward=pair_key.src_tag == "relay")
+                PairPush(chan, forward=pair_key.src_tag == "relay")
             )
         for e in edges:
             if e.pattern == "cs":
@@ -276,9 +312,9 @@ def wire(graph: DataflowGraph, placement: dict[IterNode, PeId], cfg: SimConfig) 
                     placement[e.source.node], f"t{e.source.index}",
                     placement[node], f"p{e.port}",
                 )
-                channel_for(key, e.source.node, node)
-                fetches[node].append(ChanFetch(key, e.port))
-                pushes[e.source.node].append(DataPush(key, e.source.index))
+                chan = channel_for(key, e.source.node, node)
+                fetches[node].append(ChanFetch(chan, e.port))
+                pushes[e.source.node].append(DataPush(chan, e.source.index))
         for port, arg in enumerate(case.args):
             if isinstance(arg, ConstRef):
                 fetches[node].append(ConstFetch(arg.value, port))
@@ -310,17 +346,23 @@ def wire(graph: DataflowGraph, placement: dict[IterNode, PeId], cfg: SimConfig) 
                 f"channel {key.label()}: one firing would push twice"
             )
 
-    plans = {
-        node: FiringPlan(
+    plans: dict[IterNode, FiringPlan] = {}
+    for node in work.nodes:
+        popped = [f.chan for f in fetches[node] if isinstance(f, (PairFetch, ChanFetch))]
+        pushed = [p.chan for p in pushes[node]]
+        wakes = {position[node][0], *[c.src for c in popped], *[c.dst for c in pushed]}
+        plans[node] = FiringPlan(
             node=node,
             kernel=work.node_case[node].kernel,
             fetches=tuple(fetches[node]),
             pushes=tuple(pushes[node]),
             stores=tuple(stores[node]),
+            pops=tuple([c.queue for c in popped]),
+            room=tuple([c.queue for c in pushed if c not in popped]),
+            wakes=tuple(sorted(wakes)),
         )
-        for node in work.nodes
-    }
-    return Wiring(channels, plans, local_order, work)
+    programs = [[plans[node] for node in local_order[pe]] for pe in pes]
+    return Wiring(channels, plans, pes, programs, work)
 
 
 def _pair_channel(cs_edges, node: IterNode, placement: dict[IterNode, PeId]) -> ChannelKey:
@@ -374,10 +416,16 @@ class SimReport:
 def run(spec: SpatialSpec, cfg: SimConfig, aug: AugmentedMatrix) -> SimReport:
     """Simulate the spec on the given input until completion or deadlock.
 
-    Every sweep scans PEs in a fixed order; a PE fires its next unfired
+    Each sweep visits PEs in a fixed order; a PE fires its next unfired
     iteration if and only if all its input channels hold a value and all its
     output channels have room.  A sweep that fires nothing while work remains
     is a deadlock and is reported with per-PE blocking diagnostics.
+
+    Only PEs whose readiness may have changed are visited: a PE found not
+    ready is dropped until a firing on one of its channels wakes it.  A PE
+    woken by a firing earlier in the fixed order joins the current sweep,
+    any other one the next sweep, so every sweep fires exactly the PEs a
+    scan over all of them would.
     """
     m, n = aug.m, aug.n
     check = validate(spec, m, n)
@@ -390,43 +438,26 @@ def run(spec: SpatialSpec, cfg: SimConfig, aug: AugmentedMatrix) -> SimReport:
     wiring = wire(graph, placement, cfg)
     snapshot = aug.inner
 
-    pe_list = sorted(wiring.local_order, key=lambda pe: (pe.func, pe.fixed))
-    pointers = {pe: 0 for pe in pe_list}
-    firings = {pe: 0 for pe in pe_list}
-    consumed_pairs: dict[IterNode, tuple[float, float]] = {}
+    pe_labels = [pe.label() for pe in wiring.pes]
+    programs = wiring.programs
+    pointers = [0] * len(programs)
+    capacity = cfg.channel_capacity
     store_events: list[tuple[tuple[int, int], float, IterNode, int]] = []
     events: list[str] = []
     total = len(wiring.plans)
     fired = 0
     steps = 0
 
-    def ready(plan: FiringPlan) -> bool:
-        pops: dict[ChannelKey, int] = {}
-        for f in plan.fetches:
-            if isinstance(f, (PairFetch, ChanFetch)):
-                pops[f.key] = pops.get(f.key, 0) + 1
-                if len(wiring.channels[f.key].queue) < pops[f.key]:
-                    return False
-        adds: dict[ChannelKey, int] = {}
-        for p in plan.pushes:
-            adds[p.key] = adds.get(p.key, 0) + 1
-        for key, count in adds.items():
-            chan = wiring.channels[key]
-            if len(chan.queue) - pops.get(key, 0) + count > chan.capacity:
-                return False
-        return True
-
-    def fire(plan: FiringPlan, step: int, pe: PeId) -> None:
-        nonlocal fired
+    def fire(plan: FiringPlan, step: int, pe: int) -> None:
         arity_in, _ = KERNEL_ARITY[plan.kernel]
         args: list[float | None] = [None] * arity_in
         pair: tuple[float, float] | None = None
         for f in plan.fetches:
             if isinstance(f, PairFetch):
-                pair = wiring.channels[f.key].pop()
+                pair = f.chan.pop()
                 args[f.ports[0]], args[f.ports[1]] = pair
             elif isinstance(f, ChanFetch):
-                args[f.port] = wiring.channels[f.key].pop()
+                args[f.port] = f.chan.pop()
             elif isinstance(f, MemFetch):
                 args[f.port] = snapshot.get(f.row, f.col)
             else:
@@ -437,72 +468,85 @@ def run(spec: SpatialSpec, cfg: SimConfig, aug: AugmentedMatrix) -> SimReport:
             raise NonFiniteError(f"{plan.node}: {exc}") from None
         if any(not math.isfinite(v) for v in out):
             raise NonFiniteError(f"non-finite kernel output at {plan.node}")
-        if pair is not None:
-            consumed_pairs[plan.node] = pair
         for p in plan.pushes:
             if isinstance(p, PairPush):
-                value = consumed_pairs[plan.node] if p.forward else (out[0], out[1])
-                wiring.channels[p.key].push(value)
+                p.chan.push(pair if p.forward else (out[0], out[1]))
             else:
-                wiring.channels[p.key].push(out[p.index])
+                p.chan.push(out[p.index])
         for s in plan.stores:
             store_events.append((s.position, out[s.index], plan.node, s.index))
-        fired += 1
         if cfg.log_events:
             consumed = ",".join(repr(v) for v in args)
             produced = ",".join(repr(v) for v in out)
             events.append(
-                f"step={step} pe={pe.label()} iter={plan.node} "
+                f"step={step} pe={pe_labels[pe]} iter={plan.node} "
                 f"consumed=[{consumed}] produced=[{produced}]"
             )
 
+    # ``queued[i]`` is the sweep PE i is queued for; a PE is never queued for
+    # the current and the next sweep at once, because only PEs at or before
+    # the one firing go to the next sweep and those have left the heap.
+    current = list(range(len(programs)))  # ascending, so already a heap
+    queued = [1] * len(programs)
     status = "completed"
     blocked: list[dict] = []
     while fired < total:
         if steps >= cfg.max_steps:
-            raise RuntimeError(f"no completion within {cfg.max_steps} sweeps")
+            raise SimulationError(f"no completion within {cfg.max_steps} sweeps")
         steps += 1
+        later: list[int] = []
         progressed = False
-        for pe in pe_list:
-            i = pointers[pe]
-            if i >= len(wiring.local_order[pe]):
+        while current:
+            i = heapq.heappop(current)
+            k = pointers[i]
+            program = programs[i]
+            if k >= len(program):
                 continue
-            plan = wiring.plans[wiring.local_order[pe][i]]
-            if ready(plan):
-                fire(plan, steps, pe)
-                pointers[pe] = i + 1
-                firings[pe] += 1
-                progressed = True
+            plan = program[k]
+            if not all(plan.pops) or any(len(q) >= capacity for q in plan.room):
+                continue
+            fire(plan, steps, i)
+            pointers[i] = k + 1
+            fired += 1
+            progressed = True
+            for j in plan.wakes:
+                if j > i:
+                    if queued[j] != steps:
+                        queued[j] = steps
+                        heapq.heappush(current, j)
+                elif queued[j] != steps + 1:
+                    queued[j] = steps + 1
+                    later.append(j)
         if not progressed:
             status = "deadlock"
-            blocked = _blocking_diagnostics(wiring, pe_list, pointers)
+            blocked = _blocking_diagnostics(wiring, pe_labels, pointers)
             break
+        heapq.heapify(later)
+        current = later
 
     if status == "completed":
         leftovers = [
             key.label() for key, ch in wiring.channels.items() if ch.queue
         ]
         if leftovers:
-            raise RuntimeError(f"values left in channels after completion: {leftovers}")
+            raise SimulationError(f"values left in channels after completion: {leftovers}")
         output, drained, uncovered = drain(spec, store_events, m, n)
     else:
         output, drained, uncovered = None, [], []
 
+    by_label = sorted(
+        ((key.label(), ch) for key, ch in wiring.channels.items()),
+        key=lambda pair: pair[0],
+    )
     return SimReport(
         status=status,
         m=m,
         n=n,
         config=cfg.describe(),
         steps=steps,
-        firings={pe.label(): firings[pe] for pe in pe_list},
-        max_occupancy={
-            key.label(): ch.max_occupancy
-            for key, ch in sorted(wiring.channels.items(), key=lambda kv: kv[0].label())
-        },
-        channel_sends={
-            key.label(): ch.sends
-            for key, ch in sorted(wiring.channels.items(), key=lambda kv: kv[0].label())
-        },
+        firings=dict(zip(pe_labels, pointers)),
+        max_occupancy={label: ch.max_occupancy for label, ch in by_label},
+        channel_sends={label: ch.sends for label, ch in by_label},
         output=output,
         drained=drained,
         uncovered=uncovered,
@@ -511,25 +555,24 @@ def run(spec: SpatialSpec, cfg: SimConfig, aug: AugmentedMatrix) -> SimReport:
     )
 
 
-def _blocking_diagnostics(wiring: Wiring, pe_list, pointers) -> list[dict]:
+def _blocking_diagnostics(wiring: Wiring, pe_labels: list[str], pointers: list[int]) -> list[dict]:
     out: list[dict] = []
-    for pe in pe_list:
-        i = pointers[pe]
-        if i >= len(wiring.local_order[pe]):
+    for program, label, i in zip(wiring.programs, pe_labels, pointers):
+        if i >= len(program):
             continue
-        plan = wiring.plans[wiring.local_order[pe][i]]
+        plan = program[i]
         empty = [
-            f.key.label()
+            f.chan.key.label()
             for f in plan.fetches
-            if isinstance(f, (PairFetch, ChanFetch)) and not wiring.channels[f.key].queue
+            if isinstance(f, (PairFetch, ChanFetch)) and not f.chan.queue
         ]
         full = [
-            p.key.label()
+            p.chan.key.label()
             for p in plan.pushes
-            if len(wiring.channels[p.key].queue) >= wiring.channels[p.key].capacity
+            if len(p.chan.queue) >= p.chan.capacity
         ]
         out.append({
-            "pe": pe.label(),
+            "pe": label,
             "iteration": str(plan.node),
             "waiting_on_empty": empty,
             "waiting_on_full": full,

@@ -637,15 +637,36 @@ def _expr_to_obj(e: Expr) -> object:
     raise ExprTypeError(f"cannot serialize {e!r}")
 
 
+def _field(obj: object, key: str, kind: type | tuple[type, ...] = object):
+    """``obj[key]`` checked to be a ``kind``; a ValueError naming the key otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"spec JSON: expected an object with key {key!r}, "
+                         f"got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"spec JSON: missing key {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"spec JSON: key {key!r} has type {type(value).__name__}")
+    return value
+
+
+def _ints(obj: object, key: str) -> tuple[int, ...]:
+    values = _field(obj, key, list)
+    if not all(isinstance(v, int) for v in values):
+        raise ValueError(f"spec JSON: key {key!r} must hold integers")
+    return tuple(values)
+
+
 def _expr_from_obj(obj: object) -> Expr:
     if not isinstance(obj, dict):
         raise ValueError(f"bad expression node {obj!r}")
     if "int" in obj:
-        return IntLit(int(obj["int"]))
+        return IntLit(_field(obj, "int", int))
     if "name" in obj:
-        return Name(str(obj["name"]))
+        return Name(_field(obj, "name", str))
     if "op" in obj:
-        return BinOp(str(obj["op"]), _expr_from_obj(obj["lhs"]), _expr_from_obj(obj["rhs"]))
+        return BinOp(_field(obj, "op", str), _expr_from_obj(_field(obj, "lhs")),
+                     _expr_from_obj(_field(obj, "rhs")))
     raise ValueError(f"bad expression node {obj!r}")
 
 
@@ -659,15 +680,20 @@ def _arg_to_obj(arg: Arg) -> object:
     return {"const": arg.value}
 
 
-def _arg_from_obj(obj: dict) -> Arg:
+def _arg_from_obj(obj: object) -> Arg:
+    if not isinstance(obj, dict):
+        raise ValueError(f"bad argument {obj!r}")
     if "memory" in obj:
         d = obj["memory"]
-        return MemoryRef(d["input"], _expr_from_obj(d["row"]), _expr_from_obj(d["col"]))
+        return MemoryRef(_field(d, "input", str), _expr_from_obj(_field(d, "row")),
+                         _expr_from_obj(_field(d, "col")))
     if "call" in obj:
         d = obj["call"]
-        return CallRef(d["func"], tuple(_expr_from_obj(c) for c in d["coords"]), int(d["index"]))
+        return CallRef(_field(d, "func", str),
+                       tuple(_expr_from_obj(c) for c in _field(d, "coords", list)),
+                       _field(d, "index", int))
     if "const" in obj:
-        return ConstRef(float(obj["const"]))
+        return ConstRef(float(_field(obj, "const", (int, float))))
     raise ValueError(f"bad argument {obj!r}")
 
 
@@ -682,19 +708,19 @@ def _directive_to_obj(d: Directive) -> object:
     return {"store": {"indices": list(d.indices), "condition": _expr_to_obj(d.condition)}}
 
 
-def _directive_from_obj(obj: dict) -> Directive:
+def _directive_from_obj(obj: object) -> Directive:
+    if not isinstance(obj, dict):
+        raise ValueError(f"bad directive {obj!r}")
     if "channel" in obj:
-        return ChannelDirective(tuple(obj["channel"]))
+        return ChannelDirective(tuple(_field(obj, "channel", list)))
     if "unroll" in obj:
-        return UnrollDirective(obj["unroll"])
+        return UnrollDirective(_field(obj, "unroll", str))
     if "relay" in obj:
         d = obj["relay"]
-        return RelayDirective(d["source"], tuple(int(i) for i in d["indices"]),
-                              tuple(int(v) for v in d["vector"]))
+        return RelayDirective(_field(d, "source", str), _ints(d, "indices"), _ints(d, "vector"))
     if "store" in obj:
         d = obj["store"]
-        return StoreDirective(tuple(int(i) for i in d["indices"]),
-                              _expr_from_obj(d["condition"]))
+        return StoreDirective(_ints(d, "indices"), _expr_from_obj(_field(d, "condition")))
     raise ValueError(f"bad directive {obj!r}")
 
 
@@ -732,34 +758,38 @@ def spec_to_json(spec: SpatialSpec) -> str:
 
 
 def spec_from_json(text: str) -> SpatialSpec:
+    """Parse :func:`spec_to_json` output; malformed input raises ValueError."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"spec JSON: expected an object, got {type(obj).__name__}")
     if obj.get("schema") != SPEC_SCHEMA:
         raise ValueError(f"unsupported spec schema {obj.get('schema')!r}")
     funcs = []
-    for f in obj["funcs"]:
+    for f in _field(obj, "funcs", list):
         funcs.append(FuncSpec(
-            name=f["name"],
-            dims=tuple(f["dims"]),
+            name=_field(f, "name", str),
+            dims=tuple(_field(f, "dims", list)),
             bounds=tuple(
-                BoundSpec(b["var"], _expr_from_obj(b["lower"]), int(b["step"]),
-                          _expr_from_obj(b["upper"]))
-                for b in f["bounds"]
+                BoundSpec(_field(b, "var", str), _expr_from_obj(_field(b, "lower")),
+                          _field(b, "step", int), _expr_from_obj(_field(b, "upper")))
+                for b in _field(f, "bounds", list)
             ),
-            tuple_arity=int(f["tuple_arity"]),
+            tuple_arity=_field(f, "tuple_arity", int),
             cases=tuple(
-                RecurrenceCase(c["label"], _expr_from_obj(c["guard"]), c["kernel"],
-                               tuple(_arg_from_obj(a) for a in c["args"]))
-                for c in f["cases"]
+                RecurrenceCase(_field(c, "label", str), _expr_from_obj(_field(c, "guard")),
+                               _field(c, "kernel", str),
+                               tuple(_arg_from_obj(a) for a in _field(c, "args", list)))
+                for c in _field(f, "cases", list)
             ),
-            directives=tuple(_directive_from_obj(d) for d in f["directives"]),
+            directives=tuple(_directive_from_obj(d) for d in _field(f, "directives", list)),
             cell_map=tuple(
                 None if cell is None
-                else (_expr_from_obj(cell["row"]), _expr_from_obj(cell["col"]))
-                for cell in f["cell_map"]
+                else (_expr_from_obj(_field(cell, "row")), _expr_from_obj(_field(cell, "col")))
+                for cell in _field(f, "cell_map", list)
             ),
         ))
     return SpatialSpec(
-        constants=tuple(obj["constants"]),
-        inputs=tuple(obj["inputs"]),
+        constants=tuple(_field(obj, "constants", list)),
+        inputs=tuple(_field(obj, "inputs", list)),
         funcs=tuple(funcs),
     )

@@ -231,6 +231,15 @@ class TestSimulate:
         assert code == 1
         assert "differs from reference" in capsys.readouterr().err
 
+    def test_exhausted_max_steps_is_one_error_line(self, matrix4, tmp_path,
+                                                   monkeypatch, capsys):
+        real_config = cli.SimConfig
+        monkeypatch.setattr(cli, "SimConfig",
+                            lambda **kw: real_config(max_steps=1, **kw))
+        code = run_cli("simulate", matrix4, "--report", tmp_path / "r.json")
+        assert code == 1
+        assert capsys.readouterr().err == "error: no completion within 1 sweeps\n"
+
 
 class TestVerify:
     def test_identity_all_zero_errors(self, tmp_path, capsys):

@@ -1,8 +1,10 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from spatialqr.dataflow import (
+    CycleError,
     IterNode,
     MemorySource,
     ProducerSource,
@@ -18,7 +20,7 @@ from spatialqr.dataflow import (
     trace_to_json,
 )
 from spatialqr.numeric import AugmentedMatrix, qr_givens_reference, random_matrix
-from spatialqr.specdsl import builtin_qr_spec
+from spatialqr.specdsl import COL, ROW, CallRef, builtin_qr_spec
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -118,6 +120,26 @@ class TestBuildGraph:
                 assert counts["d"] == x_count(m, n) - sum(
                     counts[p] for p in "abc"
                 )
+
+
+class TestCycle:
+    def test_self_call_raises_with_witness(self):
+        spec = builtin_qr_spec()
+        x = spec.func("X")
+        # case "d" normally reads X one row below; make it read itself.
+        d = x.cases[3]
+        looped = dataclasses.replace(d, args=(CallRef("X", (COL, ROW), 3), d.args[1]))
+        funcs = tuple(
+            dataclasses.replace(f, cases=f.cases[:3] + (looped,)) if f.name == "X" else f
+            for f in spec.funcs
+        )
+        with pytest.raises(CycleError) as exc:
+            build_graph(dataclasses.replace(spec, funcs=funcs), 4, 4)
+        witness = exc.value.witness
+        assert witness
+        assert witness[0] == witness[-1]
+        assert witness[0].func == "X"
+        assert "dependence cycle" in str(exc.value)
 
 
 class TestTrace:

@@ -177,6 +177,14 @@ class TestVerifyQr:
         res = qr_givens_reference(aug, accumulate_q=True)
         assert verify_qr(aug, res, 0.0).passed
 
+    def test_nan_below_diagonal_is_reported(self):
+        aug = aug_from(random_matrix(4, 4, 2))
+        res = qr_givens_reference(aug, accumulate_q=True)
+        res.r_aug.inner.set(3, 1, math.nan)
+        rep = verify_qr(aug, res, 1e-10)
+        assert math.isnan(rep.lower_triangle_max_abs)
+        assert not rep.passed
+
     def test_requires_q(self):
         aug = aug_from(Matrix.identity(3))
         res = qr_givens_reference(aug)

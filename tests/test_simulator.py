@@ -10,9 +10,11 @@ from spatialqr.numeric import (
     qr_givens_reference,
     random_matrix,
 )
+from spatialqr import simulator
 from spatialqr.simulator import (
     DrainError,
     SimConfig,
+    SimulationError,
     WiringError,
     drain,
     folded_unroll,
@@ -336,3 +338,32 @@ class TestDeadlock:
         obj = json.loads(report_to_json(rep))
         assert obj["status"] == "deadlock"
         assert obj["output"] is None
+
+
+class TestSimulationErrors:
+    @pytest.mark.parametrize("m,n,mode,capacity,relay", [
+        (4, 4, "full", 2, True),
+        (6, 4, "folded", 1, True),
+        (5, 3, "full", 1, False),
+        (7, 7, "folded", 8, False),
+    ])
+    def test_max_steps_boundary(self, m, n, mode, capacity, relay):
+        aug = make_aug(m, n, 3)
+        steps = run(SPEC, config(mode, capacity, relay), aug).steps
+        assert steps >= 2
+        rep = run(SPEC, config(mode, capacity, relay, max_steps=steps), aug)
+        assert rep.completed and rep.steps == steps
+        with pytest.raises(SimulationError, match=f"within {steps - 1} sweeps"):
+            run(SPEC, config(mode, capacity, relay, max_steps=steps - 1), aug)
+
+    def test_values_left_in_channels(self, monkeypatch):
+        real_wire = simulator.wire
+
+        def preloaded(graph, placement, cfg):
+            wiring = real_wire(graph, placement, cfg)
+            next(iter(wiring.channels.values())).queue.append(0.5)
+            return wiring
+
+        monkeypatch.setattr(simulator, "wire", preloaded)
+        with pytest.raises(SimulationError, match="values left in channels"):
+            run(SPEC, config("full", capacity=8), make_aug(4, 4))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -212,3 +213,40 @@ class TestJsonRoundTrip:
     def test_rejects_unknown_schema(self):
         with pytest.raises(ValueError):
             spec_from_json('{"schema": 99}')
+
+
+class TestJsonErrors:
+    def corrupt(self, edit):
+        obj = json.loads(spec_to_json(builtin_qr_spec()))
+        edit(obj)
+        return json.dumps(obj)
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda o: o.pop("funcs"), "funcs"),
+        (lambda o: o["funcs"][0].pop("bounds"), "bounds"),
+        (lambda o: o["funcs"][1]["bounds"][0].pop("step"), "step"),
+        (lambda o: o["funcs"][0]["cases"][1]["args"][0]["call"].pop("coords"), "coords"),
+        (lambda o: o["funcs"][0]["cell_map"][2].pop("row"), "row"),
+        (lambda o: o["funcs"][0]["directives"][3]["store"].pop("condition"), "condition"),
+    ])
+    def test_missing_key_names_it(self, edit, key):
+        with pytest.raises(ValueError, match=f"spec JSON: missing key '{key}'"):
+            spec_from_json(self.corrupt(edit))
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda o: o.__setitem__("funcs", 5), "funcs"),
+        (lambda o: o["funcs"][0].__setitem__("name", 3), "name"),
+        (lambda o: o["funcs"][0].__setitem__("tuple_arity", None), "tuple_arity"),
+        (lambda o: o["funcs"][0]["bounds"][0].__setitem__("step", "1"), "step"),
+        (lambda o: o["funcs"][1]["directives"][4]["relay"].__setitem__("vector", [0, None]),
+         "vector"),
+    ])
+    def test_wrong_type_names_key(self, edit, key):
+        with pytest.raises(ValueError, match=f"spec JSON: key '{key}'"):
+            spec_from_json(self.corrupt(edit))
+
+    def test_non_object_elements(self):
+        with pytest.raises(ValueError, match="spec JSON: expected an object"):
+            spec_from_json(self.corrupt(lambda o: o["funcs"].append([])))
+        with pytest.raises(ValueError, match="spec JSON: expected an object"):
+            spec_from_json("[1, 2]")
