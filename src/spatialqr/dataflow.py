@@ -23,8 +23,6 @@ from spatialqr.specdsl import (
     MemoryRef,
     SpatialSpec,
     enumerate_domain,
-    eval_expr,
-    firing_case,
 )
 
 
@@ -76,6 +74,8 @@ class DataflowGraph:
     edges: list[FlowEdge]
     node_pattern: dict[IterNode, str]
     node_case: dict[IterNode, specdsl.RecurrenceCase]
+    node_cells: dict[IterNode, tuple[int, ...]]  # flat (tuple index, row, col) triples
+    node_stores: dict[IterNode, tuple[int, ...]]  # likewise, only for nodes that store
     topo_order: list[IterNode]
     in_edges: dict[IterNode, list[FlowEdge]] = field(default_factory=dict)
 
@@ -91,58 +91,53 @@ def enumerate_iterations(func: FuncSpec, m: int, n: int) -> list[IterNode]:
     return [IterNode(func.name, pt) for pt in enumerate_domain(func, {"M": m, "N": n})]
 
 
-def _is_cs_edge(spec: SpatialSpec, arg: CallRef) -> bool:
-    producer = spec.func(arg.func)
-    cases = {c.kernel for c in producer.cases}
-    return cases == {KERNEL_ELIMINATE} and arg.index in (0, 1)
-
-
 def build_graph(spec: SpatialSpec, m: int, n: int) -> DataflowGraph:
     """One node per iteration, one edge per firing-case argument.
 
-    The spec must already validate at (m, n); guard uniqueness and call
-    coordinates are trusted here.  Raises :class:`CycleError` with a witness
-    path if the dependences are cyclic.
+    Built from one :func:`specdsl.walk`, so the spec is validated on the
+    way: a spec with violations at (m, n) raises ValueError naming the first
+    few.  Raises :class:`CycleError` with a witness path if the dependences
+    are cyclic.
     """
-    consts = {"M": m, "N": n}
+    # a call reads a rotation pair when its producer only eliminates
+    cs_funcs = {f.name for f in spec.funcs if {c.kernel for c in f.cases} == {KERNEL_ELIMINATE}}
+    report = specdsl.ValidationReport(m, n)
     nodes: list[IterNode] = []
-    for func in spec.funcs:
-        nodes.extend(enumerate_iterations(func, m, n))
-    index = {node: i for i, node in enumerate(nodes)}
-
     edges: list[FlowEdge] = []
     node_pattern: dict[IterNode, str] = {}
     node_case: dict[IterNode, specdsl.RecurrenceCase] = {}
-    for node in nodes:
-        func = spec.func(node.func)
-        bindings = dict(consts)
-        bindings.update(zip(func.dims, node.coords))
-        case = firing_case(func, bindings)
+    node_cells: dict[IterNode, tuple[int, ...]] = {}
+    node_stores: dict[IterNode, tuple[int, ...]] = {}
+    for firing in specdsl.walk(spec, m, n, report):
+        if not report.ok:
+            continue  # the walk goes on to collect every violation
+        node = IterNode(firing.func, firing.coords)
+        case = firing.case
+        nodes.append(node)
         node_pattern[node] = case.label
         node_case[node] = case
-        for port, arg in enumerate(case.args):
+        node_cells[node] = firing.cells
+        if firing.stores:
+            node_stores[node] = firing.stores
+        for port, (arg, source) in enumerate(zip(case.args, firing.sources)):
             if isinstance(arg, MemoryRef):
-                src = MemorySource(
-                    arg.input,
-                    eval_expr(arg.row, bindings),
-                    eval_expr(arg.col, bindings),
-                )
-                edges.append(FlowEdge(src, node, port, case.label))
+                edges.append(FlowEdge(MemorySource(arg.input, *source), node, port, case.label))
             elif isinstance(arg, CallRef):
-                producer = IterNode(
-                    arg.func, tuple(eval_expr(c, bindings) for c in arg.coords)
-                )
-                pattern = "cs" if _is_cs_edge(spec, arg) else case.label
-                edges.append(FlowEdge(ProducerSource(producer, arg.index), node, port, pattern))
+                pattern = "cs" if arg.func in cs_funcs and arg.index in (0, 1) else case.label
+                producer = ProducerSource(IterNode(arg.func, source), arg.index)
+                edges.append(FlowEdge(producer, node, port, pattern))
             # ConstRef arguments carry no edge
+    if not report.ok:
+        summary = "; ".join(str(v) for v in report.violations[:5])
+        raise ValueError(f"spec does not validate at ({m}, {n}): {summary}")
 
-    topo = _topo_sort(nodes, index, edges)
-    return DataflowGraph(spec, m, n, nodes, edges, node_pattern, node_case, topo)
+    topo = _topo_sort(nodes, edges)
+    return DataflowGraph(spec, m, n, nodes, edges, node_pattern, node_case,
+                         node_cells, node_stores, topo)
 
 
-def _topo_sort(
-    nodes: list[IterNode], index: dict[IterNode, int], edges: list[FlowEdge]
-) -> list[IterNode]:
+def _topo_sort(nodes: list[IterNode], edges: list[FlowEdge]) -> list[IterNode]:
+    index = {node: i for i, node in enumerate(nodes)}
     indeg = {node: 0 for node in nodes}
     succs: dict[IterNode, list[IterNode]] = {node: [] for node in nodes}
     for e in edges:
@@ -167,15 +162,21 @@ def _topo_sort(
 
 
 def _find_cycle(remaining: set[IterNode], succs: dict[IterNode, list[IterNode]]) -> list[IterNode]:
-    start = min(remaining, key=str)
+    """A closed path of edges, first node repeated last, found by walking
+    predecessors: every node left unsorted has one, and it is left too."""
+    preds: dict[IterNode, list[IterNode]] = {}
+    for node, nexts in succs.items():
+        if node in remaining:
+            for nxt in nexts:
+                preds.setdefault(nxt, []).append(node)
     path: list[IterNode] = []
     seen: dict[IterNode, int] = {}
-    node = start
+    node = min(remaining, key=str)
     while node not in seen:
         seen[node] = len(path)
         path.append(node)
-        node = next(s for s in succs[node] if s in remaining)
-    return path[seen[node]:] + [node]
+        node = preds[node][0]
+    return (path[seen[node]:] + [node])[::-1]
 
 
 def relay_view(graph: DataflowGraph) -> DataflowGraph:
@@ -184,7 +185,8 @@ def relay_view(graph: DataflowGraph) -> DataflowGraph:
     For each function with a relay directive, the two (c, s) edges of every
     node are replaced by a single pair edge: from the original producer at
     the chain head, from the neighbour one step against the relay vector
-    elsewhere.  Data and memory edges are untouched.
+    elsewhere.  Data and memory edges are untouched.  The view shares
+    ``graph``'s node list and per-node tables.
     """
     spec = graph.spec
     domains = {f.name: {node.coords for node in graph.nodes if node.func == f.name}
@@ -221,15 +223,15 @@ def relay_view(graph: DataflowGraph) -> DataflowGraph:
         if (e.sink, e.port) not in handled:
             new_edges.append(e)
 
-    index = {node: i for i, node in enumerate(graph.nodes)}
-    topo = _topo_sort(graph.nodes, index, new_edges)
-    return DataflowGraph(graph.spec, graph.m, graph.n, list(graph.nodes), new_edges,
-                         dict(graph.node_pattern), dict(graph.node_case), topo)
+    topo = _topo_sort(graph.nodes, new_edges)
+    return DataflowGraph(graph.spec, graph.m, graph.n, graph.nodes, new_edges,
+                         graph.node_pattern, graph.node_case, graph.node_cells,
+                         graph.node_stores, topo)
 
 
 # --- graph execution (the schedule-independent oracle) -----------------------
 
-_KERNELS = {
+KERNELS = {
     specdsl.KERNEL_ELIMINATE: numeric.kernel_eliminate,
     specdsl.KERNEL_UPDATE: numeric.kernel_update,
 }
@@ -243,16 +245,11 @@ def evaluate_graph(graph: DataflowGraph, aug: AugmentedMatrix) -> AugmentedMatri
     final value, which is schedule-independent because dependences totally
     order every cell's updates.
     """
-    spec = graph.spec
-    consts = {"M": graph.m, "N": graph.n}
     snapshot = aug.inner
     result = aug.inner.copy()
     values: dict[IterNode, tuple[float, ...]] = {}
 
     for node in graph.topo_order:
-        func = spec.func(node.func)
-        bindings = dict(consts)
-        bindings.update(zip(func.dims, node.coords))
         case = graph.node_case[node]
         args: list[float] = []
         ports = {e.port: e for e in graph.in_edges[node]}
@@ -265,11 +262,11 @@ def evaluate_graph(graph: DataflowGraph, aug: AugmentedMatrix) -> AugmentedMatri
                 args.append(snapshot.get(edge.source.row, edge.source.col))
             else:
                 args.append(values[edge.source.node][edge.source.index])
-        out = _KERNELS[case.kernel](*args)
+        out = KERNELS[case.kernel](*args)
         values[node] = out
-        for idx, cell in enumerate(func.cell_map):
-            if cell is not None:
-                result.set(eval_expr(cell[0], bindings), eval_expr(cell[1], bindings), out[idx])
+        cells = graph.node_cells[node]
+        for i in range(0, len(cells), 3):
+            result.set(cells[i + 1], cells[i + 2], out[cells[i]])
 
     return AugmentedMatrix(aug.m, aug.n, result)
 

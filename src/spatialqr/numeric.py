@@ -153,9 +153,6 @@ class AugmentedMatrix:
                 a.set(i, j, self.inner.get(i, j))
         return a
 
-    def rhs_part(self) -> list[float]:
-        return self.inner.column(self.n + 1)
-
 
 @dataclass(frozen=True)
 class RotationPair:

@@ -17,8 +17,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Union
 
-from spatialqr import numeric, specdsl
 from spatialqr.dataflow import (
+    KERNELS,
     DataflowGraph,
     IterNode,
     MemorySource,
@@ -28,13 +28,7 @@ from spatialqr.dataflow import (
     relay_view,
 )
 from spatialqr.numeric import AugmentedMatrix, Matrix, NonFiniteError
-from spatialqr.specdsl import (
-    KERNEL_ARITY,
-    ConstRef,
-    SpatialSpec,
-    eval_expr,
-    validate,
-)
+from spatialqr.specdsl import KERNEL_ARITY, ConstRef, SpatialSpec
 
 
 class WiringError(ValueError):
@@ -254,9 +248,8 @@ def wire(graph: DataflowGraph, placement: dict[IterNode, PeId], cfg: SimConfig) 
     iterations folded onto one PE still go through a channel of the same
     capacity, so folding is purely a re-placement.
     """
-    spec = graph.spec
     work = graph
-    if cfg.relay_enabled and any(f.relay() is not None for f in spec.funcs):
+    if cfg.relay_enabled and any(f.relay() is not None for f in graph.spec.funcs):
         work = relay_view(graph)
 
     local_order: dict[PeId, list[IterNode]] = {}
@@ -282,10 +275,8 @@ def wire(graph: DataflowGraph, placement: dict[IterNode, PeId], cfg: SimConfig) 
         flows[key].append((src_i, dst_i))
         return chan
 
-    consts = {"M": graph.m, "N": graph.n}
     fetches: dict[IterNode, list[Fetch]] = {node: [] for node in work.nodes}
     pushes: dict[IterNode, list[Push]] = {node: [] for node in work.nodes}
-    stores: dict[IterNode, list[StoreOp]] = {node: [] for node in work.nodes}
 
     for node in work.nodes:
         case = work.node_case[node]
@@ -319,20 +310,6 @@ def wire(graph: DataflowGraph, placement: dict[IterNode, PeId], cfg: SimConfig) 
             if isinstance(arg, ConstRef):
                 fetches[node].append(ConstFetch(arg.value, port))
 
-        func = spec.func(node.func)
-        bindings = dict(consts)
-        bindings.update(zip(func.dims, node.coords))
-        for directive in func.stores():
-            if eval_expr(directive.condition, bindings) is True:
-                for idx in directive.indices:
-                    cell = func.cell_map[idx]
-                    if cell is None:
-                        raise WiringError(
-                            f"{node}: store index {idx} maps to no result cell"
-                        )
-                    pos = (eval_expr(cell[0], bindings), eval_expr(cell[1], bindings))
-                    stores[node].append(StoreOp(idx, pos))
-
     for key, pairs in flows.items():
         by_producer = sorted(pairs)
         consumer_seq = [c for _, c in by_producer]
@@ -351,12 +328,14 @@ def wire(graph: DataflowGraph, placement: dict[IterNode, PeId], cfg: SimConfig) 
         popped = [f.chan for f in fetches[node] if isinstance(f, (PairFetch, ChanFetch))]
         pushed = [p.chan for p in pushes[node]]
         wakes = {position[node][0], *[c.src for c in popped], *[c.dst for c in pushed]}
+        stored = work.node_stores.get(node, ())
         plans[node] = FiringPlan(
             node=node,
             kernel=work.node_case[node].kernel,
             fetches=tuple(fetches[node]),
             pushes=tuple(pushes[node]),
-            stores=tuple(stores[node]),
+            stores=tuple(StoreOp(stored[i], (stored[i + 1], stored[i + 2]))
+                         for i in range(0, len(stored), 3)),
             pops=tuple([c.queue for c in popped]),
             room=tuple([c.queue for c in pushed if c not in popped]),
             wakes=tuple(sorted(wakes)),
@@ -382,12 +361,6 @@ def _pair_channel(cs_edges, node: IterNode, placement: dict[IterNode, PeId]) -> 
 
 
 # --- execution ------------------------------------------------------------------
-
-_KERNELS = {
-    specdsl.KERNEL_ELIMINATE: numeric.kernel_eliminate,
-    specdsl.KERNEL_UPDATE: numeric.kernel_update,
-}
-
 
 @dataclass
 class SimReport:
@@ -428,11 +401,6 @@ def run(spec: SpatialSpec, cfg: SimConfig, aug: AugmentedMatrix) -> SimReport:
     scan over all of them would.
     """
     m, n = aug.m, aug.n
-    check = validate(spec, m, n)
-    if not check.ok:
-        summary = "; ".join(str(v) for v in check.violations[:5])
-        raise ValueError(f"spec does not validate at ({m}, {n}): {summary}")
-
     graph = build_graph(spec, m, n)
     placement = place(spec, cfg, m, n)
     wiring = wire(graph, placement, cfg)
@@ -463,7 +431,7 @@ def run(spec: SpatialSpec, cfg: SimConfig, aug: AugmentedMatrix) -> SimReport:
             else:
                 args[f.port] = f.value
         try:
-            out = _KERNELS[plan.kernel](*args)
+            out = KERNELS[plan.kernel](*args)
         except NonFiniteError as exc:
             raise NonFiniteError(f"{plan.node}: {exc}") from None
         if any(not math.isfinite(v) for v in out):
@@ -530,7 +498,7 @@ def run(spec: SpatialSpec, cfg: SimConfig, aug: AugmentedMatrix) -> SimReport:
         ]
         if leftovers:
             raise SimulationError(f"values left in channels after completion: {leftovers}")
-        output, drained, uncovered = drain(spec, store_events, m, n)
+        output, drained, uncovered = drain(graph, store_events)
     else:
         output, drained, uncovered = None, [], []
 
@@ -580,34 +548,18 @@ def _blocking_diagnostics(wiring: Wiring, pe_labels: list[str], pointers: list[i
     return out
 
 
-def expected_store_positions(spec: SpatialSpec, m: int, n: int) -> list[tuple[int, int]]:
+def expected_store_positions(graph: DataflowGraph) -> list[tuple[int, int]]:
     """Result positions the store directives name, with multiplicity."""
-    positions: list[tuple[int, int]] = []
-    consts = {"M": m, "N": n}
-    for func in spec.funcs:
-        directives = func.stores()
-        if not directives:
-            continue
-        for node in enumerate_iterations(func, m, n):
-            bindings = dict(consts)
-            bindings.update(zip(func.dims, node.coords))
-            for d in directives:
-                if eval_expr(d.condition, bindings) is True:
-                    for idx in d.indices:
-                        cell = func.cell_map[idx]
-                        if cell is None:
-                            raise DrainError(f"{node}: store index {idx} has no cell")
-                        positions.append(
-                            (eval_expr(cell[0], bindings), eval_expr(cell[1], bindings))
-                        )
-    return positions
+    return [
+        (stored[i + 1], stored[i + 2])
+        for stored in graph.node_stores.values()
+        for i in range(0, len(stored), 3)
+    ]
 
 
 def drain(
-    spec: SpatialSpec,
+    graph: DataflowGraph,
     store_events: list[tuple[tuple[int, int], float, IterNode, int]],
-    m: int,
-    n: int,
 ) -> tuple[Matrix, list[tuple[int, int]], list[tuple[int, int]]]:
     """Assemble stored values into an M x (N+1) result.
 
@@ -616,6 +568,7 @@ def drain(
     Upper-triangle positions no directive covers are returned as diagnostics
     (this set is empty whenever eliminations reach the bottom row).
     """
+    m, n = graph.m, graph.n
     output = Matrix.zeros(m, n + 1)
     seen: dict[tuple[int, int], int] = {}
     for position, value, _node, _idx in store_events:
@@ -624,7 +577,7 @@ def drain(
     doubles = sorted(p for p, count in seen.items() if count > 1)
     if doubles:
         raise DrainError(f"positions stored more than once: {doubles}")
-    expected = expected_store_positions(spec, m, n)
+    expected = expected_store_positions(graph)
     missing = sorted(set(expected) - set(seen))
     if missing:
         raise DrainError(f"positions never stored: {missing}")

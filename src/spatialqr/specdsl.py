@@ -5,15 +5,15 @@ tuple-valued piecewise recurrences over integer loop variables, inclusive
 ``lower:step:upper`` bounds that may reference outer variables, and the
 scheduling directives (channel, unroll, relay, store) that the simulator
 interprets.  :func:`builtin_qr_spec` returns the Givens-QR program over an
-augmented input matrix; :func:`validate` checks any spec exhaustively at
-concrete constants.
+augmented input matrix; :func:`walk` evaluates any spec at concrete constants,
+checking it exhaustively on the way.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 
 class UnboundNameError(LookupError):
@@ -123,14 +123,6 @@ def eval_expr(e: Expr, bindings: Mapping[str, int]) -> Union[int, bool]:
                 raise ExprTypeError("&& needs boolean operands")
             return lhs and rhs
     raise ExprTypeError(f"unknown expression node {e!r}")
-
-
-def expr_names(e: Expr) -> set[str]:
-    if isinstance(e, Name):
-        return {e.name}
-    if isinstance(e, BinOp):
-        return expr_names(e.lhs) | expr_names(e.rhs)
-    return set()
 
 
 # --- bounds and domains -----------------------------------------------------
@@ -270,13 +262,6 @@ class FuncSpec:
 
     def unrolled_dims(self) -> tuple[str, ...]:
         return tuple(d.var for d in self.directives if isinstance(d, UnrollDirective))
-
-    def channel_callees(self) -> tuple[str, ...]:
-        names: list[str] = []
-        for d in self.directives:
-            if isinstance(d, ChannelDirective):
-                names.extend(d.callees)
-        return tuple(names)
 
 
 @dataclass(frozen=True)
@@ -491,18 +476,41 @@ class ValidationReport:
         return {v.rule for v in self.violations}
 
 
-def validate(spec: SpatialSpec, m: int, n: int) -> ValidationReport:
-    """Exhaustively check the spec at concrete constants.
+@dataclass(frozen=True, slots=True)
+class Firing:
+    """One iteration point as :func:`walk` resolved it at concrete constants."""
 
-    Collects every violation rather than stopping at the first: structural
-    problems (unknown names, bad indices, malformed relay vectors), guard
-    exclusivity/exhaustiveness over each enumerated domain, and call
-    coordinates that land outside the callee's domain.
+    func: str
+    coords: tuple[int, ...]
+    case: RecurrenceCase
+    sources: tuple[tuple[int, ...] | None, ...]  # per arg: memory (row, col), callee coords, None
+    cells: tuple[int, ...]  # flat (tuple index, row, col) triples, one per cell_map entry
+    stores: tuple[int, ...]  # likewise, for the elements the store directives drain here
+
+
+def validate(spec: SpatialSpec, m: int, n: int) -> ValidationReport:
+    """Exhaustively check the spec at concrete constants; see :func:`walk`."""
+    report = ValidationReport(m, n)
+    for _ in walk(spec, m, n, report):
+        pass
+    return report
+
+
+def walk(spec: SpatialSpec, m: int, n: int, report: ValidationReport) -> Iterator[Firing]:
+    """Evaluate the spec at every iteration point, checking it on the way.
+
+    Appends every violation to ``report`` rather than stopping at the first:
+    structural problems (unknown names, bad indices, malformed relay
+    vectors), guard exclusivity/exhaustiveness over each enumerated domain,
+    call coordinates that land outside the callee's domain, and memory
+    references, cell-map entries and store conditions that cannot be
+    evaluated or point outside the M x (N+1) input.  Yields a
+    :class:`Firing` for each point with exactly one firing case, in function
+    then loop-nest order; they describe the spec only if ``report`` ends ok.
     """
     if m < 1 or n < 1:
         raise ValueError(f"constants must be >= 1, got M={m}, N={n}")
     consts = {"M": m, "N": n}
-    report = ValidationReport(m, n)
     bad = report.violations.append
 
     domains: dict[str, set[tuple[int, ...]]] = {}
@@ -518,7 +526,7 @@ def validate(spec: SpatialSpec, m: int, n: int) -> ValidationReport:
 
     for func in spec.funcs:
         _validate_structure(spec, func, report)
-        arity = KERNEL_ARITY
+        store_directives = func.stores()
         for point in orders[func.name]:
             bindings = dict(consts)
             bindings.update(zip(func.dims, point))
@@ -537,17 +545,32 @@ def validate(spec: SpatialSpec, m: int, n: int) -> ValidationReport:
                 bad(Violation("guard-gap", func.name, point, "no case guard holds"))
                 continue
             case = hits[0]
-            in_arity, _ = arity[case.kernel]
-            if len(case.args) != in_arity:
+            in_arity, _ = KERNEL_ARITY.get(case.kernel, (None, None))
+            if in_arity is None:
+                bad(Violation("kernel-unknown", func.name, point,
+                              f"case {case.label}: no kernel {case.kernel!r}"))
+            elif len(case.args) != in_arity:
                 bad(Violation(
                     "arg-arity", func.name, point,
                     f"case {case.label}: kernel {case.kernel} takes {in_arity} args, got {len(case.args)}",
                 ))
+            sources: list[tuple[int, ...] | None] = [None] * len(case.args)
             for slot, arg in enumerate(case.args):
                 if isinstance(arg, MemoryRef):
                     if arg.input not in spec.inputs:
                         bad(Violation("memref-unknown-input", func.name, point,
                                       f"case {case.label} arg {slot}: no input {arg.input!r}"))
+                    try:
+                        pos = (eval_expr(arg.row, bindings), eval_expr(arg.col, bindings))
+                    except (UnboundNameError, ExprTypeError) as exc:
+                        bad(Violation("memref-eval", func.name, point,
+                                      f"case {case.label} arg {slot}: {exc}"))
+                        continue
+                    if not (1 <= pos[0] <= m and 1 <= pos[1] <= n + 1):
+                        bad(Violation("memref-out-of-range", func.name, point,
+                                      f"case {case.label} arg {slot}: {arg.input}{pos} "
+                                      f"is outside the {m}x{n + 1} input"))
+                    sources[slot] = pos
                 elif isinstance(arg, CallRef):
                     if not spec.has_func(arg.func):
                         bad(Violation("callref-unknown-func", func.name, point,
@@ -573,7 +596,35 @@ def validate(spec: SpatialSpec, m: int, n: int) -> ValidationReport:
                         bad(Violation("callref-out-of-domain", func.name, point,
                                       f"case {case.label} arg {slot}: "
                                       f"{arg.func}{target} is outside its domain"))
-    return report
+                    sources[slot] = target
+
+            cells: dict[int, tuple[int, int]] = {}
+            for idx, cell in enumerate(func.cell_map):
+                if cell is None:
+                    continue
+                try:
+                    pos = (eval_expr(cell[0], bindings), eval_expr(cell[1], bindings))
+                except (UnboundNameError, ExprTypeError) as exc:
+                    bad(Violation("cell-eval", func.name, point, f"cell_map[{idx}]: {exc}"))
+                    continue
+                if not (1 <= pos[0] <= m and 1 <= pos[1] <= n + 1):
+                    bad(Violation("cell-out-of-range", func.name, point,
+                                  f"cell_map[{idx}] {pos} is outside the {m}x{n + 1} input"))
+                cells[idx] = pos
+            stores: list[int] = []
+            for directive in store_directives:
+                try:
+                    holds = eval_expr(directive.condition, bindings) is True
+                except (UnboundNameError, ExprTypeError) as exc:
+                    bad(Violation("cell-eval", func.name, point, f"store condition: {exc}"))
+                    continue
+                if holds:
+                    # an index without a resolved cell is already a violation
+                    stores.extend(v for idx in directive.indices if idx in cells
+                                  for v in (idx, *cells[idx]))
+            yield Firing(func.name, point, case, tuple(sources),
+                         tuple(v for idx, pos in cells.items() for v in (idx, *pos)),
+                         tuple(stores))
 
 
 def _validate_structure(spec: SpatialSpec, func: FuncSpec, report: ValidationReport) -> None:
@@ -617,7 +668,7 @@ def _validate_structure(spec: SpatialSpec, func: FuncSpec, report: ValidationRep
                 if not (0 <= idx < func.tuple_arity):
                     bad(Violation("store-tuple-index", func.name, None,
                                   f"store index {idx} outside tuple arity {func.tuple_arity}"))
-                elif idx < len(func.cell_map) and func.cell_map[idx] is None:
+                elif idx >= len(func.cell_map) or func.cell_map[idx] is None:
                     bad(Violation("store-no-cell", func.name, None,
                                   f"store index {idx} has no output cell"))
 

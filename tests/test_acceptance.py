@@ -172,7 +172,7 @@ def test_criterion_5_three_way_bitwise_equivalence(capsys):
 def test_criterion_6_drain_coverage(capsys):
     expected = [(i, j) for i in range(1, 5) for j in range(i, 6)]
     assert len(expected) == 14
-    declared = expected_store_positions(SPEC, 4, 4)
+    declared = expected_store_positions(build_graph(SPEC, 4, 4))
     assert sorted(declared) == expected          # every position named...
     assert len(set(declared)) == len(declared)  # ...exactly once
     rep = run(SPEC, SimConfig(), make_aug(4, 4, 0))

@@ -20,7 +20,15 @@ from spatialqr.dataflow import (
     trace_to_json,
 )
 from spatialqr.numeric import AugmentedMatrix, qr_givens_reference, random_matrix
-from spatialqr.specdsl import COL, ROW, CallRef, builtin_qr_spec
+from spatialqr.specdsl import (
+    COL,
+    K,
+    ROW,
+    CallRef,
+    ValidationReport,
+    builtin_qr_spec,
+    walk,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -140,6 +148,34 @@ class TestCycle:
         assert witness[0] == witness[-1]
         assert witness[0].func == "X"
         assert "dependence cycle" in str(exc.value)
+
+    @pytest.mark.parametrize("func,case,slot,call,m,n", [
+        # Y(1, 2, k) reads its own output; nodes downstream of it are left
+        # unsorted too, and some of them have no successors at all
+        ("Y", 1, 2, CallRef("Y", (COL, ROW, K), 1), 3, 2),
+        # X(col, M) and X(col, M-1) read each other
+        ("X", 2, 0, CallRef("X", (COL, ROW - 1), 3), 5, 2),
+    ])
+    def test_witness_is_closed_path_of_edges(self, func, case, slot, call, m, n):
+        spec = builtin_qr_spec()
+        f = spec.func(func)
+        old = f.cases[case]
+        looped = dataclasses.replace(old, args=old.args[:slot] + (call,) + old.args[slot + 1:])
+        cases = f.cases[:case] + (looped,) + f.cases[case + 1:]
+        spec = dataclasses.replace(spec, funcs=tuple(
+            dataclasses.replace(g, cases=cases) if g.name == func else g for g in spec.funcs
+        ))
+        with pytest.raises(CycleError) as exc:
+            build_graph(spec, m, n)
+        witness = exc.value.witness
+        assert len(witness) >= 2 and witness[0] == witness[-1]
+        edges = {
+            (IterNode(arg.func, source), IterNode(firing.func, firing.coords))
+            for firing in walk(spec, m, n, ValidationReport(m, n))
+            for arg, source in zip(firing.case.args, firing.sources)
+            if isinstance(arg, CallRef)
+        }
+        assert all(pair in edges for pair in zip(witness, witness[1:]))
 
 
 class TestTrace:

@@ -277,11 +277,11 @@ class TestDrain:
         events = [((1, 1), 2.5, IterNode("X", (1, 2)), 3),
                   ((1, 1), 2.5, IterNode("X", (1, 2)), 3)]
         with pytest.raises(DrainError, match="more than once"):
-            drain(SPEC, events, 4, 4)
+            drain(build_graph(SPEC, 4, 4), events)
 
     def test_missing_store_detected(self):
         with pytest.raises(DrainError, match="never stored"):
-            drain(SPEC, [], 4, 4)
+            drain(build_graph(SPEC, 4, 4), [])
 
 
 def chain_spec():

@@ -3,15 +3,22 @@ import json
 
 import pytest
 
+from spatialqr.numeric import AugmentedMatrix, random_matrix
+from spatialqr.simulator import SimConfig, run
 from spatialqr.specdsl import (
+    A_PRIME,
     COL,
+    K,
     M,
     N,
     ROW,
     BoundSpec,
     CallRef,
     IntLit,
+    MemoryRef,
+    Name,
     RecurrenceCase,
+    StoreDirective,
     UnboundNameError,
     builtin_qr_spec,
     enumerate_domain,
@@ -196,6 +203,50 @@ class TestInjectedFaults:
         spec2 = replace_func(spec, "X", cases=(x.cases[0], bad_case, clone) + x.cases[2:])
         report = validate(spec2, 4, 4)
         assert {"guard-overlap", "callref-tuple-index"} <= report.rules()
+
+
+X_FUNC = builtin_qr_spec().func("X")
+
+
+def with_memref(row):
+    a = X_FUNC.cases[0]
+    case = dataclasses.replace(a, args=(MemoryRef(A_PRIME, row, IntLit(1)), a.args[1]))
+    return with_x(cases=(case,) + X_FUNC.cases[1:])
+
+
+def with_x(**changes):
+    return replace_func(builtin_qr_spec(), "X", **changes)
+
+
+class TestEvaluatedExpressions:
+    """Every expression the walk evaluates is checked, so such a spec stops
+    at validation instead of failing inside a later layer."""
+
+    @pytest.mark.parametrize("spec,rule", [
+        (with_memref(Name("q")), "memref-eval"),
+        (with_memref(M + 1), "memref-out-of-range"),
+        (with_x(cell_map=X_FUNC.cell_map[:2] + ((ROW, Name("q")), X_FUNC.cell_map[3])),
+         "cell-eval"),
+        (with_x(directives=X_FUNC.directives + (StoreDirective((2,), Name("q").eq(1)),)),
+         "cell-eval"),
+        (replace_func(builtin_qr_spec(), "Y", cell_map=((ROW, K + 1), (ROW - 1, K))),
+         "cell-out-of-range"),
+        (with_x(cell_map=()), "store-no-cell"),
+        (with_x(cases=(dataclasses.replace(X_FUNC.cases[0], kernel="rotate"),) + X_FUNC.cases[1:]),
+         "kernel-unknown"),
+    ])
+    def test_rule_fires_and_run_rejects(self, spec, rule):
+        assert rule in validate(spec, 4, 4).rules()
+        aug = AugmentedMatrix.from_parts(random_matrix(4, 4, 0), [1.0] * 4)
+        with pytest.raises(ValueError, match=r"does not validate at \(4, 4\)"):
+            run(spec, SimConfig(), aug)
+
+    def test_out_of_range_names_the_point(self):
+        report = validate(with_memref(M + 1), 4, 4)
+        assert [(v.rule, v.coords) for v in report.violations] == [
+            ("memref-out-of-range", (1, 4)),
+        ]
+        assert "A'(5, 1) is outside the 4x5 input" in report.violations[0].message
 
 
 class TestJsonRoundTrip:
