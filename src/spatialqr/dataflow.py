@@ -1,29 +1,23 @@
-"""Iteration-level dataflow: enumeration, graph building, traces, DOT export.
+"""Iteration-level dataflow: graph building, traces, DOT export.
 
 Every loop iteration of a spatial function becomes a node; every argument of
 its firing recurrence case becomes an edge from memory or from the producing
-iteration.  The module also carries a pull-based evaluator over the
-topological order, used as an independent oracle against both the imperative
-reference and the processing-element simulator.
+iteration.  Nodes are numbered in walk order, and every per-node table is a
+list indexed by that node id.  The module also carries a pull-based
+evaluator over the topological order, used as an independent oracle against
+both the imperative reference and the processing-element simulator.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from spatialqr import numeric, specdsl
 from spatialqr.numeric import AugmentedMatrix
-from spatialqr.specdsl import (
-    KERNEL_ELIMINATE,
-    CallRef,
-    ConstRef,
-    FuncSpec,
-    MemoryRef,
-    SpatialSpec,
-    enumerate_domain,
-)
+from spatialqr.specdsl import KERNEL_ELIMINATE, CallRef, ConstRef, MemoryRef, SpatialSpec
 
 
 class CycleError(ValueError):
@@ -44,51 +38,40 @@ class IterNode:
         return f"{self.func}{self.coords}"
 
 
-@dataclass(frozen=True)
-class MemorySource:
+class MemorySource(NamedTuple):
     input: str
     row: int
     col: int
 
 
-@dataclass(frozen=True)
-class ProducerSource:
-    node: IterNode
+class ProducerSource(NamedTuple):
+    node: int  # producer's node id
     index: int | None  # None marks a relayed (c, s) pair in the relay view
 
 
-@dataclass(frozen=True)
-class FlowEdge:
+class FlowEdge(NamedTuple):
     source: MemorySource | ProducerSource
-    sink: IterNode
+    sink: int  # consumer's node id
     port: int
     pattern: str  # case label a-d for data/memory edges, "cs" for rotation pairs
 
 
 @dataclass
 class DataflowGraph:
+    """Nodes in walk order; a node's id is its index in ``nodes`` and in every table."""
+
     spec: SpatialSpec
     m: int
     n: int
     nodes: list[IterNode]
     edges: list[FlowEdge]
-    node_pattern: dict[IterNode, str]
-    node_case: dict[IterNode, specdsl.RecurrenceCase]
-    node_cells: dict[IterNode, tuple[int, ...]]  # flat (tuple index, row, col) triples
-    node_stores: dict[IterNode, tuple[int, ...]]  # likewise, only for nodes that store
-    topo_order: list[IterNode]
-    in_edges: dict[IterNode, list[FlowEdge]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.in_edges:
-            self.in_edges = {node: [] for node in self.nodes}
-            for e in self.edges:
-                self.in_edges[e.sink].append(e)
-
-
-def enumerate_iterations(func: FuncSpec, m: int, n: int) -> list[IterNode]:
-    """Iteration points in loop-nest order, respecting per-dim step signs."""
-    return [IterNode(func.name, pt) for pt in enumerate_domain(func, {"M": m, "N": n})]
+    node_pattern: list[str]
+    node_case: list[specdsl.RecurrenceCase]
+    node_cells: list[tuple[int, ...]]  # flat (tuple index, row, col) triples
+    node_stores: list[tuple[int, ...]]  # likewise; empty for nodes that store nothing
+    in_edges: list[list[FlowEdge]]  # per node, in port order
+    topo_order: list[int]
+    ids: dict[str, dict[tuple[int, ...], int]]  # node id per function name and coordinates
 
 
 def build_graph(spec: SpatialSpec, m: int, n: int) -> DataflowGraph:
@@ -99,84 +82,87 @@ def build_graph(spec: SpatialSpec, m: int, n: int) -> DataflowGraph:
     few.  Raises :class:`CycleError` with a witness path if the dependences
     are cyclic.
     """
-    # a call reads a rotation pair when its producer only eliminates
-    cs_funcs = {f.name for f in spec.funcs if {c.kernel for c in f.cases} == {KERNEL_ELIMINATE}}
     report = specdsl.ValidationReport(m, n)
-    nodes: list[IterNode] = []
-    edges: list[FlowEdge] = []
-    node_pattern: dict[IterNode, str] = {}
-    node_case: dict[IterNode, specdsl.RecurrenceCase] = {}
-    node_cells: dict[IterNode, tuple[int, ...]] = {}
-    node_stores: dict[IterNode, tuple[int, ...]] = {}
-    for firing in specdsl.walk(spec, m, n, report):
-        if not report.ok:
-            continue  # the walk goes on to collect every violation
-        node = IterNode(firing.func, firing.coords)
-        case = firing.case
-        nodes.append(node)
-        node_pattern[node] = case.label
-        node_case[node] = case
-        node_cells[node] = firing.cells
-        if firing.stores:
-            node_stores[node] = firing.stores
-        for port, (arg, source) in enumerate(zip(case.args, firing.sources)):
-            if isinstance(arg, MemoryRef):
-                edges.append(FlowEdge(MemorySource(arg.input, *source), node, port, case.label))
-            elif isinstance(arg, CallRef):
-                pattern = "cs" if arg.func in cs_funcs and arg.index in (0, 1) else case.label
-                producer = ProducerSource(IterNode(arg.func, source), arg.index)
-                edges.append(FlowEdge(producer, node, port, pattern))
-            # ConstRef arguments carry no edge
+    # the walk goes on to collect every violation
+    firings = [firing for firing in specdsl.walk(spec, m, n, report) if report.ok]
     if not report.ok:
         summary = "; ".join(str(v) for v in report.violations[:5])
         raise ValueError(f"spec does not validate at ({m}, {n}): {summary}")
 
-    topo = _topo_sort(nodes, edges)
-    return DataflowGraph(spec, m, n, nodes, edges, node_pattern, node_case,
-                         node_cells, node_stores, topo)
+    ids: dict[str, dict[tuple[int, ...], int]] = {f.name: {} for f in spec.funcs}
+    for i, firing in enumerate(firings):
+        ids[firing.func][firing.coords] = i
+    # a call reads a rotation pair when its producer only eliminates
+    cs_funcs = {f.name for f in spec.funcs if {c.kernel for c in f.cases} == {KERNEL_ELIMINATE}}
+    nodes: list[IterNode] = []
+    edges: list[FlowEdge] = []
+    in_edges: list[list[FlowEdge]] = []
+    for i, firing in enumerate(firings):
+        case = firing.case
+        nodes.append(IterNode(firing.func, firing.coords))
+        ins = []
+        for port, (arg, source) in enumerate(zip(case.args, firing.sources)):
+            if isinstance(arg, MemoryRef):
+                ins.append(FlowEdge(MemorySource(arg.input, *source), i, port, case.label))
+            elif isinstance(arg, CallRef):
+                pattern = "cs" if arg.func in cs_funcs and arg.index in (0, 1) else case.label
+                producer = ProducerSource(ids[arg.func][source], arg.index)
+                ins.append(FlowEdge(producer, i, port, pattern))
+            # ConstRef arguments carry no edge
+        in_edges.append(ins)
+        edges += ins
+
+    return DataflowGraph(
+        spec, m, n, nodes, edges,
+        node_pattern=[f.case.label for f in firings],
+        node_case=[f.case for f in firings],
+        node_cells=[f.cells for f in firings],
+        node_stores=[f.stores for f in firings],
+        in_edges=in_edges,
+        topo_order=_topo_sort(nodes, in_edges),
+        ids=ids,
+    )
 
 
-def _topo_sort(nodes: list[IterNode], edges: list[FlowEdge]) -> list[IterNode]:
-    index = {node: i for i, node in enumerate(nodes)}
-    indeg = {node: 0 for node in nodes}
-    succs: dict[IterNode, list[IterNode]] = {node: [] for node in nodes}
-    for e in edges:
-        if isinstance(e.source, ProducerSource):
-            succs[e.source.node].append(e.sink)
-            indeg[e.sink] += 1
+def _topo_sort(nodes: list[IterNode], in_edges: list[list[FlowEdge]]) -> list[int]:
+    """Kahn's order, always taking the smallest ready node id."""
+    indeg = [0] * len(nodes)
+    succs: list[list[int]] = [[] for _ in nodes]
+    for i, ins in enumerate(in_edges):
+        for e in ins:
+            if isinstance(e.source, ProducerSource):
+                succs[e.source.node].append(i)
+                indeg[i] += 1
 
-    ready = [index[node] for node in nodes if indeg[node] == 0]
-    heapq.heapify(ready)
-    order: list[IterNode] = []
+    ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
+    order: list[int] = []
     while ready:
-        node = nodes[heapq.heappop(ready)]
-        order.append(node)
-        for nxt in succs[node]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(ready, index[nxt])
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in succs[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, j)
     if len(order) != len(nodes):
-        remaining = {node for node in nodes if indeg[node] > 0}
-        raise CycleError(_find_cycle(remaining, succs))
+        raise CycleError(_find_cycle(nodes, in_edges, indeg))
     return order
 
 
-def _find_cycle(remaining: set[IterNode], succs: dict[IterNode, list[IterNode]]) -> list[IterNode]:
+def _find_cycle(nodes: list[IterNode], in_edges: list[list[FlowEdge]],
+                indeg: list[int]) -> list[IterNode]:
     """A closed path of edges, first node repeated last, found by walking
-    predecessors: every node left unsorted has one, and it is left too."""
-    preds: dict[IterNode, list[IterNode]] = {}
-    for node, nexts in succs.items():
-        if node in remaining:
-            for nxt in nexts:
-                preds.setdefault(nxt, []).append(node)
-    path: list[IterNode] = []
-    seen: dict[IterNode, int] = {}
-    node = min(remaining, key=str)
+    predecessors from the node left unsorted (``indeg`` > 0) with the least
+    name: every such node has an unsorted predecessor, and the walk takes
+    the one with the least id."""
+    path: list[int] = []
+    seen: dict[int, int] = {}
+    node = min((i for i, d in enumerate(indeg) if d > 0), key=lambda i: str(nodes[i]))
     while node not in seen:
         seen[node] = len(path)
         path.append(node)
-        node = preds[node][0]
-    return (path[seen[node]:] + [node])[::-1]
+        node = min(e.source.node for e in in_edges[node]
+                   if isinstance(e.source, ProducerSource) and indeg[e.source.node] > 0)
+    return [nodes[i] for i in (path[seen[node]:] + [node])[::-1]]
 
 
 def relay_view(graph: DataflowGraph) -> DataflowGraph:
@@ -185,48 +171,45 @@ def relay_view(graph: DataflowGraph) -> DataflowGraph:
     For each function with a relay directive, the two (c, s) edges of every
     node are replaced by a single pair edge: from the original producer at
     the chain head, from the neighbour one step against the relay vector
-    elsewhere.  Data and memory edges are untouched.  The view shares
-    ``graph``'s node list and per-node tables.
-    """
-    spec = graph.spec
-    domains = {f.name: {node.coords for node in graph.nodes if node.func == f.name}
-               for f in spec.funcs}
-    new_edges: list[FlowEdge] = []
-    handled: set[tuple[IterNode, int]] = set()
+    elsewhere.  Data and memory edges are untouched.  The view is a port
+    remap: it shares ``graph``'s nodes, per-node tables and the in-edge
+    lists of every node it does not rewrite.
 
-    for func in spec.funcs:
+    The view keeps ``graph``'s topological order when every pair edge points
+    forward in it, as it does for the built-in spec.  Otherwise it sorts its
+    own edges, which raises :class:`CycleError` when a relay chain closes a
+    dependence cycle.
+    """
+    in_edges = list(graph.in_edges)
+    pairs: list[FlowEdge] = []
+    for func in graph.spec.funcs:
         relay = func.relay()
         if relay is None:
             continue
-        vec = relay.vector
-        for node in graph.nodes:
-            if node.func != func.name:
+        ids = graph.ids[func.name]
+        for coords, i in ids.items():
+            cs = [e for e in in_edges[i] if e.pattern == "cs"]
+            if not cs:
                 continue
-            cs_edges = sorted(
-                (e for e in graph.in_edges[node] if e.pattern == "cs"),
-                key=lambda e: e.port,
-            )
-            if not cs_edges:
-                continue
-            for e in cs_edges:
-                handled.add((node, e.port))
-            prev = tuple(c - v for c, v in zip(node.coords, vec))
-            if prev in domains[func.name]:
-                source = ProducerSource(IterNode(func.name, prev), None)
-            else:
-                head = cs_edges[0].source
-                assert isinstance(head, ProducerSource)
-                source = ProducerSource(head.node, None)
-            new_edges.append(FlowEdge(source, node, cs_edges[0].port, "cs"))
+            prev = ids.get(tuple(c - v for c, v in zip(coords, relay.vector)))
+            pair = FlowEdge(ProducerSource(cs[0].source.node if prev is None else prev, None),
+                            i, cs[0].port, "cs")
+            pairs.append(pair)
+            in_edges[i] = [pair if e is cs[0] else e for e in in_edges[i]
+                           if e.pattern != "cs" or e is cs[0]]
+    edges = pairs + [e for e in graph.edges
+                     if e.pattern != "cs" or in_edges[e.sink] is graph.in_edges[e.sink]]
 
-    for e in graph.edges:
-        if (e.sink, e.port) not in handled:
-            new_edges.append(e)
-
-    topo = _topo_sort(graph.nodes, new_edges)
-    return DataflowGraph(graph.spec, graph.m, graph.n, graph.nodes, new_edges,
+    position = [0] * len(graph.nodes)
+    for k, i in enumerate(graph.topo_order):
+        position[i] = k
+    if all(position[e.source.node] < position[e.sink] for e in pairs):
+        topo = graph.topo_order
+    else:
+        topo = _topo_sort(graph.nodes, in_edges)
+    return DataflowGraph(graph.spec, graph.m, graph.n, graph.nodes, edges,
                          graph.node_pattern, graph.node_case, graph.node_cells,
-                         graph.node_stores, topo)
+                         graph.node_stores, in_edges, topo, graph.ids)
 
 
 # --- graph execution (the schedule-independent oracle) -----------------------
@@ -247,26 +230,22 @@ def evaluate_graph(graph: DataflowGraph, aug: AugmentedMatrix) -> AugmentedMatri
     """
     snapshot = aug.inner
     result = aug.inner.copy()
-    values: dict[IterNode, tuple[float, ...]] = {}
+    values: list[tuple[float, ...] | None] = [None] * len(graph.nodes)
 
-    for node in graph.topo_order:
-        case = graph.node_case[node]
-        args: list[float] = []
-        ports = {e.port: e for e in graph.in_edges[node]}
-        for port, arg in enumerate(case.args):
-            if isinstance(arg, ConstRef):
-                args.append(arg.value)
-                continue
-            edge = ports[port]
-            if isinstance(edge.source, MemorySource):
-                args.append(snapshot.get(edge.source.row, edge.source.col))
+    for i in graph.topo_order:
+        case = graph.node_case[i]
+        args = [arg.value if isinstance(arg, ConstRef) else None for arg in case.args]
+        for e in graph.in_edges[i]:
+            src = e.source
+            if isinstance(src, MemorySource):
+                args[e.port] = snapshot.get(src.row, src.col)
             else:
-                args.append(values[edge.source.node][edge.source.index])
+                args[e.port] = values[src.node][src.index]
         out = KERNELS[case.kernel](*args)
-        values[node] = out
-        cells = graph.node_cells[node]
-        for i in range(0, len(cells), 3):
-            result.set(cells[i + 1], cells[i + 2], out[cells[i]])
+        values[i] = out
+        cells = graph.node_cells[i]
+        for k in range(0, len(cells), 3):
+            result.set(cells[k + 1], cells[k + 2], out[cells[k]])
 
     return AugmentedMatrix(aug.m, aug.n, result)
 
@@ -365,10 +344,10 @@ def emit_dot(graph: DataflowGraph) -> str:
     (they are boundary inputs, available in the JSON dump).
     """
     lines = ["digraph dataflow {", "  rankdir=TB;"]
-    for node in graph.nodes:
-        kernel = graph.node_case[node].kernel
-        shape = "ellipse" if kernel == KERNEL_ELIMINATE else "box"
-        lines.append(f'  "{_node_id(node)}" [shape={shape}];')
+    names = [_node_id(node) for node in graph.nodes]
+    for name, case in zip(names, graph.node_case):
+        shape = "ellipse" if case.kernel == KERNEL_ELIMINATE else "box"
+        lines.append(f'  "{name}" [shape={shape}];')
     for e in graph.edges:
         if not isinstance(e.source, ProducerSource):
             continue
@@ -379,15 +358,14 @@ def emit_dot(graph: DataflowGraph) -> str:
             attrs = ' [color=forestgreen, style=dashed, label="cs"]'
         else:
             attrs = ""
-        lines.append(f'  "{_node_id(e.source.node)}" -> "{_node_id(e.sink)}"{attrs};')
+        lines.append(f'  "{names[e.source.node]}" -> "{names[e.sink]}"{attrs};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_stats(graph: DataflowGraph) -> dict[str, int]:
     """Node/edge census plus the longest dependence chain, counted in nodes."""
-    x_nodes = sum(1 for node in graph.nodes
-                  if graph.node_case[node].kernel == KERNEL_ELIMINATE)
+    x_nodes = sum(1 for case in graph.node_case if case.kernel == KERNEL_ELIMINATE)
     y_nodes = len(graph.nodes) - x_nodes
     memory_edges = sum(1 for e in graph.edges if isinstance(e.source, MemorySource))
     cs_pairs = sum(
@@ -400,20 +378,17 @@ def graph_stats(graph: DataflowGraph) -> dict[str, int]:
         if isinstance(e.source, ProducerSource) and e.pattern != "cs"
     )
 
-    depth: dict[IterNode, int] = {}
-    for node in graph.topo_order:
-        best = 0
-        for e in graph.in_edges[node]:
-            if isinstance(e.source, ProducerSource):
-                best = max(best, depth[e.source.node])
-        depth[node] = best + 1
+    depth = [0] * len(graph.nodes)
+    for i in graph.topo_order:
+        depth[i] = 1 + max((depth[e.source.node] for e in graph.in_edges[i]
+                            if isinstance(e.source, ProducerSource)), default=0)
     return {
         "x_nodes": x_nodes,
         "y_nodes": y_nodes,
         "memory_edges": memory_edges,
         "cs_edges": cs_pairs,
         "data_edges": data_edges,
-        "critical_path_length": max(depth.values(), default=0),
+        "critical_path_length": max(depth, default=0),
     }
 
 
@@ -422,8 +397,8 @@ def graph_to_json(graph: DataflowGraph) -> str:
         if isinstance(e.source, MemorySource):
             return {"memory": {"input": e.source.input, "row": e.source.row,
                                "col": e.source.col}}
-        return {"producer": {"func": e.source.node.func,
-                             "coords": list(e.source.node.coords),
+        node = graph.nodes[e.source.node]
+        return {"producer": {"func": node.func, "coords": list(node.coords),
                              "index": e.source.index}}
 
     obj = {
@@ -431,13 +406,13 @@ def graph_to_json(graph: DataflowGraph) -> str:
         "m": graph.m,
         "n": graph.n,
         "nodes": [
-            {"func": node.func, "coords": list(node.coords),
-             "pattern": graph.node_pattern[node]}
-            for node in graph.nodes
+            {"func": node.func, "coords": list(node.coords), "pattern": pattern}
+            for node, pattern in zip(graph.nodes, graph.node_pattern)
         ],
         "edges": [
             {"source": source_obj(e),
-             "sink": {"func": e.sink.func, "coords": list(e.sink.coords)},
+             "sink": {"func": graph.nodes[e.sink].func,
+                      "coords": list(graph.nodes[e.sink].coords)},
              "port": e.port, "pattern": e.pattern}
             for e in graph.edges
         ],

@@ -15,16 +15,14 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 from spatialqr.dataflow import (
     KERNELS,
     DataflowGraph,
     IterNode,
     MemorySource,
-    ProducerSource,
     build_graph,
-    enumerate_iterations,
     relay_view,
 )
 from spatialqr.numeric import AugmentedMatrix, Matrix, NonFiniteError
@@ -43,8 +41,7 @@ class SimulationError(RuntimeError):
     """A run exhausted ``max_steps`` or left values behind in its channels."""
 
 
-@dataclass(frozen=True)
-class PeId:
+class PeId(NamedTuple):
     """One processing element: a function plus its unrolled-dim coordinates."""
 
     func: str
@@ -55,28 +52,25 @@ class PeId:
         return f"{self.func}({inside})"
 
 
-@dataclass(frozen=True)
-class ChannelKey:
+class ChannelKey(NamedTuple):
     src_pe: PeId
     src_tag: str  # "t<index>" for tuple elements, "cs" for pairs, "relay" for forwards
     dst_pe: PeId
     dst_tag: str  # "p<port>" for data ports, "cs" for the pair port
-
-    def label(self) -> str:
-        return f"{self.src_pe.label()}.{self.src_tag}->{self.dst_pe.label()}.{self.dst_tag}"
 
 
 class Channel:
     """Bounded FIFO; producers block when full, consumers when empty.
 
     ``src`` and ``dst`` are the indices of the producer and consumer PEs in
-    :attr:`Wiring.pes`.
+    :attr:`Wiring.pes`; ``label`` names the channel in reports and errors.
     """
 
-    __slots__ = ("key", "capacity", "src", "dst", "queue", "max_occupancy", "sends")
+    __slots__ = ("key", "label", "capacity", "src", "dst", "queue", "max_occupancy", "sends")
 
-    def __init__(self, key: ChannelKey, capacity: int, src: int, dst: int):
+    def __init__(self, key: ChannelKey, label: str, capacity: int, src: int, dst: int):
         self.key = key
+        self.label = label
         self.capacity = capacity
         self.src = src
         self.dst = dst
@@ -86,7 +80,7 @@ class Channel:
 
     def push(self, value) -> None:
         if len(self.queue) >= self.capacity:
-            raise WiringError(f"push into full channel {self.key.label()}")
+            raise WiringError(f"push into full channel {self.label}")
         self.queue.append(value)
         self.sends += 1
         self.max_occupancy = max(self.max_occupancy, len(self.queue))
@@ -138,45 +132,67 @@ def folded_unroll(spec: SpatialSpec, drop: tuple[str, ...] = ("row",)) -> dict[s
     }
 
 
-def place(spec: SpatialSpec, cfg: SimConfig, m: int, n: int) -> dict[IterNode, PeId]:
+@dataclass
+class Placement:
+    """The PE of every node of a graph."""
+
+    pes: list[PeId]  # sorted; a PE's index here is its scheduling priority
+    node_pe: list[int]  # per node id, the index of its PE in ``pes``
+
+
+def place(graph: DataflowGraph, cfg: SimConfig) -> Placement:
     """Map each iteration to the PE fixed at its unrolled-dim values."""
+    spec = graph.spec
     unroll = cfg.unroll if cfg.unroll is not None else spec_unroll(spec)
-    placement: dict[IterNode, PeId] = {}
+    unknown = set(unroll) - {f.name for f in spec.funcs}
+    if unknown:
+        raise WiringError(f"cannot unroll unknown functions {sorted(unknown)}")
+    kept: dict[str, tuple[int, ...]] = {}  # per function, the positions of its unrolled dims
     for func in spec.funcs:
         keep = set(unroll.get(func.name, func.unrolled_dims()))
         unknown = keep - set(func.dims)
         if unknown:
             raise WiringError(f"{func.name}: cannot unroll unknown dims {sorted(unknown)}")
-        for node in enumerate_iterations(func, m, n):
-            fixed = tuple(
-                (d, c) for d, c in zip(func.dims, node.coords) if d in keep
-            )
-            placement[node] = PeId(func.name, fixed)
-    return placement
+        kept[func.name] = tuple(i for i, d in enumerate(func.dims) if d in keep)
+
+    found: dict[tuple[str, tuple[int, ...]], int] = {}  # (function, unrolled values) -> PE
+    node_pe = []
+    for node in graph.nodes:
+        key = (node.func, tuple([node.coords[i] for i in kept[node.func]]))
+        node_pe.append(found.setdefault(key, len(found)))
+    # PEs of one function unroll the same dims, so their values order them
+    order = sorted(found)
+    rank = [0] * len(found)
+    for r, key in enumerate(order):
+        rank[found[key]] = r
+    dims = {f.name: f.dims for f in spec.funcs}
+    pes = [PeId(func, tuple((dims[func][i], v) for i, v in zip(kept[func], values)))
+           for func, values in order]
+    return Placement(pes, [rank[p] for p in node_pe])
 
 
 # --- firing plans -------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PairFetch:
     chan: Channel
     ports: tuple[int, int]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ChanFetch:
     chan: Channel
     port: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MemFetch:
     row: int
     col: int
     port: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ConstFetch:
     value: float
     port: int
@@ -185,13 +201,13 @@ class ConstFetch:
 Fetch = Union[PairFetch, ChanFetch, MemFetch, ConstFetch]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PairPush:
     chan: Channel
     forward: bool  # True: forward the consumed pair; False: emit own outputs (0, 1)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DataPush:
     chan: Channel
     index: int
@@ -200,7 +216,7 @@ class DataPush:
 Push = Union[PairPush, DataPush]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StoreOp:
     index: int
     position: tuple[int, int]
@@ -233,131 +249,138 @@ class FiringPlan:
 @dataclass
 class Wiring:
     channels: dict[ChannelKey, Channel]
-    plans: dict[IterNode, FiringPlan]
+    plans: list[FiringPlan]  # per node id
     pes: list[PeId]  # sorted; a PE's index here is its scheduling priority
+    pe_labels: list[str]  # per PE index
     programs: list[list[FiringPlan]]  # per PE index, in program order
     graph: DataflowGraph  # post-relay view when relaying is enabled
 
 
-def wire(graph: DataflowGraph, placement: dict[IterNode, PeId], cfg: SimConfig) -> Wiring:
+# channel tags as ints: tuple index or port >= 0, else one of these
+_CS, _RELAY = -1, -2
+
+
+def _tag(code: int, prefix: str) -> str:
+    return "cs" if code == _CS else "relay" if code == _RELAY else f"{prefix}{code}"
+
+
+def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Wiring:
     """Turn value edges into bounded channels between placed PEs.
 
     With relaying enabled, rotation-pair edges are first rewritten into
     hop-by-hop chains along each relay directive's vector; only the chain
     head still receives the pair straight from its producer.  Edges between
     iterations folded onto one PE still go through a channel of the same
-    capacity, so folding is purely a re-placement.
+    capacity, so folding is purely a re-placement.  Channels are found by
+    int keys, (producer PE, tag, consumer PE, tag); each gets its
+    :class:`ChannelKey` and label once.
     """
     work = graph
     if cfg.relay_enabled and any(f.relay() is not None for f in graph.spec.funcs):
         work = relay_view(graph)
+    nodes = work.nodes
+    pes, node_pe = placement.pes, placement.node_pe
+    pe_labels = [pe.label() for pe in pes]
 
-    local_order: dict[PeId, list[IterNode]] = {}
-    for node in work.nodes:
-        local_order.setdefault(placement[node], []).append(node)
-    pes = sorted(local_order, key=lambda pe: (pe.func, pe.fixed))
-    # node -> (index of its PE in ``pes``, its position in that PE's program)
-    position = {
-        node: (pe, i)
-        for pe, nodes in enumerate(local_order[pe] for pe in pes)
-        for i, node in enumerate(nodes)
-    }
+    local_order: list[list[int]] = [[] for _ in pes]  # per PE, its node ids in program order
+    slot = [0] * len(nodes)  # a node's position in its PE's program
+    for i, pe in enumerate(node_pe):
+        slot[i] = len(local_order[pe])
+        local_order[pe].append(i)
 
-    channels: dict[ChannelKey, Channel] = {}
-    flows: dict[ChannelKey, list[tuple[int, int]]] = {}
+    channels: list[Channel] = []
+    flows: list[list[tuple[int, int]]] = []  # per channel, (producer slot, consumer slot)
+    found: dict[tuple[int, int, int, int], int] = {}
 
-    def channel_for(key: ChannelKey, src: IterNode, dst: IterNode) -> Channel:
-        (src_pe, src_i), (dst_pe, dst_i) = position[src], position[dst]
-        chan = channels.get(key)
-        if chan is None:
-            chan = channels[key] = Channel(key, cfg.channel_capacity, src_pe, dst_pe)
-            flows[key] = []
-        flows[key].append((src_i, dst_i))
-        return chan
+    def channel_for(src: int, src_tag: int, dst: int, dst_tag: int) -> Channel:
+        src_pe, dst_pe = node_pe[src], node_pe[dst]
+        key = (src_pe, src_tag, dst_pe, dst_tag)
+        k = found.get(key)
+        if k is None:
+            k = found[key] = len(channels)
+            tags = (_tag(src_tag, "t"), _tag(dst_tag, "p"))
+            channels.append(Channel(
+                ChannelKey(pes[src_pe], tags[0], pes[dst_pe], tags[1]),
+                f"{pe_labels[src_pe]}.{tags[0]}->{pe_labels[dst_pe]}.{tags[1]}",
+                cfg.channel_capacity, src_pe, dst_pe,
+            ))
+            flows.append([])
+        flows[k].append((slot[src], slot[dst]))
+        return channels[k]
 
-    fetches: dict[IterNode, list[Fetch]] = {node: [] for node in work.nodes}
-    pushes: dict[IterNode, list[Push]] = {node: [] for node in work.nodes}
+    fetches: list[list[Fetch]] = [[] for _ in nodes]
+    pushes: list[list[Push]] = [[] for _ in nodes]
 
-    for node in work.nodes:
-        case = work.node_case[node]
-        edges = sorted(work.in_edges[node], key=lambda e: e.port)
-        cs_edges = [e for e in edges if e.pattern == "cs"]
+    for i, ins in enumerate(work.in_edges):
+        cs_edges = [e for e in ins if e.pattern == "cs"]
         if cs_edges:
-            pair_key = _pair_channel(cs_edges, node, placement)
-            src_node = cs_edges[0].source.node
-            chan = channel_for(pair_key, src_node, node)
+            src, tag = _pair_source(cs_edges, nodes, i)
+            chan = channel_for(src, tag, i, _CS)
             ports = tuple(sorted(e.port for e in cs_edges))
             if len(ports) == 1:
                 ports = (ports[0], ports[0] + 1)
-            fetches[node].append(PairFetch(chan, ports))
-            pushes[src_node].append(
-                PairPush(chan, forward=pair_key.src_tag == "relay")
-            )
-        for e in edges:
+            fetches[i].append(PairFetch(chan, ports))
+            pushes[src].append(PairPush(chan, forward=tag == _RELAY))
+        for e in ins:
             if e.pattern == "cs":
                 continue
-            if isinstance(e.source, MemorySource):
-                fetches[node].append(MemFetch(e.source.row, e.source.col, e.port))
+            source = e.source
+            if isinstance(source, MemorySource):
+                fetches[i].append(MemFetch(source.row, source.col, e.port))
             else:
-                key = ChannelKey(
-                    placement[e.source.node], f"t{e.source.index}",
-                    placement[node], f"p{e.port}",
-                )
-                chan = channel_for(key, e.source.node, node)
-                fetches[node].append(ChanFetch(chan, e.port))
-                pushes[e.source.node].append(DataPush(chan, e.source.index))
-        for port, arg in enumerate(case.args):
+                chan = channel_for(source.node, source.index, i, e.port)
+                fetches[i].append(ChanFetch(chan, e.port))
+                pushes[source.node].append(DataPush(chan, source.index))
+        for port, arg in enumerate(work.node_case[i].args):
             if isinstance(arg, ConstRef):
-                fetches[node].append(ConstFetch(arg.value, port))
+                fetches[i].append(ConstFetch(arg.value, port))
 
-    for key, pairs in flows.items():
+    for chan, pairs in zip(channels, flows):
+        if len(pairs) == 1:
+            continue
         by_producer = sorted(pairs)
         consumer_seq = [c for _, c in by_producer]
         if consumer_seq != sorted(consumer_seq) or len(set(consumer_seq)) != len(consumer_seq):
-            raise WiringError(
-                f"channel {key.label()}: push order does not match pop order"
-            )
+            raise WiringError(f"channel {chan.label}: push order does not match pop order")
         producers = [p for p, _ in by_producer]
         if len(set(producers)) != len(producers):
-            raise WiringError(
-                f"channel {key.label()}: one firing would push twice"
-            )
+            raise WiringError(f"channel {chan.label}: one firing would push twice")
 
-    plans: dict[IterNode, FiringPlan] = {}
-    for node in work.nodes:
-        popped = [f.chan for f in fetches[node] if isinstance(f, (PairFetch, ChanFetch))]
-        pushed = [p.chan for p in pushes[node]]
-        wakes = {position[node][0], *[c.src for c in popped], *[c.dst for c in pushed]}
-        stored = work.node_stores.get(node, ())
-        plans[node] = FiringPlan(
+    plans: list[FiringPlan] = []
+    for i, node in enumerate(nodes):
+        popped = [f.chan for f in fetches[i] if isinstance(f, (PairFetch, ChanFetch))]
+        pushed = [p.chan for p in pushes[i]]
+        wakes = {node_pe[i], *[c.src for c in popped], *[c.dst for c in pushed]}
+        stored = work.node_stores[i]
+        plans.append(FiringPlan(
             node=node,
-            kernel=work.node_case[node].kernel,
-            fetches=tuple(fetches[node]),
-            pushes=tuple(pushes[node]),
-            stores=tuple(StoreOp(stored[i], (stored[i + 1], stored[i + 2]))
-                         for i in range(0, len(stored), 3)),
+            kernel=work.node_case[i].kernel,
+            fetches=tuple(fetches[i]),
+            pushes=tuple(pushes[i]),
+            stores=tuple(StoreOp(stored[k], (stored[k + 1], stored[k + 2]))
+                         for k in range(0, len(stored), 3)),
             pops=tuple([c.queue for c in popped]),
             room=tuple([c.queue for c in pushed if c not in popped]),
             wakes=tuple(sorted(wakes)),
-        )
-    programs = [[plans[node] for node in local_order[pe]] for pe in pes]
-    return Wiring(channels, plans, pes, programs, work)
+        ))
+    programs = [[plans[i] for i in ids] for ids in local_order]
+    return Wiring({chan.key: chan for chan in channels}, plans, pes, pe_labels, programs, work)
 
 
-def _pair_channel(cs_edges, node: IterNode, placement: dict[IterNode, PeId]) -> ChannelKey:
-    sources = {e.source for e in cs_edges if isinstance(e.source, ProducerSource)}
-    producer_nodes = {s.node for s in sources}
-    if len(producer_nodes) != 1:
-        raise WiringError(f"{node}: rotation pair drawn from several producers")
-    producer = next(iter(producer_nodes))
-    indices = sorted(s.index for s in sources)
+def _pair_source(cs_edges, nodes: list[IterNode], sink: int) -> tuple[int, int]:
+    """The producer node of a rotation pair and the tag of its channel."""
+    producers = {e.source.node for e in cs_edges}
+    if len(producers) != 1:
+        raise WiringError(f"{nodes[sink]}: rotation pair drawn from several producers")
+    producer = producers.pop()
+    indices = sorted({e.source.index for e in cs_edges})
     if indices == [None]:
-        tag = "relay" if producer.func == node.func else "cs"
+        tag = _RELAY if nodes[producer].func == nodes[sink].func else _CS
     elif indices == [0, 1]:
-        tag = "cs"
+        tag = _CS
     else:
-        raise WiringError(f"{node}: rotation pair uses tuple indices {indices}")
-    return ChannelKey(placement[producer], tag, placement[node], "cs")
+        raise WiringError(f"{nodes[sink]}: rotation pair uses tuple indices {indices}")
+    return producer, tag
 
 
 # --- execution ------------------------------------------------------------------
@@ -402,11 +425,11 @@ def run(spec: SpatialSpec, cfg: SimConfig, aug: AugmentedMatrix) -> SimReport:
     """
     m, n = aug.m, aug.n
     graph = build_graph(spec, m, n)
-    placement = place(spec, cfg, m, n)
+    placement = place(graph, cfg)
     wiring = wire(graph, placement, cfg)
     snapshot = aug.inner
 
-    pe_labels = [pe.label() for pe in wiring.pes]
+    pe_labels = wiring.pe_labels
     programs = wiring.programs
     pointers = [0] * len(programs)
     capacity = cfg.channel_capacity
@@ -493,19 +516,14 @@ def run(spec: SpatialSpec, cfg: SimConfig, aug: AugmentedMatrix) -> SimReport:
         current = later
 
     if status == "completed":
-        leftovers = [
-            key.label() for key, ch in wiring.channels.items() if ch.queue
-        ]
+        leftovers = [ch.label for ch in wiring.channels.values() if ch.queue]
         if leftovers:
             raise SimulationError(f"values left in channels after completion: {leftovers}")
         output, drained, uncovered = drain(graph, store_events)
     else:
         output, drained, uncovered = None, [], []
 
-    by_label = sorted(
-        ((key.label(), ch) for key, ch in wiring.channels.items()),
-        key=lambda pair: pair[0],
-    )
+    by_label = sorted(wiring.channels.values(), key=lambda ch: ch.label)
     return SimReport(
         status=status,
         m=m,
@@ -513,8 +531,8 @@ def run(spec: SpatialSpec, cfg: SimConfig, aug: AugmentedMatrix) -> SimReport:
         config=cfg.describe(),
         steps=steps,
         firings=dict(zip(pe_labels, pointers)),
-        max_occupancy={label: ch.max_occupancy for label, ch in by_label},
-        channel_sends={label: ch.sends for label, ch in by_label},
+        max_occupancy={ch.label: ch.max_occupancy for ch in by_label},
+        channel_sends={ch.label: ch.sends for ch in by_label},
         output=output,
         drained=drained,
         uncovered=uncovered,
@@ -530,12 +548,12 @@ def _blocking_diagnostics(wiring: Wiring, pe_labels: list[str], pointers: list[i
             continue
         plan = program[i]
         empty = [
-            f.chan.key.label()
+            f.chan.label
             for f in plan.fetches
             if isinstance(f, (PairFetch, ChanFetch)) and not f.chan.queue
         ]
         full = [
-            p.chan.key.label()
+            p.chan.label
             for p in plan.pushes
             if len(p.chan.queue) >= p.chan.capacity
         ]
@@ -552,7 +570,7 @@ def expected_store_positions(graph: DataflowGraph) -> list[tuple[int, int]]:
     """Result positions the store directives name, with multiplicity."""
     return [
         (stored[i + 1], stored[i + 2])
-        for stored in graph.node_stores.values()
+        for stored in graph.node_stores
         for i in range(0, len(stored), 3)
     ]
 

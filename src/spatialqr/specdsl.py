@@ -6,14 +6,18 @@ tuple-valued piecewise recurrences over integer loop variables, inclusive
 scheduling directives (channel, unroll, relay, store) that the simulator
 interprets.  :func:`builtin_qr_spec` returns the Givens-QR program over an
 augmented input matrix; :func:`walk` evaluates any spec at concrete constants,
-checking it exhaustively on the way.
+checking it exhaustively on the way.  The walk runs, per function, a walker
+generated from the spec's expressions and compiled once per spec object; the
+expression interpreter :func:`eval_expr` evaluates only the functions the
+generator rejects, and reports their violations.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Union
+from functools import cached_property
+from typing import Callable, Iterator, Mapping, Union
 
 
 class UnboundNameError(LookupError):
@@ -279,6 +283,14 @@ class SpatialSpec:
     def has_func(self, name: str) -> bool:
         return any(f.name == name for f in self.funcs)
 
+    @cached_property
+    def walkers(self) -> tuple["_Walker | None", ...]:
+        """Per function, its compiled walker, or None where the interpreter walks it.
+
+        Derived state of this frozen spec, generated on first use.
+        """
+        return tuple(_compile_walker(self, func) for func in self.funcs)
+
 
 def enumerate_domain(func: FuncSpec, bindings: Mapping[str, int]) -> list[tuple[int, ...]]:
     """All iteration points of ``func`` in loop-nest order (outermost first)."""
@@ -295,17 +307,6 @@ def enumerate_domain(func: FuncSpec, bindings: Mapping[str, int]) -> list[tuple[
 
     descend(0, dict(bindings))
     return points
-
-
-def firing_case(func: FuncSpec, bindings: Mapping[str, int]) -> RecurrenceCase:
-    """The unique case whose guard holds at the bound iteration point."""
-    hits = [c for c in func.cases if eval_expr(c.guard, bindings) is True]
-    if len(hits) != 1:
-        raise ValueError(
-            f"{func.name}{tuple(bindings[d] for d in func.dims)}: "
-            f"{len(hits)} case guards hold, expected exactly 1"
-        )
-    return hits[0]
 
 
 # --- the built-in Givens-QR program ---------------------------------------------
@@ -507,124 +508,322 @@ def walk(spec: SpatialSpec, m: int, n: int, report: ValidationReport) -> Iterato
     evaluated or point outside the M x (N+1) input.  Yields a
     :class:`Firing` for each point with exactly one firing case, in function
     then loop-nest order; they describe the spec only if ``report`` ends ok.
+
+    Each function runs its compiled walker (:attr:`SpatialSpec.walkers`).
+    A walker accepts only points with nothing to report; at the first other
+    point it gives up, and the interpreter walks that function again from
+    its first point, so the violations and their order are the interpreter's.
     """
     if m < 1 or n < 1:
         raise ValueError(f"constants must be >= 1, got M={m}, N={n}")
     consts = {"M": m, "N": n}
-    bad = report.violations.append
+    walkers = spec.walkers
 
-    domains: dict[str, set[tuple[int, ...]]] = {}
     orders: dict[str, list[tuple[int, ...]]] = {}
-    for func in spec.funcs:
-        try:
-            pts = enumerate_domain(func, consts)
-        except (UnboundNameError, ExprTypeError) as exc:
-            bad(Violation("bound-eval", func.name, None, f"cannot enumerate bounds: {exc}"))
-            pts = []
+    domains: dict[str, set[tuple[int, ...]]] = {}
+    for func, walker in zip(spec.funcs, walkers):
+        if walker is not None:
+            pts = walker.domain(m, n)
+        else:
+            try:
+                pts = enumerate_domain(func, consts)
+            except (UnboundNameError, ExprTypeError) as exc:
+                report.violations.append(Violation("bound-eval", func.name, None,
+                                                   f"cannot enumerate bounds: {exc}"))
+                pts = []
         orders[func.name] = pts
         domains[func.name] = set(pts)
 
-    for func in spec.funcs:
+    for func, walker in zip(spec.funcs, walkers):
         _validate_structure(spec, func, report)
-        store_directives = func.stores()
-        for point in orders[func.name]:
-            bindings = dict(consts)
-            bindings.update(zip(func.dims, point))
-            hits = []
-            for case in func.cases:
-                try:
-                    if eval_expr(case.guard, bindings) is True:
-                        hits.append(case)
-                except (UnboundNameError, ExprTypeError) as exc:
-                    bad(Violation("guard-eval", func.name, point, f"case {case.label}: {exc}"))
-            if len(hits) > 1:
-                labels = ", ".join(c.label for c in hits)
-                bad(Violation("guard-overlap", func.name, point, f"cases {labels} all hold"))
-                continue
-            if not hits:
-                bad(Violation("guard-gap", func.name, point, "no case guard holds"))
-                continue
-            case = hits[0]
-            in_arity, _ = KERNEL_ARITY.get(case.kernel, (None, None))
-            if in_arity is None:
-                bad(Violation("kernel-unknown", func.name, point,
-                              f"case {case.label}: no kernel {case.kernel!r}"))
-            elif len(case.args) != in_arity:
-                bad(Violation(
-                    "arg-arity", func.name, point,
-                    f"case {case.label}: kernel {case.kernel} takes {in_arity} args, got {len(case.args)}",
-                ))
-            sources: list[tuple[int, ...] | None] = [None] * len(case.args)
-            for slot, arg in enumerate(case.args):
-                if isinstance(arg, MemoryRef):
-                    if arg.input not in spec.inputs:
-                        bad(Violation("memref-unknown-input", func.name, point,
-                                      f"case {case.label} arg {slot}: no input {arg.input!r}"))
-                    try:
-                        pos = (eval_expr(arg.row, bindings), eval_expr(arg.col, bindings))
-                    except (UnboundNameError, ExprTypeError) as exc:
-                        bad(Violation("memref-eval", func.name, point,
-                                      f"case {case.label} arg {slot}: {exc}"))
-                        continue
-                    if not (1 <= pos[0] <= m and 1 <= pos[1] <= n + 1):
-                        bad(Violation("memref-out-of-range", func.name, point,
-                                      f"case {case.label} arg {slot}: {arg.input}{pos} "
-                                      f"is outside the {m}x{n + 1} input"))
-                    sources[slot] = pos
-                elif isinstance(arg, CallRef):
-                    if not spec.has_func(arg.func):
-                        bad(Violation("callref-unknown-func", func.name, point,
-                                      f"case {case.label} arg {slot}: no function {arg.func!r}"))
-                        continue
-                    callee = spec.func(arg.func)
-                    if not (0 <= arg.index < callee.tuple_arity):
-                        bad(Violation("callref-tuple-index", func.name, point,
-                                      f"case {case.label} arg {slot}: index {arg.index} "
-                                      f"outside {arg.func}'s tuple arity {callee.tuple_arity}"))
-                    if len(arg.coords) != len(callee.dims):
-                        bad(Violation("callref-rank", func.name, point,
-                                      f"case {case.label} arg {slot}: {len(arg.coords)} coords "
-                                      f"for {len(callee.dims)}-dim {arg.func}"))
-                        continue
-                    try:
-                        target = tuple(eval_expr(c, bindings) for c in arg.coords)
-                    except (UnboundNameError, ExprTypeError) as exc:
-                        bad(Violation("callref-eval", func.name, point,
-                                      f"case {case.label} arg {slot}: {exc}"))
-                        continue
-                    if target not in domains[arg.func]:
-                        bad(Violation("callref-out-of-domain", func.name, point,
-                                      f"case {case.label} arg {slot}: "
-                                      f"{arg.func}{target} is outside its domain"))
-                    sources[slot] = target
+        firings = None
+        if walker is not None:
+            firings = walker.fire(m, n, orders[func.name],
+                                  tuple(domains[name] for name in walker.callees),
+                                  func.cases, func.name)
+        if firings is None:
+            firings = _interpret(spec, func, orders[func.name], domains, consts, report)
+        yield from firings
 
-            cells: dict[int, tuple[int, int]] = {}
-            for idx, cell in enumerate(func.cell_map):
-                if cell is None:
-                    continue
+
+def _interpret(
+    spec: SpatialSpec,
+    func: FuncSpec,
+    points: list[tuple[int, ...]],
+    domains: dict[str, set[tuple[int, ...]]],
+    consts: dict[str, int],
+    report: ValidationReport,
+) -> Iterator[Firing]:
+    """:func:`walk` over one function by the expression interpreter."""
+    m, n = consts["M"], consts["N"]
+    bad = report.violations.append
+    store_directives = func.stores()
+    for point in points:
+        bindings = dict(consts)
+        bindings.update(zip(func.dims, point))
+        hits = []
+        for case in func.cases:
+            try:
+                if eval_expr(case.guard, bindings) is True:
+                    hits.append(case)
+            except (UnboundNameError, ExprTypeError) as exc:
+                bad(Violation("guard-eval", func.name, point, f"case {case.label}: {exc}"))
+        if len(hits) > 1:
+            labels = ", ".join(c.label for c in hits)
+            bad(Violation("guard-overlap", func.name, point, f"cases {labels} all hold"))
+            continue
+        if not hits:
+            bad(Violation("guard-gap", func.name, point, "no case guard holds"))
+            continue
+        case = hits[0]
+        in_arity, _ = KERNEL_ARITY.get(case.kernel, (None, None))
+        if in_arity is None:
+            bad(Violation("kernel-unknown", func.name, point,
+                          f"case {case.label}: no kernel {case.kernel!r}"))
+        elif len(case.args) != in_arity:
+            bad(Violation(
+                "arg-arity", func.name, point,
+                f"case {case.label}: kernel {case.kernel} takes {in_arity} args, got {len(case.args)}",
+            ))
+        sources: list[tuple[int, ...] | None] = [None] * len(case.args)
+        for slot, arg in enumerate(case.args):
+            if isinstance(arg, MemoryRef):
+                if arg.input not in spec.inputs:
+                    bad(Violation("memref-unknown-input", func.name, point,
+                                  f"case {case.label} arg {slot}: no input {arg.input!r}"))
                 try:
-                    pos = (eval_expr(cell[0], bindings), eval_expr(cell[1], bindings))
+                    pos = (eval_expr(arg.row, bindings), eval_expr(arg.col, bindings))
                 except (UnboundNameError, ExprTypeError) as exc:
-                    bad(Violation("cell-eval", func.name, point, f"cell_map[{idx}]: {exc}"))
+                    bad(Violation("memref-eval", func.name, point,
+                                  f"case {case.label} arg {slot}: {exc}"))
                     continue
                 if not (1 <= pos[0] <= m and 1 <= pos[1] <= n + 1):
-                    bad(Violation("cell-out-of-range", func.name, point,
-                                  f"cell_map[{idx}] {pos} is outside the {m}x{n + 1} input"))
-                cells[idx] = pos
-            stores: list[int] = []
-            for directive in store_directives:
-                try:
-                    holds = eval_expr(directive.condition, bindings) is True
-                except (UnboundNameError, ExprTypeError) as exc:
-                    bad(Violation("cell-eval", func.name, point, f"store condition: {exc}"))
+                    bad(Violation("memref-out-of-range", func.name, point,
+                                  f"case {case.label} arg {slot}: {arg.input}{pos} "
+                                  f"is outside the {m}x{n + 1} input"))
+                sources[slot] = pos
+            elif isinstance(arg, CallRef):
+                if not spec.has_func(arg.func):
+                    bad(Violation("callref-unknown-func", func.name, point,
+                                  f"case {case.label} arg {slot}: no function {arg.func!r}"))
                     continue
-                if holds:
-                    # an index without a resolved cell is already a violation
-                    stores.extend(v for idx in directive.indices if idx in cells
-                                  for v in (idx, *cells[idx]))
-            yield Firing(func.name, point, case, tuple(sources),
-                         tuple(v for idx, pos in cells.items() for v in (idx, *pos)),
-                         tuple(stores))
+                callee = spec.func(arg.func)
+                if not (0 <= arg.index < callee.tuple_arity):
+                    bad(Violation("callref-tuple-index", func.name, point,
+                                  f"case {case.label} arg {slot}: index {arg.index} "
+                                  f"outside {arg.func}'s tuple arity {callee.tuple_arity}"))
+                if len(arg.coords) != len(callee.dims):
+                    bad(Violation("callref-rank", func.name, point,
+                                  f"case {case.label} arg {slot}: {len(arg.coords)} coords "
+                                  f"for {len(callee.dims)}-dim {arg.func}"))
+                    continue
+                try:
+                    target = tuple(eval_expr(c, bindings) for c in arg.coords)
+                except (UnboundNameError, ExprTypeError) as exc:
+                    bad(Violation("callref-eval", func.name, point,
+                                  f"case {case.label} arg {slot}: {exc}"))
+                    continue
+                if target not in domains[arg.func]:
+                    bad(Violation("callref-out-of-domain", func.name, point,
+                                  f"case {case.label} arg {slot}: "
+                                  f"{arg.func}{target} is outside its domain"))
+                sources[slot] = target
+
+        cells: dict[int, tuple[int, int]] = {}
+        for idx, cell in enumerate(func.cell_map):
+            if cell is None:
+                continue
+            try:
+                pos = (eval_expr(cell[0], bindings), eval_expr(cell[1], bindings))
+            except (UnboundNameError, ExprTypeError) as exc:
+                bad(Violation("cell-eval", func.name, point, f"cell_map[{idx}]: {exc}"))
+                continue
+            if not (1 <= pos[0] <= m and 1 <= pos[1] <= n + 1):
+                bad(Violation("cell-out-of-range", func.name, point,
+                              f"cell_map[{idx}] {pos} is outside the {m}x{n + 1} input"))
+            cells[idx] = pos
+        stores: list[int] = []
+        for directive in store_directives:
+            try:
+                holds = eval_expr(directive.condition, bindings) is True
+            except (UnboundNameError, ExprTypeError) as exc:
+                bad(Violation("cell-eval", func.name, point, f"store condition: {exc}"))
+                continue
+            if holds:
+                # an index without a resolved cell is already a violation
+                stores.extend(v for idx in directive.indices if idx in cells
+                              for v in (idx, *cells[idx]))
+        yield Firing(func.name, point, case, tuple(sources),
+                     tuple(v for idx, pos in cells.items() for v in (idx, *pos)),
+                     tuple(stores))
+
+
+# --- generated walkers ----------------------------------------------------------------
+
+# the expression language's operators, spelled in Python
+_PY_OPS = {"+": "+", "-": "-", "*": "*", "==": "==", "!=": "!=", "<": "<", "<=": "<=",
+           "&&": "and"}
+# deeper expressions are left to the interpreter; CPython's parser stops at 200
+# nested parentheses
+_MAX_DEPTH = 64
+
+
+class _Unlowerable(Exception):
+    """The generator leaves this function to the interpreter."""
+
+
+@dataclass(frozen=True)
+class _Walker:
+    """One function's compiled walk; see :func:`_walker_source`."""
+
+    domain: Callable[[int, int], list[tuple[int, ...]]]
+    fire: Callable[..., list[Firing] | None]
+    callees: tuple[str, ...]  # whose domains ``fire`` checks calls against, in order
+
+
+def _compile_walker(spec: SpatialSpec, func: FuncSpec) -> _Walker | None:
+    """Generate and compile ``func``'s walker; None leaves it to the interpreter."""
+    try:
+        source, callees = _walker_source(spec, func)
+        namespace: dict = {"__builtins__": {}, "range": range, "Firing": Firing}
+        exec(compile(source, "<spatialqr walker>", "exec"), namespace)
+    except (_Unlowerable, SyntaxError, ValueError, RecursionError, MemoryError):
+        return None
+    return _Walker(namespace["domain"], namespace["fire"], callees)
+
+
+def _lower_expr(e: Expr, slots: Mapping[str, str], depth: int = 0) -> tuple[str, type]:
+    """Python source for ``e`` and its static type, int or bool.
+
+    The source holds only text the generator chose: a name becomes its local
+    slot, an int literal (``type(v) is int``) its repr, an operator one of
+    :data:`_PY_OPS`.  Whatever the interpreter might reject, a boolean in
+    arithmetic for one, raises :class:`_Unlowerable`; a well-typed
+    expression cannot fail, so evaluating it needs no checks.
+    """
+    if depth > _MAX_DEPTH:
+        raise _Unlowerable
+    if isinstance(e, IntLit):
+        if type(e.value) is int:
+            return f"({e.value!r})", int
+        if type(e.value) is bool:
+            return repr(e.value), bool
+    elif isinstance(e, Name):
+        if isinstance(e.name, str) and e.name in slots:
+            return slots[e.name], int
+    elif isinstance(e, BinOp) and isinstance(e.op, str) and e.op in _PY_OPS:
+        lhs, lhs_type = _lower_expr(e.lhs, slots, depth + 1)
+        rhs, rhs_type = _lower_expr(e.rhs, slots, depth + 1)
+        operand = bool if e.op == "&&" else int
+        if lhs_type is operand and rhs_type is operand:
+            result = int if e.op in _ARITH_OPS else bool
+            return f"({lhs} {_PY_OPS[e.op]} {rhs})", result
+    raise _Unlowerable
+
+
+def _typed(e: Expr, slots: Mapping[str, str], kind: type) -> str:
+    source, actual = _lower_expr(e, slots)
+    if actual is not kind:
+        raise _Unlowerable
+    return source
+
+
+def _walker_source(spec: SpatialSpec, func: FuncSpec) -> tuple[str, tuple[str, ...]]:
+    """Source of ``domain(m, n)`` and ``fire(m, n, points, domains, cases, name)``.
+
+    ``domain`` lists the iteration points in loop-nest order.  ``fire``
+    returns one :class:`Firing` per point, or None at the first point that
+    the interpreter would report on: no or several guards holding, a memory
+    reference or a cell outside the input, a call outside its callee's
+    domain.  Everything else the interpreter checks is static, and a
+    function that fails it is not lowered.  Constants, loop variables,
+    callee domains and cases are locals named by position, so no text of the
+    spec reaches the source.
+    """
+    if (not func.cases or any(type(d) is not str for d in func.dims)
+            or len(set(func.dims)) != len(func.dims)
+            or any(type(b.step) is not int for b in func.bounds)
+            or any(type(i) is not int for d in func.stores() for i in d.indices)):
+        raise _Unlowerable
+    structure = ValidationReport(0, 0)
+    _validate_structure(spec, func, structure)
+    if structure.violations:
+        raise _Unlowerable
+    rank = len(func.dims)
+    point = "".join(f"d{i}, " for i in range(rank))
+    slots = {"M": "m", "N": "n"}
+
+    lines = ["def domain(m, n):", "    points = []", "    add = points.append"]
+    for i, bound in enumerate(func.bounds):
+        end = "+ 1" if bound.step > 0 else "- 1"
+        lines.append(f"{'    ' * (i + 1)}for d{i} in range({_typed(bound.lower, slots, int)}, "
+                     f"{_typed(bound.upper, slots, int)} {end}, ({bound.step!r})):")
+        slots[func.dims[i]] = f"d{i}"
+    lines += [f"{'    ' * (rank + 1)}add(({point}))", "    return points"]
+
+    callees: dict[str, int] = {}
+    body: list[str] = []
+
+    def within(row: str, col: str) -> str:
+        return f"if not (1 <= {row} <= m and 1 <= {col} <= n + 1): return None"
+
+    guards = [_typed(case.guard, slots, bool) for case in func.cases]
+    body += [f"g{j} = {g}" for j, g in enumerate(guards)]
+    body.append(f"if {' + '.join(f'g{j}' for j in range(len(guards)))} != 1: return None")
+    cells = []
+    for idx, cell in enumerate(func.cell_map):
+        if cell is not None:
+            body.append(f"r{idx} = {_typed(cell[0], slots, int)}")
+            body.append(f"c{idx} = {_typed(cell[1], slots, int)}")
+            body.append(within(f"r{idx}", f"c{idx}"))
+            cells.append(f"{idx}, r{idx}, c{idx}, ")
+    body.append(f"cells = ({''.join(cells)})")
+    body.append("stores = ()")
+    for directive in func.stores():
+        stored = "".join(f"{idx}, r{idx}, c{idx}, " for idx in directive.indices)
+        body.append(f"if {_typed(directive.condition, slots, bool)}: stores += ({stored})")
+    for j, case in enumerate(func.cases):
+        arity, _ = KERNEL_ARITY.get(case.kernel, (None, None))
+        if arity != len(case.args):
+            raise _Unlowerable
+        body.append(f"{'if' if j == 0 else 'elif'} g{j}:")
+        sources = []
+        for slot, arg in enumerate(case.args):
+            if isinstance(arg, MemoryRef):
+                if arg.input not in spec.inputs:
+                    raise _Unlowerable
+                body.append(f"    a{slot} = ({_typed(arg.row, slots, int)}, "
+                            f"{_typed(arg.col, slots, int)})")
+                body.append("    " + within(f"a{slot}[0]", f"a{slot}[1]"))
+            elif isinstance(arg, CallRef):
+                if not spec.has_func(arg.func):
+                    raise _Unlowerable
+                callee = spec.func(arg.func)
+                if not 0 <= arg.index < callee.tuple_arity or len(arg.coords) != len(callee.dims):
+                    raise _Unlowerable
+                coords = "".join(f"{_typed(c, slots, int)}, " for c in arg.coords)
+                dom = callees.setdefault(arg.func, len(callees))
+                body.append(f"    a{slot} = ({coords})")
+                body.append(f"    if a{slot} not in dom{dom}: return None")
+            elif isinstance(arg, ConstRef):
+                body.append(f"    a{slot} = None")
+            else:
+                raise _Unlowerable
+            sources.append(f"a{slot}, ")
+        body.append(f"    add(Firing(name, point, case{j}, ({''.join(sources)}), cells, stores))")
+
+    lines += [
+        "def fire(m, n, points, domains, cases, name):",
+        f"    ({''.join(f'dom{k}, ' for k in range(len(callees)))}) = domains",
+        f"    ({''.join(f'case{j}, ' for j in range(len(func.cases)))}) = cases",
+        "    out = []",
+        "    add = out.append",
+        "    for point in points:",
+        f"        ({point}) = point",
+        *("        " + line for line in body),
+        "    return out",
+    ]
+    return "\n".join(lines) + "\n", tuple(callees)
 
 
 def _validate_structure(spec: SpatialSpec, func: FuncSpec, report: ValidationReport) -> None:

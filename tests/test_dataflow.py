@@ -11,7 +11,6 @@ from spatialqr.dataflow import (
     build_graph,
     emit_dot,
     emit_trace,
-    enumerate_iterations,
     evaluate_graph,
     format_trace_text,
     graph_stats,
@@ -25,10 +24,12 @@ from spatialqr.specdsl import (
     K,
     ROW,
     CallRef,
+    RelayDirective,
     ValidationReport,
     builtin_qr_spec,
     walk,
 )
+from spatialqr.simulator import SimConfig, run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -41,6 +42,10 @@ def y_count(m, n):
     return sum(max(0, m - col) * (n + 1 - col) for col in range(1, n + 1))
 
 
+def iterations(func, m, n):
+    return [node for node in build_graph(builtin_qr_spec(), m, n).nodes if node.func == func.name]
+
+
 def make_aug(m, n, seed=0):
     return AugmentedMatrix.from_parts(random_matrix(m, n, seed), [1.0] * m)
 
@@ -48,14 +53,14 @@ def make_aug(m, n, seed=0):
 class TestEnumeration:
     def test_x_order_at_4x4(self):
         spec = builtin_qr_spec()
-        nodes = enumerate_iterations(spec.func("X"), 4, 4)
+        nodes = iterations(spec.func("X"), 4, 4)
         assert [node.coords for node in nodes] == [
             (1, 4), (1, 3), (1, 2), (2, 4), (2, 3), (3, 4),
         ]
 
     def test_y_first_four_at_4x4(self):
         spec = builtin_qr_spec()
-        nodes = enumerate_iterations(spec.func("Y"), 4, 4)
+        nodes = iterations(spec.func("Y"), 4, 4)
         assert len(nodes) == 20
         assert [node.coords for node in nodes[:4]] == [
             (1, 4, 2), (1, 4, 3), (1, 4, 4), (1, 4, 5),
@@ -63,15 +68,15 @@ class TestEnumeration:
 
     def test_column_with_empty_row_range(self):
         spec = builtin_qr_spec()
-        nodes = enumerate_iterations(spec.func("X"), 4, 4)
+        nodes = iterations(spec.func("X"), 4, 4)
         assert all(node.coords[0] != 4 for node in nodes)
 
     def test_count_formulas(self):
         spec = builtin_qr_spec()
         for m in range(1, 9):
             for n in range(1, m + 1):
-                assert len(enumerate_iterations(spec.func("X"), m, n)) == x_count(m, n)
-                assert len(enumerate_iterations(spec.func("Y"), m, n)) == y_count(m, n)
+                assert len(iterations(spec.func("X"), m, n)) == x_count(m, n)
+                assert len(iterations(spec.func("Y"), m, n)) == y_count(m, n)
 
 
 class TestBuildGraph:
@@ -82,7 +87,7 @@ class TestBuildGraph:
 
     def test_memory_pattern_edge(self):
         g = build_graph(builtin_qr_spec(), 4, 4)
-        node = IterNode("X", (1, 4))
+        node = g.ids["X"][(1, 4)]
         sources = {(e.port, e.source) for e in g.in_edges[node]}
         assert sources == {
             (0, MemorySource("A'", 4, 1)),
@@ -92,19 +97,19 @@ class TestBuildGraph:
 
     def test_both_from_y_pattern_edge(self):
         g = build_graph(builtin_qr_spec(), 4, 4)
-        node = IterNode("X", (2, 4))
+        node = g.ids["X"][(2, 4)]
         sources = {(e.port, e.source) for e in g.in_edges[node]}
         assert sources == {
-            (0, ProducerSource(IterNode("Y", (1, 4, 2)), 0)),
-            (1, ProducerSource(IterNode("Y", (1, 3, 2)), 0)),
+            (0, ProducerSource(g.ids["Y"][(1, 4, 2)], 0)),
+            (1, ProducerSource(g.ids["Y"][(1, 3, 2)], 0)),
         }
         assert g.node_pattern[node] == "c"
 
     def test_in_degrees(self):
         g = build_graph(builtin_qr_spec(), 4, 4)
-        for node in g.nodes:
+        for i, node in enumerate(g.nodes):
             expected = 2 if node.func == "X" else 4
-            assert len(g.in_edges[node]) == expected
+            assert len(g.in_edges[i]) == expected
 
     def test_topo_order_is_valid(self):
         g = build_graph(builtin_qr_spec(), 6, 4)
@@ -119,9 +124,9 @@ class TestBuildGraph:
             for n in range(1, m + 1):
                 g = build_graph(spec, m, n)
                 counts = {"a": 0, "b": 0, "c": 0, "d": 0}
-                for node in g.nodes:
+                for i, node in enumerate(g.nodes):
                     if node.func == "X":
-                        counts[g.node_pattern[node]] += 1
+                        counts[g.node_pattern[i]] += 1
                 assert counts["a"] == (1 if m >= 2 else 0)
                 assert counts["b"] == max(0, m - 2)
                 assert counts["c"] == max(0, min(n, m - 1) - 1)
@@ -176,6 +181,40 @@ class TestCycle:
             if isinstance(arg, CallRef)
         }
         assert all(pair in edges for pair in zip(witness, witness[1:]))
+
+
+class TestRelayCycle:
+    """A relay chain that runs against the data flow closes a cycle that
+    only the relay view has."""
+
+    def spec(self):
+        spec = builtin_qr_spec()
+        y = spec.func("Y")
+        directives = tuple(
+            RelayDirective("X", (0, 1), (0, 1, 0)) if isinstance(d, RelayDirective) else d
+            for d in y.directives
+        )
+        return dataclasses.replace(spec, funcs=(
+            spec.func("X"), dataclasses.replace(y, directives=directives)))
+
+    def test_run_with_relay_raises_witness(self):
+        with pytest.raises(CycleError) as exc:
+            run(self.spec(), SimConfig(), make_aug(4, 3))
+        assert str(exc.value) == "dependence cycle: Y(1, 4, 2) -> Y(1, 3, 2) -> Y(1, 4, 2)"
+        assert exc.value.witness == [IterNode("Y", (1, 4, 2)), IterNode("Y", (1, 3, 2)),
+                                     IterNode("Y", (1, 4, 2))]
+
+    def test_relay_view_raises_and_graph_does_not(self):
+        graph = build_graph(self.spec(), 4, 3)
+        with pytest.raises(CycleError, match=r"Y\(1, 4, 2\) -> Y\(1, 3, 2\)"):
+            relay_view(graph)
+
+    def test_run_without_relay_completes(self):
+        aug = make_aug(4, 3)
+        rep = run(self.spec(), SimConfig(relay_enabled=False), aug)
+        assert rep.completed
+        ref = qr_givens_reference(aug).r_aug
+        assert all(rep.output.get(i, j) == ref.inner.get(i, j) for i, j in rep.drained)
 
 
 class TestTrace:
@@ -245,7 +284,7 @@ class TestStats:
 
     def test_critical_path_brute_force(self):
         g = build_graph(builtin_qr_spec(), 4, 4)
-        succs = {node: [] for node in g.nodes}
+        succs = {node: [] for node in range(len(g.nodes))}
         for e in g.edges:
             if isinstance(e.source, ProducerSource):
                 succs[e.source.node].append(e.sink)
@@ -256,7 +295,7 @@ class TestStats:
                 memo[node] = 1 + max((longest(s) for s in succs[node]), default=0)
             return memo[node]
 
-        expected = max(longest(node) for node in g.nodes)
+        expected = max(longest(node) for node in range(len(g.nodes)))
         assert graph_stats(g)["critical_path_length"] == expected
 
     def test_json_dump_deterministic(self):
@@ -267,22 +306,22 @@ class TestStats:
 class TestRelayView:
     def test_head_keeps_direct_edge(self):
         g = relay_view(build_graph(builtin_qr_spec(), 4, 4))
-        node = IterNode("Y", (1, 4, 2))
+        node = g.ids["Y"][(1, 4, 2)]
         cs = [e for e in g.in_edges[node] if e.pattern == "cs"]
         assert len(cs) == 1
-        assert cs[0].source == ProducerSource(IterNode("X", (1, 4)), None)
+        assert cs[0].source == ProducerSource(g.ids["X"][(1, 4)], None)
 
     def test_interior_takes_neighbour(self):
         g = relay_view(build_graph(builtin_qr_spec(), 4, 4))
-        node = IterNode("Y", (1, 4, 3))
+        node = g.ids["Y"][(1, 4, 3)]
         cs = [e for e in g.in_edges[node] if e.pattern == "cs"]
-        assert cs[0].source == ProducerSource(IterNode("Y", (1, 4, 2)), None)
+        assert cs[0].source == ProducerSource(g.ids["Y"][(1, 4, 2)], None)
 
     def test_update_in_degree_drops_to_three(self):
         g = relay_view(build_graph(builtin_qr_spec(), 4, 4))
-        for node in g.nodes:
+        for i, node in enumerate(g.nodes):
             if node.func == "Y":
-                assert len(g.in_edges[node]) == 3
+                assert len(g.in_edges[i]) == 3
 
 
 class TestGraphEvaluation:

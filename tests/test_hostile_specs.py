@@ -1,0 +1,357 @@
+"""Hostile expressions: names that read as Python code, unknown operators,
+booleans in arithmetic and deep nesting.
+
+Specs are evaluated by generated, compiled walkers, so these tests pin that
+no spec text is ever executed and that every such spec gets the same
+violations, in the same order, as the expression interpreter gives.  Each
+spec is built directly and again through ``spec_from_json``.
+"""
+
+import builtins
+import dataclasses
+import json
+import random
+
+import pytest
+
+from spatialqr.numeric import AugmentedMatrix, random_matrix
+from spatialqr.simulator import SimConfig, folded_unroll, report_to_json, run
+from spatialqr.specdsl import (
+    A_PRIME,
+    COL,
+    M,
+    ROW,
+    BinOp,
+    BoundSpec,
+    CallRef,
+    IntLit,
+    MemoryRef,
+    Name,
+    StoreDirective,
+    UnrollDirective,
+    ValidationReport,
+    _walker_source,
+    builtin_qr_spec,
+    spec_from_json,
+    spec_to_json,
+    validate,
+    walk,
+)
+
+SENTINEL = "spatialqr_hostile_spec_ran"
+CODE = f"__import__('builtins').setattr(__import__('builtins'), '{SENTINEL}', 1) or 1"
+SPEC = builtin_qr_spec()
+X = SPEC.func("X")
+Y = SPEC.func("Y")
+
+
+def with_func(func):
+    return dataclasses.replace(
+        SPEC, funcs=tuple(func if f.name == func.name else f for f in SPEC.funcs))
+
+
+def with_case(func, index, **changes):
+    case = dataclasses.replace(func.cases[index], **changes)
+    return with_func(dataclasses.replace(
+        func, cases=func.cases[:index] + (case,) + func.cases[index + 1:]))
+
+
+def deep(expr, depth):
+    for _ in range(depth):
+        expr = expr + 0
+    return expr
+
+
+CODE_NAME = Name(CODE)
+
+HOSTILE = {
+    "code_name_guard": with_case(X, 0, guard=CODE_NAME.eq(1) & ROW.eq(M)),
+    "code_name_memref": with_case(
+        X, 1, args=(X.cases[1].args[0], MemoryRef(A_PRIME, CODE_NAME, IntLit(1)))),
+    "code_name_call": with_case(
+        Y, 3, args=Y.cases[3].args[:2] + (CallRef("Y", (COL, CODE_NAME, ROW), 1),)
+        + Y.cases[3].args[3:]),
+    "code_name_cell_and_store": with_func(dataclasses.replace(
+        X, cell_map=X.cell_map[:3] + ((CODE_NAME, COL),),
+        directives=X.directives + (StoreDirective((2,), CODE_NAME.eq(1)),))),
+    "code_name_bound": with_func(dataclasses.replace(
+        X, bounds=(X.bounds[0], BoundSpec("row", CODE_NAME, -1, COL + 1)))),
+    "code_name_input": with_case(
+        X, 0, args=(MemoryRef(CODE, M, IntLit(1)), X.cases[0].args[1])),
+    "unknown_op": with_case(X, 0, guard=BinOp("**", COL, IntLit(2)).eq(1) & ROW.eq(M)),
+    "code_op": with_case(X, 2, guard=BinOp(CODE, COL, IntLit(1)) & ROW.eq(M)),
+    "bool_in_arithmetic": with_case(
+        X, 1, args=(X.cases[1].args[0], MemoryRef(A_PRIME, BinOp("+", ROW, IntLit(True)),
+                                                   IntLit(1)))),
+    "bool_guard_operand": with_case(X, 0, guard=COL.eq(1) & IntLit(True)),
+    "int_guard": with_case(X, 3, guard=COL - ROW),
+}
+
+# validate(spec, 4, 3), as the expression interpreter reports it, with CODE
+# written as <CODE>
+EXPECTED = {
+    'bool_guard_operand': [
+        '[guard-overlap] X(1, 3): cases a, b all hold',
+        '[guard-overlap] X(1, 2): cases a, b all hold',
+    ],
+    'bool_in_arithmetic': [
+        '[memref-eval] X(1, 3): case b arg 1: arithmetic + on boolean operand',
+        '[memref-eval] X(1, 2): case b arg 1: arithmetic + on boolean operand',
+    ],
+    'code_name_bound': [
+        '[bound-eval] X: cannot enumerate bounds: <CODE>',
+        '[callref-out-of-domain] Y(1, 4, 2): case a arg 0: X(1, 4) is outside its domain',
+        '[callref-out-of-domain] Y(1, 4, 2): case a arg 1: X(1, 4) is outside its domain',
+        '[callref-out-of-domain] Y(1, 4, 3): case a arg 0: X(1, 4) is outside its domain',
+        '[callref-out-of-domain] Y(1, 4, 3): case a arg 1: X(1, 4) is outside its domain',
+        '[callref-out-of-domain] Y(1, 4, 4): case a arg 0: X(1, 4) is outside its domain',
+        '[callref-out-of-domain] Y(1, 4, 4): case a arg 1: X(1, 4) is outside its domain',
+        '[callref-out-of-domain] Y(1, 3, 2): case b arg 0: X(1, 3) is outside its domain',
+        '[callref-out-of-domain] Y(1, 3, 2): case b arg 1: X(1, 3) is outside its domain',
+        '[callref-out-of-domain] Y(1, 3, 3): case b arg 0: X(1, 3) is outside its domain',
+        '[callref-out-of-domain] Y(1, 3, 3): case b arg 1: X(1, 3) is outside its domain',
+        '[callref-out-of-domain] Y(1, 3, 4): case b arg 0: X(1, 3) is outside its domain',
+        '[callref-out-of-domain] Y(1, 3, 4): case b arg 1: X(1, 3) is outside its domain',
+        '[callref-out-of-domain] Y(1, 2, 2): case b arg 0: X(1, 2) is outside its domain',
+        '[callref-out-of-domain] Y(1, 2, 2): case b arg 1: X(1, 2) is outside its domain',
+        '[callref-out-of-domain] Y(1, 2, 3): case b arg 0: X(1, 2) is outside its domain',
+        '[callref-out-of-domain] Y(1, 2, 3): case b arg 1: X(1, 2) is outside its domain',
+        '[callref-out-of-domain] Y(1, 2, 4): case b arg 0: X(1, 2) is outside its domain',
+        '[callref-out-of-domain] Y(1, 2, 4): case b arg 1: X(1, 2) is outside its domain',
+        '[callref-out-of-domain] Y(2, 4, 3): case c arg 0: X(2, 4) is outside its domain',
+        '[callref-out-of-domain] Y(2, 4, 3): case c arg 1: X(2, 4) is outside its domain',
+        '[callref-out-of-domain] Y(2, 4, 4): case c arg 0: X(2, 4) is outside its domain',
+        '[callref-out-of-domain] Y(2, 4, 4): case c arg 1: X(2, 4) is outside its domain',
+        '[callref-out-of-domain] Y(2, 3, 3): case d arg 0: X(2, 3) is outside its domain',
+        '[callref-out-of-domain] Y(2, 3, 3): case d arg 1: X(2, 3) is outside its domain',
+        '[callref-out-of-domain] Y(2, 3, 4): case d arg 0: X(2, 3) is outside its domain',
+        '[callref-out-of-domain] Y(2, 3, 4): case d arg 1: X(2, 3) is outside its domain',
+        '[callref-out-of-domain] Y(3, 4, 4): case c arg 0: X(3, 4) is outside its domain',
+        '[callref-out-of-domain] Y(3, 4, 4): case c arg 1: X(3, 4) is outside its domain',
+    ],
+    'code_name_call': [
+        '[callref-eval] Y(2, 3, 3): case d arg 2: <CODE>',
+        '[callref-eval] Y(2, 3, 4): case d arg 2: <CODE>',
+    ],
+    'code_name_cell_and_store': [
+        '[cell-eval] X(1, 4): cell_map[3]: <CODE>',
+        '[cell-eval] X(1, 4): store condition: <CODE>',
+        '[cell-eval] X(1, 3): cell_map[3]: <CODE>',
+        '[cell-eval] X(1, 3): store condition: <CODE>',
+        '[cell-eval] X(1, 2): cell_map[3]: <CODE>',
+        '[cell-eval] X(1, 2): store condition: <CODE>',
+        '[cell-eval] X(2, 4): cell_map[3]: <CODE>',
+        '[cell-eval] X(2, 4): store condition: <CODE>',
+        '[cell-eval] X(2, 3): cell_map[3]: <CODE>',
+        '[cell-eval] X(2, 3): store condition: <CODE>',
+        '[cell-eval] X(3, 4): cell_map[3]: <CODE>',
+        '[cell-eval] X(3, 4): store condition: <CODE>',
+    ],
+    'code_name_guard': [
+        '[guard-eval] X(1, 4): case a: <CODE>',
+        '[guard-gap] X(1, 4): no case guard holds',
+        '[guard-eval] X(1, 3): case a: <CODE>',
+        '[guard-eval] X(1, 2): case a: <CODE>',
+        '[guard-eval] X(2, 4): case a: <CODE>',
+        '[guard-eval] X(2, 3): case a: <CODE>',
+        '[guard-eval] X(3, 4): case a: <CODE>',
+    ],
+    'code_name_input': [
+        '[memref-unknown-input] X(1, 4): case a arg 0: no input "<CODE>"',
+    ],
+    'code_name_memref': [
+        '[memref-eval] X(1, 3): case b arg 1: <CODE>',
+        '[memref-eval] X(1, 2): case b arg 1: <CODE>',
+    ],
+    'code_op': [
+        '[guard-eval] X(1, 4): case c: unknown expression node BinOp(op="<CODE>", lhs=Name(name=\'col\'), rhs=IntLit(value=1))',
+        '[guard-eval] X(1, 3): case c: unknown expression node BinOp(op="<CODE>", lhs=Name(name=\'col\'), rhs=IntLit(value=1))',
+        '[guard-eval] X(1, 2): case c: unknown expression node BinOp(op="<CODE>", lhs=Name(name=\'col\'), rhs=IntLit(value=1))',
+        '[guard-eval] X(2, 4): case c: unknown expression node BinOp(op="<CODE>", lhs=Name(name=\'col\'), rhs=IntLit(value=1))',
+        '[guard-gap] X(2, 4): no case guard holds',
+        '[guard-eval] X(2, 3): case c: unknown expression node BinOp(op="<CODE>", lhs=Name(name=\'col\'), rhs=IntLit(value=1))',
+        '[guard-eval] X(3, 4): case c: unknown expression node BinOp(op="<CODE>", lhs=Name(name=\'col\'), rhs=IntLit(value=1))',
+        '[guard-gap] X(3, 4): no case guard holds',
+    ],
+    'int_guard': [
+        '[guard-gap] X(2, 3): no case guard holds',
+    ],
+    'unknown_op': [
+        "[guard-eval] X(1, 4): case a: unknown expression node BinOp(op='**', lhs=Name(name='col'), rhs=IntLit(value=2))",
+        '[guard-gap] X(1, 4): no case guard holds',
+        "[guard-eval] X(1, 3): case a: unknown expression node BinOp(op='**', lhs=Name(name='col'), rhs=IntLit(value=2))",
+        "[guard-eval] X(1, 2): case a: unknown expression node BinOp(op='**', lhs=Name(name='col'), rhs=IntLit(value=2))",
+        "[guard-eval] X(2, 4): case a: unknown expression node BinOp(op='**', lhs=Name(name='col'), rhs=IntLit(value=2))",
+        "[guard-eval] X(2, 3): case a: unknown expression node BinOp(op='**', lhs=Name(name='col'), rhs=IntLit(value=2))",
+        "[guard-eval] X(3, 4): case a: unknown expression node BinOp(op='**', lhs=Name(name='col'), rhs=IntLit(value=2))",
+    ],
+}
+
+
+def built(name, how):
+    spec = HOSTILE[name]
+    return spec if how == "direct" else spec_from_json(spec_to_json(spec))
+
+
+@pytest.fixture(autouse=True)
+def nothing_ran():
+    yield
+    assert not hasattr(builtins, SENTINEL)
+
+
+@pytest.mark.parametrize("how", ["direct", "json"])
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_violations_match_interpreter(name, how):
+    report = validate(built(name, how), 4, 3)
+    assert [str(v).replace(CODE, "<CODE>") for v in report.violations] == EXPECTED[name]
+
+
+def test_json_form_is_the_hostile_one():
+    obj = json.loads(spec_to_json(HOSTILE["bool_in_arithmetic"]))
+    row = obj["funcs"][0]["cases"][1]["args"][1]["memory"]["row"]
+    assert row == {"op": "+", "lhs": {"name": "row"}, "rhs": {"int": True}}
+
+
+@pytest.mark.parametrize("how", ["direct", "json"])
+def test_deep_guard_runs_like_the_builtin_spec(how):
+    spec = with_case(X, 0, guard=deep(COL, 299).eq(1) & ROW.eq(M))
+    if how == "json":
+        spec = spec_from_json(spec_to_json(spec))
+    assert validate(spec, 4, 3).ok
+    aug = AugmentedMatrix.from_parts(random_matrix(4, 3, 9), [1.0, 2.0, 3.0, 4.0])
+    for cfg in (SimConfig(log_events=True),
+                SimConfig(unroll=folded_unroll(SPEC), channel_capacity=1, log_events=True)):
+        assert report_to_json(run(spec, cfg, aug)) == report_to_json(run(SPEC, cfg, aug))
+
+
+def renamed(e, text):
+    """``e`` with the name ``col`` replaced by ``text``."""
+    if isinstance(e, Name):
+        return Name(text) if e.name == "col" else e
+    if isinstance(e, BinOp):
+        return BinOp(e.op, renamed(e.lhs, text), renamed(e.rhs, text))
+    return e
+
+
+def with_dim_named(text):
+    """The built-in spec with X's loop variable ``col`` renamed to ``text``."""
+    def arg(a):
+        if isinstance(a, MemoryRef):
+            return MemoryRef(a.input, renamed(a.row, text), renamed(a.col, text))
+        if isinstance(a, CallRef):
+            return CallRef(a.func, tuple(renamed(c, text) for c in a.coords), a.index)
+        return a
+
+    def directive(d):
+        if isinstance(d, UnrollDirective) and d.var == "col":
+            return UnrollDirective(text)
+        if isinstance(d, StoreDirective):
+            return StoreDirective(d.indices, renamed(d.condition, text))
+        return d
+
+    return with_func(dataclasses.replace(
+        X,
+        dims=(text, "row"),
+        bounds=tuple(BoundSpec(text if b.var == "col" else b.var, renamed(b.lower, text),
+                               b.step, renamed(b.upper, text)) for b in X.bounds),
+        cases=tuple(dataclasses.replace(c, guard=renamed(c.guard, text),
+                                        args=tuple(arg(a) for a in c.args)) for c in X.cases),
+        directives=tuple(directive(d) for d in X.directives),
+        cell_map=tuple(None if cell is None else
+                       (renamed(cell[0], text), renamed(cell[1], text))
+                       for cell in X.cell_map),
+    ))
+
+
+@pytest.mark.parametrize("how", ["direct", "json"])
+def test_code_named_dim_is_a_slot(how):
+    spec = with_dim_named(CODE)
+    if how == "json":
+        spec = spec_from_json(spec_to_json(spec))
+    assert spec.walkers[0] is not None
+    source, _ = _walker_source(spec, spec.funcs[0])
+    assert CODE not in source and "col" not in source
+    aug = AugmentedMatrix.from_parts(random_matrix(4, 3, 9), [1.0, 2.0, 3.0, 4.0])
+    cfg = SimConfig(log_events=True)
+    got = report_to_json(run(spec, cfg, aug)).replace(CODE, "col")
+    assert got == report_to_json(run(SPEC, cfg, aug))
+
+
+def test_generator_falls_back_past_its_depth_limit():
+    shallow = with_case(X, 0, guard=deep(COL, 40).eq(1) & ROW.eq(M))
+    deeper = with_case(X, 0, guard=deep(COL, 299).eq(1) & ROW.eq(M))
+    assert shallow.walkers[0] is not None
+    assert deeper.walkers[0] is None and deeper.walkers[1] is not None
+
+
+def mutated_expr(e, rnd):
+    """``e`` with one subexpression replaced: a name, a literal or an operator."""
+    roll = rnd.random()
+    if roll < 0.2:
+        return Name(rnd.choice(["col", "row", "k", "M", "N", "q", CODE]))
+    if roll < 0.35:
+        return IntLit(rnd.choice([0, 1, 2, -1, 5, True, False]))
+    if isinstance(e, BinOp):
+        if roll < 0.5:
+            return BinOp(rnd.choice(["+", "-", "*", "==", "!=", "<", "<=", "&&", "**"]),
+                         e.lhs, e.rhs)
+        if rnd.random() < 0.5:
+            return BinOp(e.op, mutated_expr(e.lhs, rnd), e.rhs)
+        return BinOp(e.op, e.lhs, mutated_expr(e.rhs, rnd))
+    return e
+
+
+def mutated_spec(rnd):
+    """The built-in spec with one guard, argument, bound, cell or store condition mutated."""
+    func = rnd.choice([X, Y])
+    what = rnd.randrange(5)
+    if what == 0:
+        j = rnd.randrange(len(func.cases))
+        return with_case(func, j, guard=mutated_expr(func.cases[j].guard, rnd))
+    if what == 1:
+        j = rnd.randrange(len(func.cases))
+        args = list(func.cases[j].args)
+        slot = rnd.randrange(len(args))
+        a = args[slot]
+        if isinstance(a, MemoryRef):
+            args[slot] = MemoryRef(a.input, mutated_expr(a.row, rnd), mutated_expr(a.col, rnd))
+        else:
+            c = rnd.randrange(len(a.coords))
+            coords = a.coords[:c] + (mutated_expr(a.coords[c], rnd),) + a.coords[c + 1:]
+            args[slot] = CallRef(a.func, coords, a.index)
+        return with_case(func, j, args=tuple(args))
+    if what == 2:
+        b = rnd.randrange(len(func.bounds))
+        bound = func.bounds[b]
+        bound = BoundSpec(bound.var, mutated_expr(bound.lower, rnd), bound.step,
+                          mutated_expr(bound.upper, rnd))
+        return with_func(dataclasses.replace(
+            func, bounds=func.bounds[:b] + (bound,) + func.bounds[b + 1:]))
+    if what == 3:
+        cells = list(func.cell_map)
+        c = rnd.randrange(len(cells))
+        if cells[c] is not None:
+            cells[c] = (mutated_expr(cells[c][0], rnd), mutated_expr(cells[c][1], rnd))
+        return with_func(dataclasses.replace(func, cell_map=tuple(cells)))
+    return with_func(dataclasses.replace(func, directives=tuple(
+        StoreDirective(d.indices, mutated_expr(d.condition, rnd))
+        if isinstance(d, StoreDirective) else d for d in func.directives)))
+
+
+def walked(spec, m, n):
+    report = ValidationReport(m, n)
+    firings = [(f.func, f.coords, f.case.label, f.sources, f.cells, f.stores)
+               for f in walk(spec, m, n, report)]
+    return [str(v) for v in report.violations], firings
+
+
+def test_compiled_walk_matches_interpreter_on_mutated_specs():
+    rnd = random.Random(6)
+    for _ in range(300):
+        spec = mutated_spec(rnd)
+        interpreted = dataclasses.replace(spec)
+        # the cached walkers, set before first use: every function interpreted
+        interpreted.__dict__["walkers"] = (None,) * len(spec.funcs)
+        m = rnd.randint(1, 5)
+        n = rnd.randint(1, m)
+        assert walked(spec, m, n) == walked(interpreted, m, n)

@@ -63,15 +63,15 @@ def y_count(m, n):
 
 class TestPlacement:
     def test_full_unroll_one_iteration_per_pe(self):
-        placement = place(SPEC, config("full"), 4, 4)
-        pes = set(placement.values())
+        placement = place(build_graph(SPEC, 4, 4), config("full"))
+        pes = set(placement.pes)
         assert len(pes) == 26
         assert sum(1 for pe in pes if pe.func == "X") == 6
         assert sum(1 for pe in pes if pe.func == "Y") == 20
 
     def test_row_folded_counts(self):
-        placement = place(SPEC, config("folded"), 4, 4)
-        pes = set(placement.values())
+        placement = place(build_graph(SPEC, 4, 4), config("folded"))
+        pes = set(placement.pes)
         x_pes = sorted(pe.fixed for pe in pes if pe.func == "X")
         y_pes = sorted(pe.fixed for pe in pes if pe.func == "Y")
         assert x_pes == [(("col", 1),), (("col", 2),), (("col", 3),)]
@@ -79,22 +79,30 @@ class TestPlacement:
 
     def test_fold_preserves_program_order(self):
         cfg = config("folded")
-        placement = place(SPEC, cfg, 4, 4)
-        pe = placement[IterNode("X", (1, 3))]
-        order = [node for node, p in placement.items() if p == pe]
+        g = build_graph(SPEC, 4, 4)
+        placement = place(g, cfg)
+        pe = placement.node_pe[g.ids["X"][(1, 3)]]
+        order = [g.nodes[i] for i, p in enumerate(placement.node_pe) if p == pe]
         assert order == [IterNode("X", (1, 4)), IterNode("X", (1, 3)), IterNode("X", (1, 2))]
 
     def test_unknown_unroll_dim_rejected(self):
         cfg = SimConfig(unroll={"X": ("bogus",), "Y": ()})
         with pytest.raises(WiringError):
-            place(SPEC, cfg, 4, 4)
+            place(build_graph(SPEC, 4, 4), cfg)
+
+    def test_unknown_unroll_function_rejected(self):
+        cfg = SimConfig(unroll={"Z": (), "X": ("col",)})
+        with pytest.raises(WiringError, match=r"unknown functions \['Z'\]"):
+            place(build_graph(SPEC, 4, 4), cfg)
+        with pytest.raises(WiringError, match=r"unknown functions \['Z'\]"):
+            run(SPEC, cfg, make_aug(4, 4))
 
 
 class TestWiring:
     def test_broadcast_without_relay(self):
         g = build_graph(SPEC, 4, 4)
         cfg = config("full", relay=False)
-        wiring = wire(g, place(SPEC, cfg, 4, 4), cfg)
+        wiring = wire(g, place(g, cfg), cfg)
         outgoing = [
             k for k in wiring.channels
             if k.src_pe.label() == "X(col=1,row=4)" and k.dst_tag == "cs"
@@ -104,7 +112,7 @@ class TestWiring:
     def test_single_head_channel_with_relay(self):
         g = build_graph(SPEC, 4, 4)
         cfg = config("full", relay=True)
-        wiring = wire(g, place(SPEC, cfg, 4, 4), cfg)
+        wiring = wire(g, place(g, cfg), cfg)
         outgoing = [
             k for k in wiring.channels
             if k.src_pe.label() == "X(col=1,row=4)" and k.dst_tag == "cs"
@@ -121,8 +129,8 @@ class TestWiring:
     def test_memory_ports_have_no_channels(self):
         g = build_graph(SPEC, 4, 4)
         cfg = config("full")
-        wiring = wire(g, place(SPEC, cfg, 4, 4), cfg)
-        plan = wiring.plans[IterNode("X", (1, 4))]
+        wiring = wire(g, place(g, cfg), cfg)
+        plan = wiring.plans[g.ids["X"][(1, 4)]]
         from spatialqr.simulator import MemFetch
 
         mem = [f for f in plan.fetches if isinstance(f, MemFetch)]
@@ -250,10 +258,10 @@ class TestDrain:
     def test_store_provenance_matches_directives(self):
         g = build_graph(SPEC, 4, 4)
         cfg = config("full")
-        wiring = wire(g, place(SPEC, cfg, 4, 4), cfg)
+        wiring = wire(g, place(g, cfg), cfg)
 
         def stores_of(node):
-            return [(s.index, s.position) for s in wiring.plans[node].stores]
+            return [(s.index, s.position) for s in wiring.plans[g.ids[node.func][node.coords]].stores]
 
         assert stores_of(IterNode("X", (1, 2))) == [(3, (1, 1))]
         assert stores_of(IterNode("Y", (3, 4, 4))) == [(1, (3, 4)), (0, (4, 4))]

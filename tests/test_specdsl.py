@@ -22,11 +22,12 @@ from spatialqr.specdsl import (
     UnboundNameError,
     builtin_qr_spec,
     enumerate_domain,
+    ValidationReport,
     eval_expr,
-    firing_case,
     spec_from_json,
     spec_to_json,
     validate,
+    walk,
 )
 
 
@@ -85,9 +86,9 @@ class TestBuiltinSpec:
         spec = builtin_qr_spec()
         x = spec.func("X")
         labels = {}
-        for point in enumerate_domain(x, {"M": 4, "N": 4}):
-            bindings = {"M": 4, "N": 4, "col": point[0], "row": point[1]}
-            labels.setdefault(firing_case(x, bindings).label, []).append(point)
+        for firing in walk(spec, 4, 4, ValidationReport(4, 4)):
+            if firing.func == x.name:
+                labels.setdefault(firing.case.label, []).append(firing.coords)
         assert labels["a"] == [(1, 4)]
         assert sorted(labels["b"]) == [(1, 2), (1, 3)]
         # one boundary point per non-first column with a full-height row range
@@ -98,11 +99,11 @@ class TestBuiltinSpec:
         spec = builtin_qr_spec()
         for m in range(1, 9):
             for n in range(1, m + 1):
+                case_at = {(f.func, f.coords): f.case
+                           for f in walk(spec, m, n, ValidationReport(m, n))}
                 for func in spec.funcs:
                     for point in enumerate_domain(func, {"M": m, "N": n}):
-                        bindings = {"M": m, "N": n}
-                        bindings.update(zip(func.dims, point))
-                        firing_case(func, bindings)  # raises unless exactly one
+                        case_at[func.name, point]  # raises unless exactly one
 
     def test_empty_domain_is_legal(self):
         spec = builtin_qr_spec()
