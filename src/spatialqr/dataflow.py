@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from spatialqr import numeric, specdsl
 from spatialqr.numeric import AugmentedMatrix
-from spatialqr.specdsl import KERNEL_ELIMINATE, CallRef, ConstRef, MemoryRef, SpatialSpec
+from spatialqr.specdsl import A_PRIME, KERNEL_ELIMINATE, CallRef, ConstRef, MemoryRef, SpatialSpec
 
 
 class CycleError(ValueError):
@@ -274,29 +274,30 @@ class TraceEvent:
         return f"{self.col},{self.row},{'-' if self.k is None else self.k}"
 
 
-def emit_trace(m: int, n: int) -> list[TraceEvent]:
-    """Per-iteration data accesses of the reference loop nest, in loop order.
+_ZEROED = 2  # the eliminate kernel's output that it zeroes
 
-    Rotation parameters are written by the eliminating iteration and read by
-    the update iterations of the same (col, row); matrix cells are read and
-    written in place.
+
+def emit_trace(graph: DataflowGraph) -> list[TraceEvent]:
+    """Per-iteration data accesses of a :func:`build_graph` graph.
+
+    Each node follows the elimination whose rotation it applies, in node id
+    order, which for the built-in spec is the reference loop nest.  The
+    (c, s) pair is written by the eliminating node and read by the nodes
+    that apply it, and is named by the cell the elimination zeroes; each
+    node's result cells are read and written in place.
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"sizes must be >= 1, got {m}, {n}")
+    rotation = [i if case.kernel == KERNEL_ELIMINATE
+                else next((e.source.node for e in ins if e.pattern == "cs"), i)
+                for i, (case, ins) in enumerate(zip(graph.node_case, graph.in_edges))]
     events: list[TraceEvent] = []
-    for col in range(1, n + 1):
-        for row in range(m, col, -1):
-            events.append(TraceEvent(col, row, None, (
-                Access("c,s", (row, col), "W"),
-                Access("A'", (row, col), "RW"),
-                Access("A'", (row - 1, col), "RW"),
-            )))
-            for k in range(col + 1, n + 2):
-                events.append(TraceEvent(col, row, k, (
-                    Access("c,s", (row, col), "R"),
-                    Access("A'", (row, k), "RW"),
-                    Access("A'", (row - 1, k), "RW"),
-                )))
+    for i in sorted(range(len(graph.nodes)), key=lambda i: (rotation[i], i)):
+        producer, cells = graph.node_cells[rotation[i]], graph.node_cells[i]
+        zeroed = next(producer[k + 1:k + 3] for k in range(0, len(producer), 3)
+                      if producer[k] == _ZEROED)
+        accesses = [Access("c,s", zeroed, "W" if rotation[i] == i else "R")]
+        accesses += [Access(A_PRIME, cells[k + 1:k + 3], "RW") for k in range(0, len(cells), 3)]
+        col, row, *k = graph.nodes[i].coords
+        events.append(TraceEvent(col, row, k[0] if k else None, tuple(accesses)))
     return events
 
 

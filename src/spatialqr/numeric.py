@@ -102,20 +102,6 @@ class Matrix:
                 t.set(j, i, self.get(i, j))
         return t
 
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise DimensionError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        out = Matrix.zeros(self.rows, other.cols)
-        for i in range(1, self.rows + 1):
-            for j in range(1, other.cols + 1):
-                acc = 0.0
-                for k in range(1, self.cols + 1):
-                    acc += self.get(i, k) * other.get(k, j)
-                out.set(i, j, acc)
-        return out
-
 
 @dataclass
 class AugmentedMatrix:
@@ -183,7 +169,7 @@ class VerificationReport:
         return self.reconstruction_ok and self.orthogonality_ok and self.triangular_ok
 
 
-def _require_finite(*values: float) -> None:
+def require_finite(*values: float) -> None:
     for v in values:
         if not math.isfinite(v):
             raise NonFiniteError(f"non-finite value {v!r}")
@@ -204,7 +190,7 @@ def compute_rotation(x: float, y: float) -> tuple[RotationPair, float]:
     kernel writes the annihilated slot as a literal 0.0 since the computed
     residue is one-ulp noise.
     """
-    _require_finite(x, y)
+    require_finite(x, y)
     r = math.hypot(x, y)
     if r == 0.0:
         return RotationPair(1.0, 0.0), 0.0
@@ -217,7 +203,7 @@ def compute_rotation(x: float, y: float) -> tuple[RotationPair, float]:
 
 def apply_rotation(pair: RotationPair, top: float, bottom: float) -> tuple[float, float]:
     """Rotate the 2-vector (top, bottom): returns (c*top + s*bottom, c*bottom - s*top)."""
-    _require_finite(pair.c, pair.s)
+    require_finite(pair.c, pair.s)
     return pair.c * top + pair.s * bottom, pair.c * bottom - pair.s * top
 
 
@@ -344,10 +330,14 @@ def back_substitute(r: Matrix, b: list[float]) -> list[float]:
 
 
 def solve(a: Matrix, z: list[float]) -> list[float]:
-    """Solve a . y = z for square a via QR elimination plus back substitution."""
+    """Solve a . y = z for square a via QR elimination plus back substitution.
+
+    Raises NonFiniteError for a NaN or infinite entry of ``a`` or ``z``.
+    """
     if a.rows != a.cols:
         raise DimensionError(f"solve needs a square matrix, got {a.rows}x{a.cols}")
     aug = AugmentedMatrix.from_parts(a, z)
+    require_finite(*aug.inner.data)
     result = qr_givens_reference(aug)
     n = a.cols
     r = Matrix.zeros(n, n)
@@ -364,14 +354,6 @@ def random_matrix(rows: int, cols: int, seed: int) -> Matrix:
     """Uniform(-1, 1) entries from a seeded generator, row-major fill order."""
     rng = random.Random(seed)
     return Matrix(rows, cols, [rng.uniform(-1.0, 1.0) for _ in range(rows * cols)])
-
-
-def random_well_conditioned(n: int, seed: int) -> Matrix:
-    """Random square matrix made safely nonsingular by a diagonal boost."""
-    m = random_matrix(n, n, seed)
-    for i in range(1, n + 1):
-        m.set(i, i, m.get(i, i) + float(n))
-    return m
 
 
 # --- text and CSV interchange ---------------------------------------------

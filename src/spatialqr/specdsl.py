@@ -501,13 +501,14 @@ def walk(spec: SpatialSpec, m: int, n: int, report: ValidationReport) -> Iterato
     """Evaluate the spec at every iteration point, checking it on the way.
 
     Appends every violation to ``report`` rather than stopping at the first:
-    structural problems (unknown names, bad indices, malformed relay
-    vectors), guard exclusivity/exhaustiveness over each enumerated domain,
-    call coordinates that land outside the callee's domain, and memory
-    references, cell-map entries and store conditions that cannot be
-    evaluated or point outside the M x (N+1) input.  Yields a
-    :class:`Firing` for each point with exactly one firing case, in function
-    then loop-nest order; they describe the spec only if ``report`` ends ok.
+    structural problems (repeated or unknown names, bounds that do not name
+    the dims, bad indices, malformed relay vectors), guard
+    exclusivity/exhaustiveness over each enumerated domain, call coordinates
+    that land outside the callee's domain, and memory references, cell-map
+    entries and store conditions that cannot be evaluated or point outside
+    the M x (N+1) input.  Yields a :class:`Firing` for each point with
+    exactly one firing case, in function then loop-nest order; they
+    describe the spec only if ``report`` ends ok.
 
     Each function runs its compiled walker (:attr:`SpatialSpec.walkers`).
     A walker accepts only points with nothing to report; at the first other
@@ -519,11 +520,22 @@ def walk(spec: SpatialSpec, m: int, n: int, report: ValidationReport) -> Iterato
     consts = {"M": m, "N": n}
     walkers = spec.walkers
 
+    names = [f.name for f in spec.funcs]
+    for name in dict.fromkeys(names):
+        if names.count(name) > 1:
+            report.violations.append(Violation("func-duplicate", name, None,
+                                               f"{names.count(name)} functions have this name"))
+    # only the first function of each name is walked
+    funcs = [(f, w) for k, (f, w) in enumerate(zip(spec.funcs, walkers))
+             if names.index(f.name) == k]
+
     orders: dict[str, list[tuple[int, ...]]] = {}
     domains: dict[str, set[tuple[int, ...]]] = {}
-    for func, walker in zip(spec.funcs, walkers):
+    for func, walker in funcs:
         if walker is not None:
             pts = walker.domain(m, n)
+        elif not _bounds_match(func):
+            pts = []  # bounds-shape, reported below
         else:
             try:
                 pts = enumerate_domain(func, consts)
@@ -534,7 +546,7 @@ def walk(spec: SpatialSpec, m: int, n: int, report: ValidationReport) -> Iterato
         orders[func.name] = pts
         domains[func.name] = set(pts)
 
-    for func, walker in zip(spec.funcs, walkers):
+    for func, walker in funcs:
         _validate_structure(spec, func, report)
         firings = None
         if walker is not None:
@@ -826,11 +838,13 @@ def _walker_source(spec: SpatialSpec, func: FuncSpec) -> tuple[str, tuple[str, .
     return "\n".join(lines) + "\n", tuple(callees)
 
 
+def _bounds_match(func: FuncSpec) -> bool:
+    return [b.var for b in func.bounds] == list(func.dims)
+
+
 def _validate_structure(spec: SpatialSpec, func: FuncSpec, report: ValidationReport) -> None:
     bad = report.violations.append
-    if len(func.bounds) != len(func.dims) or any(
-        b.var != d for b, d in zip(func.bounds, func.dims)
-    ):
+    if not _bounds_match(func):
         bad(Violation("bounds-shape", func.name, None,
                       "bounds must name each dim once, in dim order"))
     if func.cell_map and len(func.cell_map) != func.tuple_arity:

@@ -30,6 +30,17 @@ def rhs4(tmp_path):
     return path
 
 
+def matmul(a, b):
+    out = Matrix.zeros(a.rows, b.cols)
+    for i in range(1, a.rows + 1):
+        for j in range(1, b.cols + 1):
+            acc = 0.0
+            for k in range(1, a.cols + 1):
+                acc += a.get(i, k) * b.get(k, j)
+            out.set(i, j, acc)
+    return out
+
+
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
@@ -114,7 +125,7 @@ class TestDecompose:
         q = parse_matrix_text(q_path.read_text())
         r = parse_matrix_text(r_path.read_text())
         a = parse_matrix_text(matrix4.read_text())
-        recon = q.matmul(r)
+        recon = matmul(q, r)
         for i in range(1, 5):
             for j in range(1, 5):
                 assert abs(recon.get(i, j) - a.get(i, j)) < 1e-12
@@ -274,6 +285,50 @@ class TestSelfcheck:
         assert run_cli("selfcheck", "--max-size", "4") == 0
         out = capsys.readouterr().out
         assert out.rstrip().endswith("selfcheck: all passed")
+
+    def test_tampered_report_names_shape_and_configuration(self, monkeypatch, capsys):
+        real_run = cli.run
+
+        def tampered(spec, cfg, aug):
+            report = real_run(spec, cfg, aug)
+            if report.drained:
+                i, j = report.drained[0]
+                report.output.set(i, j, report.output.get(i, j) + 1.0)
+            return report
+
+        monkeypatch.setattr(cli, "run", tampered)
+        assert run_cli("selfcheck", "--max-size", "3") == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "selfcheck: 1x1 ok"
+        assert lines[-1].startswith(
+            "selfcheck: 2x1 FAIL full relay=on capacity=1: simulated output differs")
+
+
+class TestHostileInputs:
+    """Every bad input file ends in one ``error:`` line and a documented exit code."""
+
+    @pytest.mark.parametrize("command", ["decompose", "solve", "simulate"])
+    @pytest.mark.parametrize("name,text,rhs_rows,code", [
+        ("empty.txt", "", 2, 2),
+        ("ragged.txt", "2 2\n1.0 2.0\n3.0\n", 2, 2),
+        ("ragged.csv", "1.0,2.0\n3.0\n", 2, 2),
+        ("nan.txt", "2 2\n1.0 2.0\n3.0 nan\n", 2, 1),
+        ("inf.txt", "2 2\n1.0 2.0\n3.0 inf\n", 2, 1),
+        ("zero.txt", "0 0\n", 2, 2),
+        ("rhs.txt", "2 2\n1.0 2.0\n3.0 4.0\n", 3, 2),
+    ], ids=["empty", "ragged-txt", "ragged-csv", "nan", "inf", "zero-header", "rhs-length"])
+    def test_one_error_line(self, tmp_path, capsys, command, name, text, rhs_rows, code):
+        matrix, rhs = tmp_path / name, tmp_path / "z.txt"
+        matrix.write_text(text)
+        write_matrix(str(rhs), Matrix(rhs_rows, 1, [1.0] * rhs_rows))
+        argv = {
+            "decompose": ("decompose", matrix, "--rhs", rhs, "--output", tmp_path / "r.txt"),
+            "solve": ("solve", matrix, rhs),
+            "simulate": ("simulate", matrix, "--rhs", rhs, "--report", tmp_path / "r.json"),
+        }[command]
+        assert run_cli(*argv) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
 
 class TestDeterminism:

@@ -83,7 +83,7 @@ class TestBuildGraph:
     def test_node_count_matches_trace(self):
         g = build_graph(builtin_qr_spec(), 4, 4)
         assert len(g.nodes) == 26
-        assert len(emit_trace(4, 4)) == 26
+        assert len(emit_trace(g)) == 26
 
     def test_memory_pattern_edge(self):
         g = build_graph(builtin_qr_spec(), 4, 4)
@@ -220,10 +220,10 @@ class TestRelayCycle:
 class TestTrace:
     def test_matches_golden_fixture(self):
         golden = (FIXTURES / "trace_4x4_golden.txt").read_text()
-        assert format_trace_text(emit_trace(4, 4)) == golden
+        assert format_trace_text(emit_trace(build_graph(builtin_qr_spec(), 4, 4))) == golden
 
     def test_first_and_last_events(self):
-        events = emit_trace(4, 4)
+        events = emit_trace(build_graph(builtin_qr_spec(), 4, 4))
         first, last = events[0], events[-1]
         assert (first.col, first.row, first.k) == (1, 4, None)
         assert first.accesses[0].render() == "c,s[4,1](W)"
@@ -232,7 +232,7 @@ class TestTrace:
         assert [a.render() for a in last.accesses[1:]] == ["A'[4,5]", "A'[3,5]"]
 
     def test_access_shape_invariant(self):
-        for e in emit_trace(5, 3):
+        for e in emit_trace(build_graph(builtin_qr_spec(), 5, 3)):
             assert len(e.accesses) == 3
             cs, a1, a2 = e.accesses
             assert cs.name == "c,s"
@@ -240,13 +240,13 @@ class TestTrace:
             assert a1.mode == a2.mode == "RW"
 
     def test_empty_trace(self):
-        assert emit_trace(1, 1) == []
+        assert emit_trace(build_graph(builtin_qr_spec(), 1, 1)) == []
         assert format_trace_text([]) == ""
 
     def test_json_event_count(self):
         import json
 
-        obj = json.loads(trace_to_json(emit_trace(4, 4)))
+        obj = json.loads(trace_to_json(emit_trace(build_graph(builtin_qr_spec(), 4, 4))))
         assert len(obj["events"]) == 26
 
 

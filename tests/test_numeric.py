@@ -19,12 +19,19 @@ from spatialqr.numeric import (
     parse_matrix_text,
     qr_givens_reference,
     random_matrix,
-    random_well_conditioned,
     solve,
     verify_qr,
 )
 
 finite = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+
+
+def random_well_conditioned(n: int, seed: int) -> Matrix:
+    """Random square matrix made safely nonsingular by a diagonal boost."""
+    m = random_matrix(n, n, seed)
+    for i in range(1, n + 1):
+        m.set(i, i, m.get(i, i) + float(n))
+    return m
 
 
 def aug_from(a: Matrix, z=None) -> AugmentedMatrix:

@@ -302,3 +302,29 @@ class TestJsonErrors:
             spec_from_json(self.corrupt(lambda o: o["funcs"].append([])))
         with pytest.raises(ValueError, match="spec JSON: expected an object"):
             spec_from_json("[1, 2]")
+
+
+class TestMalformedFunctions:
+    """Functions that cannot be enumerated or told apart end in violations."""
+
+    @pytest.mark.parametrize("bounds", [
+        (X_FUNC.bounds[0], dataclasses.replace(X_FUNC.bounds[1], var="r")),
+        X_FUNC.bounds[:1],
+    ], ids=["misnamed", "missing"])
+    def test_bounds_not_naming_dims_are_reported(self, bounds):
+        spec = with_x(bounds=bounds)
+        assert "bounds-shape" in validate(spec, 4, 4).rules()
+        aug = AugmentedMatrix.from_parts(random_matrix(4, 4, 0), [1.0] * 4)
+        with pytest.raises(ValueError, match=r"does not validate at \(4, 4\)"):
+            run(spec, SimConfig(), aug)
+
+    def test_duplicate_name_is_reported_once(self):
+        spec = builtin_qr_spec()
+        x, y = spec.funcs
+        spec2 = dataclasses.replace(spec, funcs=(x, y, x, x))
+        assert [(v.rule, v.func) for v in validate(spec2, 3, 2).violations] == [
+            ("func-duplicate", "X"),
+        ]
+        aug = AugmentedMatrix.from_parts(random_matrix(3, 2, 0), [1.0] * 3)
+        with pytest.raises(ValueError, match=r"does not validate at \(3, 2\)"):
+            run(spec2, SimConfig(), aug)
