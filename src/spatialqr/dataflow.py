@@ -278,17 +278,20 @@ _ZEROED = 2  # the eliminate kernel's output that it zeroes
 
 
 def emit_trace(graph: DataflowGraph) -> list[TraceEvent]:
-    """Per-iteration data accesses of a :func:`build_graph` graph.
+    """Per-iteration data accesses of a graph or of its :func:`relay_view`.
 
     Each node follows the elimination whose rotation it applies, in node id
     order, which for the built-in spec is the reference loop nest.  The
     (c, s) pair is written by the eliminating node and read by the nodes
     that apply it, and is named by the cell the elimination zeroes; each
-    node's result cells are read and written in place.
+    node's result cells are read and written in place.  A pair edge may come
+    from a relay neighbour, so rotations are followed in topological order.
     """
-    rotation = [i if case.kernel == KERNEL_ELIMINATE
-                else next((e.source.node for e in ins if e.pattern == "cs"), i)
-                for i, (case, ins) in enumerate(zip(graph.node_case, graph.in_edges))]
+    rotation = list(range(len(graph.nodes)))
+    for i in graph.topo_order:
+        if graph.node_case[i].kernel != KERNEL_ELIMINATE:
+            rotation[i] = next((rotation[e.source.node] for e in graph.in_edges[i]
+                                if e.pattern == "cs"), i)
     events: list[TraceEvent] = []
     for i in sorted(range(len(graph.nodes)), key=lambda i: (rotation[i], i)):
         producer, cells = graph.node_cells[rotation[i]], graph.node_cells[i]

@@ -15,7 +15,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple
 
 from spatialqr.dataflow import (
     KERNELS,
@@ -26,7 +26,7 @@ from spatialqr.dataflow import (
     relay_view,
 )
 from spatialqr.numeric import AugmentedMatrix, Matrix, NonFiniteError
-from spatialqr.specdsl import KERNEL_ARITY, ConstRef, SpatialSpec
+from spatialqr.specdsl import ConstRef, SpatialSpec
 
 
 class WiringError(ValueError):
@@ -48,45 +48,8 @@ class PeId(NamedTuple):
     fixed: tuple[tuple[str, int], ...]
 
     def label(self) -> str:
-        inside = ",".join(f"{d}={v}" for d, v in self.fixed)
+        inside = ",".join([f"{d}={v}" for d, v in self.fixed])
         return f"{self.func}({inside})"
-
-
-class ChannelKey(NamedTuple):
-    src_pe: PeId
-    src_tag: str  # "t<index>" for tuple elements, "cs" for pairs, "relay" for forwards
-    dst_pe: PeId
-    dst_tag: str  # "p<port>" for data ports, "cs" for the pair port
-
-
-class Channel:
-    """Bounded FIFO; producers block when full, consumers when empty.
-
-    ``src`` and ``dst`` are the indices of the producer and consumer PEs in
-    :attr:`Wiring.pes`; ``label`` names the channel in reports and errors.
-    """
-
-    __slots__ = ("key", "label", "capacity", "src", "dst", "queue", "max_occupancy", "sends")
-
-    def __init__(self, key: ChannelKey, label: str, capacity: int, src: int, dst: int):
-        self.key = key
-        self.label = label
-        self.capacity = capacity
-        self.src = src
-        self.dst = dst
-        self.queue: deque = deque()
-        self.max_occupancy = 0
-        self.sends = 0
-
-    def push(self, value) -> None:
-        if len(self.queue) >= self.capacity:
-            raise WiringError(f"push into full channel {self.label}")
-        self.queue.append(value)
-        self.sends += 1
-        self.max_occupancy = max(self.max_occupancy, len(self.queue))
-
-    def pop(self):
-        return self.queue.popleft()
 
 
 @dataclass(frozen=True)
@@ -158,213 +121,186 @@ def place(graph: DataflowGraph, cfg: SimConfig) -> Placement:
     found: dict[tuple[str, tuple[int, ...]], int] = {}  # (function, unrolled values) -> PE
     node_pe = []
     for node in graph.nodes:
-        key = (node.func, tuple([node.coords[i] for i in kept[node.func]]))
+        keep = kept[node.func]
+        key = (node.func, node.coords if len(keep) == len(node.coords)
+               else tuple([node.coords[i] for i in keep]))
         node_pe.append(found.setdefault(key, len(found)))
     # PEs of one function unroll the same dims, so their values order them
     order = sorted(found)
     rank = [0] * len(found)
     for r, key in enumerate(order):
         rank[found[key]] = r
-    dims = {f.name: f.dims for f in spec.funcs}
-    pes = [PeId(func, tuple((dims[func][i], v) for i, v in zip(kept[func], values)))
-           for func, values in order]
+    names = {f.name: tuple([f.dims[i] for i in kept[f.name]]) for f in spec.funcs}
+    pes = [PeId(func, tuple(zip(names[func], values))) for func, values in order]
     return Placement(pes, [rank[p] for p in node_pe])
 
 
-# --- firing plans -------------------------------------------------------------
+# --- the compiled design ---------------------------------------------------------
 
-@dataclass(slots=True)
-class PairFetch:
-    chan: Channel
-    ports: tuple[int, int]
+class NodeOp(NamedTuple):
+    """One iteration's firing, with channels named by their index in a :class:`Design`.
 
-
-@dataclass(slots=True)
-class ChanFetch:
-    chan: Channel
-    port: int
-
-
-@dataclass(slots=True)
-class MemFetch:
-    row: int
-    col: int
-    port: int
-
-
-@dataclass(slots=True)
-class ConstFetch:
-    value: float
-    port: int
-
-
-Fetch = Union[PairFetch, ChanFetch, MemFetch, ConstFetch]
-
-
-@dataclass(slots=True)
-class PairPush:
-    chan: Channel
-    forward: bool  # True: forward the consumed pair; False: emit own outputs (0, 1)
-
-
-@dataclass(slots=True)
-class DataPush:
-    chan: Channel
-    index: int
-
-
-Push = Union[PairPush, DataPush]
-
-
-@dataclass(slots=True)
-class StoreOp:
-    index: int
-    position: tuple[int, int]
-
-
-@dataclass(slots=True)
-class FiringPlan:
-    """One iteration's firing, with its readiness check compiled in.
-
-    The plan is ready when every queue in ``pops`` holds a value and every
-    queue in ``room`` has a free slot.  ``wire`` guarantees that a firing
-    pops at most one value from, and pushes at most one value into, each
-    channel, so these two sets are the whole check; a channel the plan both
-    pops and pushes frees its own slot and needs no room check.  ``wakes``
-    lists the PE indices whose readiness this firing can change: the
-    consumers of the channels it pushes to, the producers of the channels it
-    pops from, and its own PE.
+    The firing is ready when every channel in ``pops`` holds a value and
+    every channel in ``room`` has a free slot.  ``wire`` guarantees that a
+    firing pops at most one value from, and pushes at most one value into,
+    each channel, so these two sets are the whole check; a channel the
+    firing both pops and pushes frees its own slot and needs no room check.
+    ``wakes`` lists the PE indices whose readiness this firing can change:
+    the consumers of the channels it pushes to, the producers of the
+    channels it pops from, and its own PE.
     """
 
-    node: IterNode
-    kernel: str
-    fetches: tuple[Fetch, ...]
-    pushes: tuple[Push, ...]
-    stores: tuple[StoreOp, ...]
-    pops: tuple[deque, ...]
-    room: tuple[deque, ...]
+    kernel: Callable[..., tuple[float, ...]]
+    template: tuple[float | None, ...]  # the kernel's arguments, constants filled in
+    pair: tuple[int, int, int] | None  # (channel, port, port) of the rotation pair
+    fetches: tuple[tuple[int, int], ...]  # (channel, port)
+    mems: tuple[tuple[int, int, int], ...]  # (row, col, port) of the input
+    pushes: tuple[tuple[int, int], ...]  # (channel, output index, or _CS / _RELAY for a pair)
+    stores: tuple[tuple[int, tuple[int, int]], ...]  # (output index, result position)
+    pops: tuple[int, ...]  # the pair channel first, then ``fetches``' channels
+    room: tuple[int, ...]
     wakes: tuple[int, ...]
 
 
-@dataclass
-class Wiring:
-    channels: dict[ChannelKey, Channel]
-    plans: list[FiringPlan]  # per node id
-    pes: list[PeId]  # sorted; a PE's index here is its scheduling priority
-    pe_labels: list[str]  # per PE index
-    programs: list[list[FiringPlan]]  # per PE index, in program order
-    graph: DataflowGraph  # post-relay view when relaying is enabled
+@dataclass(frozen=True)
+class Design:
+    """A spec placed and wired at one shape: everything a run fixes before the data.
+
+    Channels are ints; channel ``c`` runs from PE ``chan_src[c]`` to PE
+    ``chan_dst[c]`` and is named ``chan_labels[c]`` in reports and errors.
+    :func:`execute` runs any number of matrices of the shape on one design.
+    """
+
+    graph: DataflowGraph  # as built, before any relay view
+    cfg: SimConfig
+    pe_labels: tuple[str, ...]  # per PE index, which is also its scheduling priority
+    chan_src: tuple[int, ...]
+    chan_dst: tuple[int, ...]
+    chan_labels: tuple[str, ...]
+    ops: tuple[NodeOp, ...]  # per node id
+    programs: tuple[tuple[int, ...], ...]  # per PE index, its node ids in program order
 
 
-# channel tags as ints: tuple index or port >= 0, else one of these
+# channel tags and pair pushes as ints: tuple index or port >= 0, else one of these
 _CS, _RELAY = -1, -2
 
 
-def _tag(code: int, prefix: str) -> str:
-    return "cs" if code == _CS else "relay" if code == _RELAY else f"{prefix}{code}"
+def compile_design(spec: SpatialSpec, cfg: SimConfig, m: int, n: int) -> Design:
+    """Build, place and wire ``spec`` at m x n; see :func:`wire`."""
+    graph = build_graph(spec, m, n)
+    return wire(graph, place(graph, cfg), cfg)
 
 
-def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Wiring:
+def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
     """Turn value edges into bounded channels between placed PEs.
 
     With relaying enabled, rotation-pair edges are first rewritten into
     hop-by-hop chains along each relay directive's vector; only the chain
     head still receives the pair straight from its producer.  Edges between
     iterations folded onto one PE still go through a channel of the same
-    capacity, so folding is purely a re-placement.  Channels are found by
-    int keys, (producer PE, tag, consumer PE, tag); each gets its
-    :class:`ChannelKey` and label once.
+    capacity, so folding is purely a re-placement.  A channel is the int
+    key (producer PE, tag, consumer PE, tag), numbered in order of first
+    use, and gets its label once.
+
+    Every channel must carry its values in the order its consumer pops
+    them, one per producer firing.  Consumers are visited in program order,
+    so that holds when the producer slots of each channel's flows strictly
+    increase; the first channel that breaks it raises :class:`WiringError`.
     """
     work = graph
     if cfg.relay_enabled and any(f.relay() is not None for f in graph.spec.funcs):
         work = relay_view(graph)
     nodes = work.nodes
-    pes, node_pe = placement.pes, placement.node_pe
-    pe_labels = [pe.label() for pe in pes]
+    node_pe = placement.node_pe
+    pe_labels = tuple([pe.label() for pe in placement.pes])
 
-    local_order: list[list[int]] = [[] for _ in pes]  # per PE, its node ids in program order
+    programs: list[list[int]] = [[] for _ in pe_labels]
     slot = [0] * len(nodes)  # a node's position in its PE's program
     for i, pe in enumerate(node_pe):
-        slot[i] = len(local_order[pe])
-        local_order[pe].append(i)
+        slot[i] = len(programs[pe])
+        programs[pe].append(i)
 
-    channels: list[Channel] = []
-    flows: list[list[tuple[int, int]]] = []  # per channel, (producer slot, consumer slot)
+    # per channel: producer PE, its tag, consumer PE, its tag, and the
+    # producer slot of its latest flow
+    chan_src: list[int] = []
+    src_tags: list[int] = []
+    chan_dst: list[int] = []
+    dst_tags: list[int] = []
+    last_producer: list[int] = []
+    faults: dict[int, str] = {}  # channel -> its flow-order fault
     found: dict[tuple[int, int, int, int], int] = {}
-
-    def channel_for(src: int, src_tag: int, dst: int, dst_tag: int) -> Channel:
-        src_pe, dst_pe = node_pe[src], node_pe[dst]
-        key = (src_pe, src_tag, dst_pe, dst_tag)
-        k = found.get(key)
-        if k is None:
-            k = found[key] = len(channels)
-            tags = (_tag(src_tag, "t"), _tag(dst_tag, "p"))
-            channels.append(Channel(
-                ChannelKey(pes[src_pe], tags[0], pes[dst_pe], tags[1]),
-                f"{pe_labels[src_pe]}.{tags[0]}->{pe_labels[dst_pe]}.{tags[1]}",
-                cfg.channel_capacity, src_pe, dst_pe,
-            ))
-            flows.append([])
-        flows[k].append((slot[src], slot[dst]))
-        return channels[k]
-
-    fetches: list[list[Fetch]] = [[] for _ in nodes]
-    pushes: list[list[Push]] = [[] for _ in nodes]
-
+    fetches: list[tuple] = []  # per node: pair, channel fetches, memory fetches, pops
+    pushes: list[list[tuple[int, int]]] = [[] for _ in nodes]
     for i, ins in enumerate(work.in_edges):
+        dst_pe = node_pe[i]
+        pair = None
+        flows = []  # (producer node, its tag, our tag): the pair first, then data ports
+        chans, mems, pops = [], [], []
         cs_edges = [e for e in ins if e.pattern == "cs"]
         if cs_edges:
             src, tag = _pair_source(cs_edges, nodes, i)
-            chan = channel_for(src, tag, i, _CS)
-            ports = tuple(sorted(e.port for e in cs_edges))
-            if len(ports) == 1:
-                ports = (ports[0], ports[0] + 1)
-            fetches[i].append(PairFetch(chan, ports))
-            pushes[src].append(PairPush(chan, forward=tag == _RELAY))
+            flows.append((src, tag, _CS))
         for e in ins:
-            if e.pattern == "cs":
-                continue
             source = e.source
             if isinstance(source, MemorySource):
-                fetches[i].append(MemFetch(source.row, source.col, e.port))
+                mems.append((source.row, source.col, e.port))
+            elif e.pattern != "cs":
+                flows.append((source.node, source.index, e.port))
+        for src, src_tag, dst_tag in flows:
+            src_pe, producer = node_pe[src], slot[src]
+            key = (src_pe, src_tag, dst_pe, dst_tag)
+            c = found.get(key)
+            if c is None:
+                c = found[key] = len(chan_src)
+                chan_src.append(src_pe)
+                src_tags.append(src_tag)
+                chan_dst.append(dst_pe)
+                dst_tags.append(dst_tag)
+                last_producer.append(producer)
             else:
-                chan = channel_for(source.node, source.index, i, e.port)
-                fetches[i].append(ChanFetch(chan, e.port))
-                pushes[source.node].append(DataPush(chan, source.index))
-        for port, arg in enumerate(work.node_case[i].args):
-            if isinstance(arg, ConstRef):
-                fetches[i].append(ConstFetch(arg.value, port))
+                if producer < last_producer[c]:
+                    faults[c] = "push order does not match pop order"
+                elif producer == last_producer[c]:
+                    faults.setdefault(c, "one firing would push twice")
+                last_producer[c] = producer
+            pops.append(c)
+            pushes[src].append((c, src_tag))
+            if dst_tag == _CS:
+                ports = sorted([e.port for e in cs_edges])
+                pair = (c, ports[0], ports[1] if len(ports) > 1 else ports[0] + 1)
+            else:
+                chans.append((c, dst_tag))
+        fetches.append((pair, tuple(chans), tuple(mems), tuple(pops)))
 
-    for chan, pairs in zip(channels, flows):
-        if len(pairs) == 1:
-            continue
-        by_producer = sorted(pairs)
-        consumer_seq = [c for _, c in by_producer]
-        if consumer_seq != sorted(consumer_seq) or len(set(consumer_seq)) != len(consumer_seq):
-            raise WiringError(f"channel {chan.label}: push order does not match pop order")
-        producers = [p for p, _ in by_producer]
-        if len(set(producers)) != len(producers):
-            raise WiringError(f"channel {chan.label}: one firing would push twice")
+    tags = {_CS: "cs", _RELAY: "relay"}  # any other tag is a tuple index or a port
+    labels = tuple([
+        f"{pe_labels[a]}.{tags.get(s) or f't{s}'}->{pe_labels[b]}.{tags.get(d) or f'p{d}'}"
+        for a, s, b, d in zip(chan_src, src_tags, chan_dst, dst_tags)
+    ])
+    if faults:
+        c = min(faults)
+        raise WiringError(f"channel {labels[c]}: {faults[c]}")
 
-    plans: list[FiringPlan] = []
-    for i, node in enumerate(nodes):
-        popped = [f.chan for f in fetches[i] if isinstance(f, (PairFetch, ChanFetch))]
-        pushed = [p.chan for p in pushes[i]]
-        wakes = {node_pe[i], *[c.src for c in popped], *[c.dst for c in pushed]}
+    kernels: dict[int, tuple] = {}  # id of a recurrence case -> (kernel, argument template)
+    ops = []
+    for i, (pair, chans, mems, pops) in enumerate(fetches):
+        case = work.node_case[i]
+        kernel = kernels.get(id(case))
+        if kernel is None:
+            kernel = kernels[id(case)] = (KERNELS[case.kernel], tuple(
+                [arg.value if isinstance(arg, ConstRef) else None for arg in case.args]))
+        pushed = tuple(pushes[i])
         stored = work.node_stores[i]
-        plans.append(FiringPlan(
-            node=node,
-            kernel=work.node_case[i].kernel,
-            fetches=tuple(fetches[i]),
-            pushes=tuple(pushes[i]),
-            stores=tuple(StoreOp(stored[k], (stored[k + 1], stored[k + 2]))
-                         for k in range(0, len(stored), 3)),
-            pops=tuple([c.queue for c in popped]),
-            room=tuple([c.queue for c in pushed if c not in popped]),
-            wakes=tuple(sorted(wakes)),
+        ops.append(NodeOp(
+            *kernel, pair, chans, mems, pushed,
+            tuple([(stored[k], (stored[k + 1], stored[k + 2])) for k in range(0, len(stored), 3)]),
+            pops,
+            tuple([c for c, _ in pushed if c not in pops]),
+            tuple(sorted({node_pe[i], *[chan_src[c] for c in pops],
+                          *[chan_dst[c] for c, _ in pushed]})),
         ))
-    programs = [[plans[i] for i in ids] for ids in local_order]
-    return Wiring({chan.key: chan for chan in channels}, plans, pes, pe_labels, programs, work)
+    return Design(graph, cfg, pe_labels, tuple(chan_src), tuple(chan_dst), labels,
+                  tuple(ops), tuple(map(tuple, programs)))
 
 
 def _pair_source(cs_edges, nodes: list[IterNode], sink: int) -> tuple[int, int]:
@@ -410,7 +346,12 @@ class SimReport:
 
 
 def run(spec: SpatialSpec, cfg: SimConfig, aug: AugmentedMatrix) -> SimReport:
-    """Simulate the spec on the given input until completion or deadlock.
+    """Simulate the spec on the given input until completion or deadlock."""
+    return execute(compile_design(spec, cfg, aug.m, aug.n), aug)
+
+
+def execute(design: Design, aug: AugmentedMatrix) -> SimReport:
+    """Run one input through ``design``, with fresh queues and counters.
 
     Each sweep visits PEs in a fixed order; a PE fires its next unfired
     iteration if and only if all its input channels hold a value and all its
@@ -423,56 +364,22 @@ def run(spec: SpatialSpec, cfg: SimConfig, aug: AugmentedMatrix) -> SimReport:
     any other one the next sweep, so every sweep fires exactly the PEs a
     scan over all of them would.
     """
-    m, n = aug.m, aug.n
-    graph = build_graph(spec, m, n)
-    placement = place(graph, cfg)
-    wiring = wire(graph, placement, cfg)
-    snapshot = aug.inner
-
-    pe_labels = wiring.pe_labels
-    programs = wiring.programs
+    graph, cfg = design.graph, design.cfg
+    m, n = graph.m, graph.n
+    if (aug.m, aug.n) != (m, n):
+        raise ValueError(f"design is for {m}x{n} inputs, got {aug.m}x{aug.n}")
+    nodes, ops, programs, labels = graph.nodes, design.ops, design.programs, design.chan_labels
+    get = aug.inner.get
+    queues = [deque() for _ in labels]
+    sends = [0] * len(labels)
+    occupancy = [0] * len(labels)
     pointers = [0] * len(programs)
-    capacity = cfg.channel_capacity
+    capacity, log_events = cfg.channel_capacity, cfg.log_events
     store_events: list[tuple[tuple[int, int], float, IterNode, int]] = []
     events: list[str] = []
-    total = len(wiring.plans)
+    total = len(ops)
     fired = 0
     steps = 0
-
-    def fire(plan: FiringPlan, step: int, pe: int) -> None:
-        arity_in, _ = KERNEL_ARITY[plan.kernel]
-        args: list[float | None] = [None] * arity_in
-        pair: tuple[float, float] | None = None
-        for f in plan.fetches:
-            if isinstance(f, PairFetch):
-                pair = f.chan.pop()
-                args[f.ports[0]], args[f.ports[1]] = pair
-            elif isinstance(f, ChanFetch):
-                args[f.port] = f.chan.pop()
-            elif isinstance(f, MemFetch):
-                args[f.port] = snapshot.get(f.row, f.col)
-            else:
-                args[f.port] = f.value
-        try:
-            out = KERNELS[plan.kernel](*args)
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"{plan.node}: {exc}") from None
-        if any(not math.isfinite(v) for v in out):
-            raise NonFiniteError(f"non-finite kernel output at {plan.node}")
-        for p in plan.pushes:
-            if isinstance(p, PairPush):
-                p.chan.push(pair if p.forward else (out[0], out[1]))
-            else:
-                p.chan.push(out[p.index])
-        for s in plan.stores:
-            store_events.append((s.position, out[s.index], plan.node, s.index))
-        if cfg.log_events:
-            consumed = ",".join(repr(v) for v in args)
-            produced = ",".join(repr(v) for v in out)
-            events.append(
-                f"step={step} pe={pe_labels[pe]} iter={plan.node} "
-                f"consumed=[{consumed}] produced=[{produced}]"
-            )
 
     # ``queued[i]`` is the sweep PE i is queued for; a PE is never queued for
     # the current and the next sweep at once, because only PEs at or before
@@ -493,46 +400,87 @@ def run(spec: SpatialSpec, cfg: SimConfig, aug: AugmentedMatrix) -> SimReport:
             program = programs[i]
             if k >= len(program):
                 continue
-            plan = program[k]
-            if not all(plan.pops) or any(len(q) >= capacity for q in plan.room):
-                continue
-            fire(plan, steps, i)
-            pointers[i] = k + 1
-            fired += 1
-            progressed = True
-            for j in plan.wakes:
-                if j > i:
-                    if queued[j] != steps:
-                        queued[j] = steps
-                        heapq.heappush(current, j)
-                elif queued[j] != steps + 1:
-                    queued[j] = steps + 1
-                    later.append(j)
+            node = program[k]
+            op = ops[node]
+            for c in op.pops:
+                if not queues[c]:
+                    break
+            else:
+                for c in op.room:
+                    if len(queues[c]) >= capacity:
+                        break
+                else:
+                    kernel, args, pair, fetches, mems, pushes, stores, _, _, wakes = op
+                    args = list(args)
+                    popped = None
+                    if pair is not None:
+                        c, lo, hi = pair
+                        popped = queues[c].popleft()
+                        args[lo], args[hi] = popped
+                    for c, port in fetches:
+                        args[port] = queues[c].popleft()
+                    for row, col, port in mems:
+                        args[port] = get(row, col)
+                    try:
+                        out = kernel(*args)
+                    except NonFiniteError as exc:
+                        raise NonFiniteError(f"{nodes[node]}: {exc}") from None
+                    if not all(map(math.isfinite, out)):
+                        raise NonFiniteError(f"non-finite kernel output at {nodes[node]}")
+                    for c, index in pushes:
+                        q = queues[c]
+                        if len(q) >= capacity:
+                            raise WiringError(f"push into full channel {labels[c]}")
+                        q.append(out[index] if index >= 0 else popped if index == _RELAY
+                                 else (out[0], out[1]))
+                        sends[c] += 1
+                        if len(q) > occupancy[c]:
+                            occupancy[c] = len(q)
+                    for index, position in stores:
+                        store_events.append((position, out[index], nodes[node], index))
+                    if log_events:
+                        consumed = ",".join(repr(v) for v in args)
+                        produced = ",".join(repr(v) for v in out)
+                        events.append(
+                            f"step={steps} pe={design.pe_labels[i]} iter={nodes[node]} "
+                            f"consumed=[{consumed}] produced=[{produced}]"
+                        )
+                    pointers[i] = k + 1
+                    fired += 1
+                    progressed = True
+                    for j in wakes:
+                        if j > i:
+                            if queued[j] != steps:
+                                queued[j] = steps
+                                heapq.heappush(current, j)
+                        elif queued[j] != steps + 1:
+                            queued[j] = steps + 1
+                            later.append(j)
         if not progressed:
             status = "deadlock"
-            blocked = _blocking_diagnostics(wiring, pe_labels, pointers)
+            blocked = _blocking_diagnostics(design, queues, pointers)
             break
         heapq.heapify(later)
         current = later
 
     if status == "completed":
-        leftovers = [ch.label for ch in wiring.channels.values() if ch.queue]
+        leftovers = [label for label, q in zip(labels, queues) if q]
         if leftovers:
             raise SimulationError(f"values left in channels after completion: {leftovers}")
         output, drained, uncovered = drain(graph, store_events)
     else:
         output, drained, uncovered = None, [], []
 
-    by_label = sorted(wiring.channels.values(), key=lambda ch: ch.label)
+    by_label = sorted(range(len(labels)), key=labels.__getitem__)
     return SimReport(
         status=status,
         m=m,
         n=n,
         config=cfg.describe(),
         steps=steps,
-        firings=dict(zip(pe_labels, pointers)),
-        max_occupancy={ch.label: ch.max_occupancy for ch in by_label},
-        channel_sends={ch.label: ch.sends for ch in by_label},
+        firings=dict(zip(design.pe_labels, pointers)),
+        max_occupancy={labels[c]: occupancy[c] for c in by_label},
+        channel_sends={labels[c]: sends[c] for c in by_label},
         output=output,
         drained=drained,
         uncovered=uncovered,
@@ -541,27 +489,18 @@ def run(spec: SpatialSpec, cfg: SimConfig, aug: AugmentedMatrix) -> SimReport:
     )
 
 
-def _blocking_diagnostics(wiring: Wiring, pe_labels: list[str], pointers: list[int]) -> list[dict]:
+def _blocking_diagnostics(design: Design, queues: list[deque], pointers: list[int]) -> list[dict]:
+    labels, capacity = design.chan_labels, design.cfg.channel_capacity
     out: list[dict] = []
-    for program, label, i in zip(wiring.programs, pe_labels, pointers):
-        if i >= len(program):
+    for program, label, k in zip(design.programs, design.pe_labels, pointers):
+        if k >= len(program):
             continue
-        plan = program[i]
-        empty = [
-            f.chan.label
-            for f in plan.fetches
-            if isinstance(f, (PairFetch, ChanFetch)) and not f.chan.queue
-        ]
-        full = [
-            p.chan.label
-            for p in plan.pushes
-            if len(p.chan.queue) >= p.chan.capacity
-        ]
+        op = design.ops[program[k]]
         out.append({
             "pe": label,
-            "iteration": str(plan.node),
-            "waiting_on_empty": empty,
-            "waiting_on_full": full,
+            "iteration": str(design.graph.nodes[program[k]]),
+            "waiting_on_empty": [labels[c] for c in op.pops if not queues[c]],
+            "waiting_on_full": [labels[c] for c, _ in op.pushes if len(queues[c]) >= capacity],
         })
     return out
 

@@ -331,6 +331,20 @@ class TestHostileInputs:
         assert len(err) == 1 and err[0].startswith("error:")
 
 
+    @pytest.mark.parametrize("name,text", [
+        ("empty.txt", ""),
+        ("ragged.txt", "2 2\n1.0 2.0\n3.0\n"),
+        ("ragged.csv", "1.0,2.0\n3.0\n"),
+        ("zero.txt", "0 0\n"),
+    ], ids=["empty", "ragged-txt", "ragged-csv", "zero-header"])
+    def test_verify_file_shape(self, tmp_path, capsys, name, text):
+        matrix = tmp_path / name
+        matrix.write_text(text)
+        assert run_cli("verify", matrix) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+
 class TestDeterminism:
     def _capture(self, *argv):
         return subprocess.run(

@@ -239,6 +239,13 @@ class TestTrace:
             assert cs.mode == ("W" if e.k is None else "R")
             assert a1.mode == a2.mode == "RW"
 
+    def test_relay_view_gives_the_same_trace(self):
+        spec = builtin_qr_spec()
+        for m in range(1, 9):
+            for n in range(1, m + 2):
+                g = build_graph(spec, m, n)
+                assert emit_trace(relay_view(g)) == emit_trace(g), (m, n)
+
     def test_empty_trace(self):
         assert emit_trace(build_graph(builtin_qr_spec(), 1, 1)) == []
         assert format_trace_text([]) == ""

@@ -16,7 +16,15 @@ import json
 from pathlib import Path
 
 from spatialqr.numeric import AugmentedMatrix, random_matrix
-from spatialqr.simulator import SimConfig, folded_unroll, report_to_json, run, spec_unroll
+from spatialqr.simulator import (
+    SimConfig,
+    compile_design,
+    execute,
+    folded_unroll,
+    report_to_json,
+    run,
+    spec_unroll,
+)
 from spatialqr.specdsl import builtin_qr_spec
 
 FIXTURE = Path(__file__).parent / "fixtures" / "report_digests.json"
@@ -71,29 +79,47 @@ def test_fixture_covers_every_outcome():
     assert kinds == {"completed", "deadlock", "raises WiringError"}
 
 
-
-def schedule(m, n, unroll, relay, capacity, seed):
-    """The report JSON without ``output``, or the exception, for one seeded input."""
-    aug = AugmentedMatrix(m, n, random_matrix(m, n + 1, seed))
-    cfg = SimConfig(unroll=UNROLLS[unroll], channel_capacity=capacity, relay_enabled=relay)
+def attempt(fn):
+    """The report JSON of ``fn()``, or the exception it raises."""
     try:
-        report = run(SPEC, cfg, aug)
+        return report_to_json(fn())
     except Exception as exc:
         return f"raises {type(exc).__name__}: {exc}"
-    obj = json.loads(report_to_json(report))
-    del obj["output"]
-    return obj
 
 
 def test_schedule_does_not_depend_on_the_data():
-    """Everything but the output values is fixed by the spec, configuration and shape."""
+    """Everything but the output values is fixed by the spec, configuration and shape.
+
+    One design per configuration executes both seeded inputs, and each
+    execution reports exactly what a fresh ``run()`` does, so no queue or
+    counter state leaks from one execution to the next.
+    """
     for m in range(1, 7):
         for n in range(1, m + 1):
             for unroll in UNROLLS:
                 for relay in (True, False):
                     for capacity in (1, 2, 8):
                         key = (m, n, unroll, relay, capacity)
-                        assert schedule(*key, seed=1) == schedule(*key, seed=2), key
+                        cfg = SimConfig(unroll=UNROLLS[unroll], channel_capacity=capacity,
+                                        relay_enabled=relay)
+                        augs = [AugmentedMatrix(m, n, random_matrix(m, n + 1, seed))
+                                for seed in (1, 2)]
+                        try:
+                            design = compile_design(SPEC, cfg, m, n)
+                        except Exception as exc:
+                            failure = f"raises {type(exc).__name__}: {exc}"
+                            assert [attempt(lambda: run(SPEC, cfg, aug)) for aug in augs] \
+                                == [failure, failure], key
+                            continue
+                        schedules = []
+                        for aug in augs:
+                            got = attempt(lambda: execute(design, aug))
+                            assert got == attempt(lambda: run(SPEC, cfg, aug)), key
+                            obj = json.loads(got)
+                            del obj["output"]
+                            schedules.append(obj)
+                        assert schedules[0] == schedules[1], key
+
 
 if __name__ == "__main__":
     FIXTURE.write_text(json.dumps(compute_digests(), indent=2, sort_keys=True) + "\n")

@@ -1,4 +1,5 @@
 import json
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from spatialqr.simulator import (
     SimConfig,
     SimulationError,
     WiringError,
+    compile_design,
     drain,
     folded_unroll,
     place,
@@ -98,43 +100,50 @@ class TestPlacement:
             run(SPEC, cfg, make_aug(4, 4))
 
 
+def channel_keys(design):
+    """Per channel: (producer PE, tag, consumer PE, tag), read back from the design's tables."""
+    for c, label in enumerate(design.chan_labels):
+        src = design.pe_labels[design.chan_src[c]]
+        dst = design.pe_labels[design.chan_dst[c]]
+        head, tail = label.split("->")
+        yield src, head[len(src) + 1:], dst, tail[len(dst) + 1:]
+
+
 class TestWiring:
     def test_broadcast_without_relay(self):
         g = build_graph(SPEC, 4, 4)
         cfg = config("full", relay=False)
-        wiring = wire(g, place(g, cfg), cfg)
+        design = wire(g, place(g, cfg), cfg)
         outgoing = [
-            k for k in wiring.channels
-            if k.src_pe.label() == "X(col=1,row=4)" and k.dst_tag == "cs"
+            k for k in channel_keys(design)
+            if k[0] == "X(col=1,row=4)" and k[3] == "cs"
         ]
         assert len(outgoing) == 4
 
     def test_single_head_channel_with_relay(self):
         g = build_graph(SPEC, 4, 4)
         cfg = config("full", relay=True)
-        wiring = wire(g, place(g, cfg), cfg)
+        design = wire(g, place(g, cfg), cfg)
         outgoing = [
-            k for k in wiring.channels
-            if k.src_pe.label() == "X(col=1,row=4)" and k.dst_tag == "cs"
+            k for k in channel_keys(design)
+            if k[0] == "X(col=1,row=4)" and k[3] == "cs"
         ]
         assert len(outgoing) == 1
-        assert outgoing[0].dst_pe.label() == "Y(col=1,row=4,k=2)"
+        assert outgoing[0][2] == "Y(col=1,row=4,k=2)"
         forwards = [
-            k for k in wiring.channels
-            if k.src_pe.label() == "Y(col=1,row=4,k=2)" and k.src_tag == "relay"
+            k for k in channel_keys(design)
+            if k[0] == "Y(col=1,row=4,k=2)" and k[1] == "relay"
         ]
         assert len(forwards) == 1
-        assert forwards[0].dst_pe.label() == "Y(col=1,row=4,k=3)"
+        assert forwards[0][2] == "Y(col=1,row=4,k=3)"
 
     def test_memory_ports_have_no_channels(self):
         g = build_graph(SPEC, 4, 4)
         cfg = config("full")
-        wiring = wire(g, place(g, cfg), cfg)
-        plan = wiring.plans[g.ids["X"][(1, 4)]]
-        from spatialqr.simulator import MemFetch
-
-        mem = [f for f in plan.fetches if isinstance(f, MemFetch)]
-        assert {(f.row, f.col) for f in mem} == {(4, 1), (3, 1)}
+        design = wire(g, place(g, cfg), cfg)
+        op = design.ops[g.ids["X"][(1, 4)]]
+        assert {(row, col) for row, col, _ in op.mems} == {(4, 1), (3, 1)}
+        assert op.pair is None and op.fetches == () and op.pops == ()
 
 
 class TestRunEquivalence:
@@ -258,10 +267,10 @@ class TestDrain:
     def test_store_provenance_matches_directives(self):
         g = build_graph(SPEC, 4, 4)
         cfg = config("full")
-        wiring = wire(g, place(g, cfg), cfg)
+        design = compile_design(SPEC, cfg, 4, 4)
 
         def stores_of(node):
-            return [(s.index, s.position) for s in wiring.plans[g.ids[node.func][node.coords]].stores]
+            return list(design.ops[g.ids[node.func][node.coords]].stores)
 
         assert stores_of(IterNode("X", (1, 2))) == [(3, (1, 1))]
         assert stores_of(IterNode("Y", (3, 4, 4))) == [(1, (3, 4)), (0, (4, 4))]
@@ -365,13 +374,14 @@ class TestSimulationErrors:
             run(SPEC, config(mode, capacity, relay, max_steps=steps - 1), aug)
 
     def test_values_left_in_channels(self, monkeypatch):
-        real_wire = simulator.wire
+        made = []
 
-        def preloaded(graph, placement, cfg):
-            wiring = real_wire(graph, placement, cfg)
-            next(iter(wiring.channels.values())).queue.append(0.5)
-            return wiring
+        def preloaded():
+            """The first channel's queue starts with a stray value."""
+            queue = deque([] if made else [0.5])
+            made.append(queue)
+            return queue
 
-        monkeypatch.setattr(simulator, "wire", preloaded)
+        monkeypatch.setattr(simulator, "deque", preloaded)
         with pytest.raises(SimulationError, match="values left in channels"):
             run(SPEC, config("full", capacity=8), make_aug(4, 4))
