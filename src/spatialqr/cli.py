@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 from spatialqr import dataflow
 from spatialqr.dataflow import build_graph, emit_dot, emit_trace, evaluate_graph, relay_view
@@ -53,11 +54,20 @@ def _load_augmented(matrix_path: str, rhs_path: str | None) -> AugmentedMatrix:
     return AugmentedMatrix.from_parts(a, z)
 
 
+@contextmanager
+def _writing(path: str):
+    """Report a failure to write ``path`` as a usage error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Usage(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _writing(path), open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -69,11 +79,13 @@ def cmd_decompose(args) -> int:
         out = result.r_aug.inner
     else:
         out = result.r_aug.coefficient_part()
-    write_matrix(args.output, out)
+    with _writing(args.output):
+        write_matrix(args.output, out)
     if args.q_output:
         if result.q is None:
             raise _Usage("--q-output needs --accumulate-q")
-        write_matrix(args.q_output, result.q)
+        with _writing(args.q_output):
+            write_matrix(args.q_output, result.q)
     return EXIT_OK
 
 
@@ -261,7 +273,7 @@ def main(argv=None) -> int:
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SimulationError, NonFiniteError, SingularMatrixError) as exc:

@@ -1,19 +1,20 @@
 """Iteration-level dataflow: graph building, traces, DOT export.
 
-Every loop iteration of a spatial function becomes a node; every argument of
-its firing recurrence case becomes an edge from memory or from the producing
-iteration.  Nodes are numbered in walk order, and every per-node table is a
-list indexed by that node id.  The module also carries a pull-based
+Every loop iteration of a spatial function becomes a node.  The arguments
+of its firing recurrence case become its rotation pair (the c and s it reads
+from one eliminating iteration), its data edges from producing iterations and
+its memory loads.  Nodes are numbered in walk order, and every per-node table
+is a list indexed by that node id.  The module also carries a pull-based
 evaluator over the topological order, used as an independent oracle against
 both the imperative reference and the processing-element simulator.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from spatialqr import numeric, specdsl
 from spatialqr.numeric import AugmentedMatrix
@@ -38,44 +39,62 @@ class IterNode:
         return f"{self.func}{self.coords}"
 
 
-class MemorySource(NamedTuple):
-    input: str
-    row: int
-    col: int
-
-
-class ProducerSource(NamedTuple):
-    node: int  # producer's node id
-    index: int | None  # None marks a relayed (c, s) pair in the relay view
-
-
-class FlowEdge(NamedTuple):
-    source: MemorySource | ProducerSource
-    sink: int  # consumer's node id
-    port: int
-    pattern: str  # case label a-d for data/memory edges, "cs" for rotation pairs
-
-
 @dataclass
 class DataflowGraph:
-    """Nodes in walk order; a node's id is its index in ``nodes`` and in every table."""
+    """Nodes in walk order; a node's id is its index in ``nodes`` and in every table.
+
+    A node's inputs are its rotation pair, its data edges and its memory
+    loads.  ``relayed`` names the functions whose pairs :func:`relay_view`
+    has remapped to relay neighbours.
+    """
 
     spec: SpatialSpec
     m: int
     n: int
     nodes: list[IterNode]
-    edges: list[FlowEdge]
     node_pattern: list[str]
     node_case: list[specdsl.RecurrenceCase]
     node_cells: list[tuple[int, ...]]  # flat (tuple index, row, col) triples
     node_stores: list[tuple[int, ...]]  # likewise; empty for nodes that store nothing
-    in_edges: list[list[FlowEdge]]  # per node, in port order
+    pairs: list[tuple[int, int, int] | None]  # (producer, port of c, port of s)
+    data: list[tuple[tuple[int, int, int], ...]]  # (producer, tuple index, port)
+    loads: list[tuple[tuple[int, int, int], ...]]  # (row, col, port) of the input
     topo_order: list[int]
     ids: dict[str, dict[tuple[int, ...], int]]  # node id per function name and coordinates
+    relayed: frozenset[str] = frozenset()
+
+    @property
+    def edges(self) -> list[tuple[tuple, int, int, str]]:
+        """Every value edge as ``(source, sink, port, pattern)``, derived from the tables.
+
+        A source is ``(producer, tuple index)`` or ``(input, row, col)``.  A
+        pair gives its c and s edges, a relayed pair one with index None, both
+        with pattern "cs".  Relayed pairs come first, then every other edge in
+        node and port order.
+        """
+        edges = [((pair[0], None), i, min(pair[1], pair[2]), "cs")
+                 for i, pair in enumerate(self.pairs)
+                 if pair is not None and self.nodes[i].func in self.relayed]
+        for i, (pair, case) in enumerate(zip(self.pairs, self.node_case)):
+            ins = [None] * len(case.args)  # per port, the edge into it
+            for p, index, port in self.data[i]:
+                ins[port] = ((p, index), i, port, case.label)
+            for row, col, port in self.loads[i]:
+                ins[port] = ((case.args[port].input, row, col), i, port, case.label)
+            if pair is not None and self.nodes[i].func not in self.relayed:
+                ins[pair[1]] = ((pair[0], 0), i, pair[1], "cs")
+                ins[pair[2]] = ((pair[0], 1), i, pair[2], "cs")
+            edges += filter(None, ins)
+        return edges
+
+    def producers(self, i: int) -> list[int]:
+        """The nodes whose outputs node ``i`` reads: its pair's, then its data edges'."""
+        pair = self.pairs[i]
+        return ([pair[0]] if pair is not None else []) + [e[0] for e in self.data[i]]
 
 
 def build_graph(spec: SpatialSpec, m: int, n: int) -> DataflowGraph:
-    """One node per iteration, one edge per firing-case argument.
+    """One node per iteration, with its rotation pair, data edges and memory loads.
 
     Built from one :func:`specdsl.walk`, so the spec is validated on the
     way: a spec with violations at (m, n) raises ValueError naming the first
@@ -92,47 +111,54 @@ def build_graph(spec: SpatialSpec, m: int, n: int) -> DataflowGraph:
     ids: dict[str, dict[tuple[int, ...], int]] = {f.name: {} for f in spec.funcs}
     for i, firing in enumerate(firings):
         ids[firing.func][firing.coords] = i
-    # a call reads a rotation pair when its producer only eliminates
-    cs_funcs = {f.name for f in spec.funcs if {c.kernel for c in f.cases} == {KERNEL_ELIMINATE}}
-    nodes: list[IterNode] = []
-    edges: list[FlowEdge] = []
-    in_edges: list[list[FlowEdge]] = []
-    for i, firing in enumerate(firings):
-        case = firing.case
-        nodes.append(IterNode(firing.func, firing.coords))
-        ins = []
-        for port, (arg, source) in enumerate(zip(case.args, firing.sources)):
-            if isinstance(arg, MemoryRef):
-                ins.append(FlowEdge(MemorySource(arg.input, *source), i, port, case.label))
-            elif isinstance(arg, CallRef):
-                pattern = "cs" if arg.func in cs_funcs and arg.index in (0, 1) else case.label
-                producer = ProducerSource(ids[arg.func][source], arg.index)
-                ins.append(FlowEdge(producer, i, port, pattern))
-            # ConstRef arguments carry no edge
-        in_edges.append(ins)
-        edges += ins
+    plans: dict[int, tuple] = {}  # id of a recurrence case -> where its arguments come from
+    pairs: list[tuple[int, int, int] | None] = []
+    data: list[tuple[tuple[int, int, int], ...]] = []
+    loads: list[tuple[tuple[int, int, int], ...]] = []
+    for firing in firings:
+        plan = plans.get(id(firing.case))
+        if plan is None:
+            plan = plans[id(firing.case)] = _case_plan(spec, firing.case, ids)
+        pair, calls, memory = plan
+        sources = firing.sources
+        pairs.append(None if pair is None else (pair[0][sources[pair[1]]], pair[1], pair[2]))
+        data.append(tuple([(callee[sources[port]], index, port) for callee, index, port in calls]))
+        loads.append(tuple([(*sources[port], port) for port in memory]))
 
-    return DataflowGraph(
-        spec, m, n, nodes, edges,
+    graph = DataflowGraph(
+        spec, m, n, [IterNode(f.func, f.coords) for f in firings],
         node_pattern=[f.case.label for f in firings],
         node_case=[f.case for f in firings],
         node_cells=[f.cells for f in firings],
         node_stores=[f.stores for f in firings],
-        in_edges=in_edges,
-        topo_order=_topo_sort(nodes, in_edges),
-        ids=ids,
+        pairs=pairs, data=data, loads=loads, topo_order=[], ids=ids,
     )
+    graph.topo_order = _topo_sort(graph)
+    return graph
 
 
-def _topo_sort(nodes: list[IterNode], in_edges: list[list[FlowEdge]]) -> list[int]:
+def _case_plan(spec: SpatialSpec, case: specdsl.RecurrenceCase,
+               ids: dict[str, dict[tuple[int, ...], int]]) -> tuple:
+    """Where a case's arguments come from: its pair (callee ids, port of c, port of s)
+    or None, its data calls (callee ids, tuple index, port) and its memory ports."""
+    reads = spec.pair_reads(case)  # validation makes it one .0 and one .1 of one call
+    ports = {a.index: port for port, a in reads.items()}
+    pair = (ids[reads[ports[0]].func], ports[0], ports[1]) if reads else None
+    calls = [(ids[a.func], a.index, port) for port, a in enumerate(case.args)
+             if isinstance(a, CallRef) and port not in reads]
+    memory = [port for port, a in enumerate(case.args) if isinstance(a, MemoryRef)]
+    return pair, calls, memory
+
+
+def _topo_sort(graph: DataflowGraph) -> list[int]:
     """Kahn's order, always taking the smallest ready node id."""
-    indeg = [0] * len(nodes)
-    succs: list[list[int]] = [[] for _ in nodes]
-    for i, ins in enumerate(in_edges):
-        for e in ins:
-            if isinstance(e.source, ProducerSource):
-                succs[e.source.node].append(i)
-                indeg[i] += 1
+    indeg = [0] * len(graph.nodes)
+    succs: list[list[int]] = [[] for _ in indeg]
+    for i in range(len(indeg)):
+        preds = graph.producers(i)
+        for p in preds:
+            succs[p].append(i)
+        indeg[i] = len(preds)
 
     ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
     order: list[int] = []
@@ -143,73 +169,65 @@ def _topo_sort(nodes: list[IterNode], in_edges: list[list[FlowEdge]]) -> list[in
             indeg[j] -= 1
             if indeg[j] == 0:
                 heapq.heappush(ready, j)
-    if len(order) != len(nodes):
-        raise CycleError(_find_cycle(nodes, in_edges, indeg))
+    if len(order) != len(indeg):
+        raise CycleError(_find_cycle(graph, indeg))
     return order
 
 
-def _find_cycle(nodes: list[IterNode], in_edges: list[list[FlowEdge]],
-                indeg: list[int]) -> list[IterNode]:
+def _find_cycle(graph: DataflowGraph, indeg: list[int]) -> list[IterNode]:
     """A closed path of edges, first node repeated last, found by walking
     predecessors from the node left unsorted (``indeg`` > 0) with the least
     name: every such node has an unsorted predecessor, and the walk takes
     the one with the least id."""
+    nodes = graph.nodes
     path: list[int] = []
     seen: dict[int, int] = {}
     node = min((i for i, d in enumerate(indeg) if d > 0), key=lambda i: str(nodes[i]))
     while node not in seen:
         seen[node] = len(path)
         path.append(node)
-        node = min(e.source.node for e in in_edges[node]
-                   if isinstance(e.source, ProducerSource) and indeg[e.source.node] > 0)
+        node = min(p for p in graph.producers(node) if indeg[p] > 0)
     return [nodes[i] for i in (path[seen[node]:] + [node])[::-1]]
 
 
 def relay_view(graph: DataflowGraph) -> DataflowGraph:
-    """Rewrite rotation-pair edges into hop-by-hop relay chains.
+    """Remap rotation pairs onto hop-by-hop relay chains.
 
-    For each function with a relay directive, the two (c, s) edges of every
-    node are replaced by a single pair edge: from the original producer at
-    the chain head, from the neighbour one step against the relay vector
-    elsewhere.  Data and memory edges are untouched.  The view is a port
-    remap: it shares ``graph``'s nodes, per-node tables and the in-edge
-    lists of every node it does not rewrite.
+    For each function with a relay directive, every node's pair comes from
+    the neighbour one step against the relay vector; the chain head, which
+    has no such neighbour, keeps the pair's producer.  The ports stay, and
+    the view shares every table of ``graph`` but the pair list.
 
-    The view keeps ``graph``'s topological order when every pair edge points
-    forward in it, as it does for the built-in spec.  Otherwise it sorts its
-    own edges, which raises :class:`CycleError` when a relay chain closes a
-    dependence cycle.
+    The view keeps ``graph``'s topological order when every remapped pair
+    points forward in it, as it does for the built-in spec.  Otherwise it
+    sorts its nodes again, which raises :class:`CycleError` when a relay
+    chain closes a dependence cycle.  A chain that would hand a node another
+    elimination's pair than the one it reads raises ValueError.
     """
-    in_edges = list(graph.in_edges)
-    pairs: list[FlowEdge] = []
-    for func in graph.spec.funcs:
-        relay = func.relay()
-        if relay is None:
-            continue
-        ids = graph.ids[func.name]
+    pairs = list(graph.pairs)
+    remapped: list[int] = []
+    relays = {f.name: f.relay() for f in graph.spec.funcs if f.relay() is not None}
+    for name, relay in relays.items():
+        ids = graph.ids[name]
         for coords, i in ids.items():
-            cs = [e for e in in_edges[i] if e.pattern == "cs"]
-            if not cs:
-                continue
-            prev = ids.get(tuple(c - v for c, v in zip(coords, relay.vector)))
-            pair = FlowEdge(ProducerSource(cs[0].source.node if prev is None else prev, None),
-                            i, cs[0].port, "cs")
-            pairs.append(pair)
-            in_edges[i] = [pair if e is cs[0] else e for e in in_edges[i]
-                           if e.pattern != "cs" or e is cs[0]]
-    edges = pairs + [e for e in graph.edges
-                     if e.pattern != "cs" or in_edges[e.sink] is graph.in_edges[e.sink]]
+            prev = ids.get(tuple([c - v for c, v in zip(coords, relay.vector)]))
+            if prev is not None:  # validation gives every node of a relaying function a pair
+                pairs[i] = (prev, *pairs[i][1:])
+                remapped.append(i)
 
-    position = [0] * len(graph.nodes)
+    view = dataclasses.replace(graph, pairs=pairs, relayed=frozenset(relays))
+    position = [0] * len(pairs)
     for k, i in enumerate(graph.topo_order):
         position[i] = k
-    if all(position[e.source.node] < position[e.sink] for e in pairs):
-        topo = graph.topo_order
-    else:
-        topo = _topo_sort(graph.nodes, in_edges)
-    return DataflowGraph(graph.spec, graph.m, graph.n, graph.nodes, edges,
-                         graph.node_pattern, graph.node_case, graph.node_cells,
-                         graph.node_stores, in_edges, topo, graph.ids)
+    if any(position[pairs[i][0]] > position[i] for i in remapped):
+        view.topo_order = _topo_sort(view)
+    nodes, read = graph.nodes, graph.pairs
+    for i in remapped:
+        prev = pairs[i][0]
+        if read[prev][0] != read[i][0]:
+            raise ValueError(f"relay chain {nodes[prev]} -> {nodes[i]} would pass on the pair of "
+                             f"{nodes[read[prev][0]]}, but {nodes[i]} reads {nodes[read[i][0]]}'s")
+    return view
 
 
 # --- graph execution (the schedule-independent oracle) -----------------------
@@ -224,25 +242,28 @@ def evaluate_graph(graph: DataflowGraph, aug: AugmentedMatrix) -> AugmentedMatri
     """Fire every node once in topological order and replay cell writes.
 
     Memory arguments read the immutable initial snapshot; producer arguments
-    read the recorded output tuples.  The returned matrix carries each cell's
-    final value, which is schedule-independent because dependences totally
-    order every cell's updates.
+    read the recorded output tuples, and a pair reads the rotation its
+    producer made or, in a :func:`relay_view`, applied.  The returned matrix
+    carries each cell's final value, which is schedule-independent because
+    dependences totally order every cell's updates.
     """
-    snapshot = aug.inner
+    get = aug.inner.get
     result = aug.inner.copy()
     values: list[tuple[float, ...] | None] = [None] * len(graph.nodes)
+    rotations = values[:]  # per node, the pair it applies, or its own output
 
     for i in graph.topo_order:
         case = graph.node_case[i]
         args = [arg.value if isinstance(arg, ConstRef) else None for arg in case.args]
-        for e in graph.in_edges[i]:
-            src = e.source
-            if isinstance(src, MemorySource):
-                args[e.port] = snapshot.get(src.row, src.col)
-            else:
-                args[e.port] = values[src.node][src.index]
-        out = KERNELS[case.kernel](*args)
-        values[i] = out
+        pair = graph.pairs[i]
+        if pair is not None:
+            args[pair[1]], args[pair[2]] = rotations[pair[0]][:2]
+        for producer, index, port in graph.data[i]:
+            args[port] = values[producer][index]
+        for row, col, port in graph.loads[i]:
+            args[port] = get(row, col)
+        out = values[i] = KERNELS[case.kernel](*args)
+        rotations[i] = out if pair is None else rotations[pair[0]]
         cells = graph.node_cells[i]
         for k in range(0, len(cells), 3):
             result.set(cells[k + 1], cells[k + 2], out[cells[k]])
@@ -289,9 +310,9 @@ def emit_trace(graph: DataflowGraph) -> list[TraceEvent]:
     """
     rotation = list(range(len(graph.nodes)))
     for i in graph.topo_order:
-        if graph.node_case[i].kernel != KERNEL_ELIMINATE:
-            rotation[i] = next((rotation[e.source.node] for e in graph.in_edges[i]
-                                if e.pattern == "cs"), i)
+        pair = graph.pairs[i]
+        if pair is not None and graph.node_case[i].kernel != KERNEL_ELIMINATE:
+            rotation[i] = rotation[pair[0]]
     events: list[TraceEvent] = []
     for i in sorted(range(len(graph.nodes)), key=lambda i: (rotation[i], i)):
         producer, cells = graph.node_cells[rotation[i]], graph.node_cells[i]
@@ -352,17 +373,12 @@ def emit_dot(graph: DataflowGraph) -> str:
     for name, case in zip(names, graph.node_case):
         shape = "ellipse" if case.kernel == KERNEL_ELIMINATE else "box"
         lines.append(f'  "{name}" [shape={shape}];')
-    for e in graph.edges:
-        if not isinstance(e.source, ProducerSource):
+    for source, sink, _, pattern in graph.edges:
+        # no memory loads, and one line per pair: its c element or the relayed pair
+        if len(source) == 3 or pattern == "cs" and source[1] == 1:
             continue
-        if e.pattern == "cs":
-            # draw one line per pair: the c element or a relayed pair
-            if e.source.index not in (0, None):
-                continue
-            attrs = ' [color=forestgreen, style=dashed, label="cs"]'
-        else:
-            attrs = ""
-        lines.append(f'  "{names[e.source.node]}" -> "{names[e.sink]}"{attrs};')
+        attrs = ' [color=forestgreen, style=dashed, label="cs"]' if pattern == "cs" else ""
+        lines.append(f'  "{names[source[0]]}" -> "{names[sink]}"{attrs};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -370,40 +386,26 @@ def emit_dot(graph: DataflowGraph) -> str:
 def graph_stats(graph: DataflowGraph) -> dict[str, int]:
     """Node/edge census plus the longest dependence chain, counted in nodes."""
     x_nodes = sum(1 for case in graph.node_case if case.kernel == KERNEL_ELIMINATE)
-    y_nodes = len(graph.nodes) - x_nodes
-    memory_edges = sum(1 for e in graph.edges if isinstance(e.source, MemorySource))
-    cs_pairs = sum(
-        1 for e in graph.edges
-        if e.pattern == "cs" and isinstance(e.source, ProducerSource)
-        and e.source.index in (0, None)
-    )
-    data_edges = sum(
-        1 for e in graph.edges
-        if isinstance(e.source, ProducerSource) and e.pattern != "cs"
-    )
-
     depth = [0] * len(graph.nodes)
     for i in graph.topo_order:
-        depth[i] = 1 + max((depth[e.source.node] for e in graph.in_edges[i]
-                            if isinstance(e.source, ProducerSource)), default=0)
+        depth[i] = 1 + max((depth[p] for p in graph.producers(i)), default=0)
     return {
         "x_nodes": x_nodes,
-        "y_nodes": y_nodes,
-        "memory_edges": memory_edges,
-        "cs_edges": cs_pairs,
-        "data_edges": data_edges,
+        "y_nodes": len(graph.nodes) - x_nodes,
+        "memory_edges": sum(map(len, graph.loads)),
+        "cs_edges": sum(1 for pair in graph.pairs if pair is not None),
+        "data_edges": sum(map(len, graph.data)),
         "critical_path_length": max(depth, default=0),
     }
 
 
 def graph_to_json(graph: DataflowGraph) -> str:
-    def source_obj(e: FlowEdge) -> object:
-        if isinstance(e.source, MemorySource):
-            return {"memory": {"input": e.source.input, "row": e.source.row,
-                               "col": e.source.col}}
-        node = graph.nodes[e.source.node]
+    def source_obj(source: tuple) -> object:
+        if len(source) == 3:
+            return {"memory": {"input": source[0], "row": source[1], "col": source[2]}}
+        node = graph.nodes[source[0]]
         return {"producer": {"func": node.func, "coords": list(node.coords),
-                             "index": e.source.index}}
+                             "index": source[1]}}
 
     obj = {
         "schema": 1,
@@ -414,11 +416,11 @@ def graph_to_json(graph: DataflowGraph) -> str:
             for node, pattern in zip(graph.nodes, graph.node_pattern)
         ],
         "edges": [
-            {"source": source_obj(e),
-             "sink": {"func": graph.nodes[e.sink].func,
-                      "coords": list(graph.nodes[e.sink].coords)},
-             "port": e.port, "pattern": e.pattern}
-            for e in graph.edges
+            {"source": source_obj(source),
+             "sink": {"func": graph.nodes[sink].func,
+                      "coords": list(graph.nodes[sink].coords)},
+             "port": port, "pattern": pattern}
+            for source, sink, port, pattern in graph.edges
         ],
         "stats": graph_stats(graph),
     }

@@ -21,7 +21,6 @@ from spatialqr.dataflow import (
     KERNELS,
     DataflowGraph,
     IterNode,
-    MemorySource,
     build_graph,
     relay_view,
 )
@@ -194,9 +193,9 @@ def compile_design(spec: SpatialSpec, cfg: SimConfig, m: int, n: int) -> Design:
 def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
     """Turn value edges into bounded channels between placed PEs.
 
-    With relaying enabled, rotation-pair edges are first rewritten into
-    hop-by-hop chains along each relay directive's vector; only the chain
-    head still receives the pair straight from its producer.  Edges between
+    With relaying enabled, rotation pairs are first remapped onto hop-by-hop
+    chains along each relay directive's vector (:func:`relay_view`); only the
+    chain head still receives the pair straight from its producer.  Edges between
     iterations folded onto one PE still go through a channel of the same
     capacity, so folding is purely a re-placement.  A channel is the int
     key (producer PE, tag, consumer PE, tag), numbered in order of first
@@ -207,10 +206,8 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
     so that holds when the producer slots of each channel's flows strictly
     increase; the first channel that breaks it raises :class:`WiringError`.
     """
-    work = graph
-    if cfg.relay_enabled and any(f.relay() is not None for f in graph.spec.funcs):
-        work = relay_view(graph)
-    nodes = work.nodes
+    work = relay_view(graph) if cfg.relay_enabled else graph
+    nodes, relayed = work.nodes, work.relayed
     node_pe = placement.node_pe
     pe_labels = tuple([pe.label() for pe in placement.pes])
 
@@ -229,23 +226,16 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
     last_producer: list[int] = []
     faults: dict[int, str] = {}  # channel -> its flow-order fault
     found: dict[tuple[int, int, int, int], int] = {}
-    fetches: list[tuple] = []  # per node: pair, channel fetches, memory fetches, pops
+    fetches: list[tuple] = []  # per node: pair, channel fetches, pops
     pushes: list[list[tuple[int, int]]] = [[] for _ in nodes]
-    for i, ins in enumerate(work.in_edges):
+    for i, (pair, flows) in enumerate(zip(work.pairs, work.data)):
+        # a flow is (producer node, its tag, our tag): the pair first, then data ports
+        if pair is not None:
+            src = pair[0]
+            relay = nodes[i].func in relayed and nodes[src].func == nodes[i].func
+            flows = ((src, _RELAY if relay else _CS, _CS), *flows)
         dst_pe = node_pe[i]
-        pair = None
-        flows = []  # (producer node, its tag, our tag): the pair first, then data ports
-        chans, mems, pops = [], [], []
-        cs_edges = [e for e in ins if e.pattern == "cs"]
-        if cs_edges:
-            src, tag = _pair_source(cs_edges, nodes, i)
-            flows.append((src, tag, _CS))
-        for e in ins:
-            source = e.source
-            if isinstance(source, MemorySource):
-                mems.append((source.row, source.col, e.port))
-            elif e.pattern != "cs":
-                flows.append((source.node, source.index, e.port))
+        chans, pops = [], []
         for src, src_tag, dst_tag in flows:
             src_pe, producer = node_pe[src], slot[src]
             key = (src_pe, src_tag, dst_pe, dst_tag)
@@ -265,12 +255,10 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
                 last_producer[c] = producer
             pops.append(c)
             pushes[src].append((c, src_tag))
-            if dst_tag == _CS:
-                ports = sorted([e.port for e in cs_edges])
-                pair = (c, ports[0], ports[1] if len(ports) > 1 else ports[0] + 1)
-            else:
+            if dst_tag != _CS:
                 chans.append((c, dst_tag))
-        fetches.append((pair, tuple(chans), tuple(mems), tuple(pops)))
+        fetches.append((None if pair is None else (pops[0], pair[1], pair[2]),
+                        tuple(chans), tuple(pops)))
 
     tags = {_CS: "cs", _RELAY: "relay"}  # any other tag is a tuple index or a port
     labels = tuple([
@@ -283,7 +271,7 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
 
     kernels: dict[int, tuple] = {}  # id of a recurrence case -> (kernel, argument template)
     ops = []
-    for i, (pair, chans, mems, pops) in enumerate(fetches):
+    for i, (pair, chans, pops) in enumerate(fetches):
         case = work.node_case[i]
         kernel = kernels.get(id(case))
         if kernel is None:
@@ -292,7 +280,7 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
         pushed = tuple(pushes[i])
         stored = work.node_stores[i]
         ops.append(NodeOp(
-            *kernel, pair, chans, mems, pushed,
+            *kernel, pair, chans, work.loads[i], pushed,
             tuple([(stored[k], (stored[k + 1], stored[k + 2])) for k in range(0, len(stored), 3)]),
             pops,
             tuple([c for c, _ in pushed if c not in pops]),
@@ -301,22 +289,6 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
         ))
     return Design(graph, cfg, pe_labels, tuple(chan_src), tuple(chan_dst), labels,
                   tuple(ops), tuple(map(tuple, programs)))
-
-
-def _pair_source(cs_edges, nodes: list[IterNode], sink: int) -> tuple[int, int]:
-    """The producer node of a rotation pair and the tag of its channel."""
-    producers = {e.source.node for e in cs_edges}
-    if len(producers) != 1:
-        raise WiringError(f"{nodes[sink]}: rotation pair drawn from several producers")
-    producer = producers.pop()
-    indices = sorted({e.source.index for e in cs_edges})
-    if indices == [None]:
-        tag = _RELAY if nodes[producer].func == nodes[sink].func else _CS
-    elif indices == [0, 1]:
-        tag = _CS
-    else:
-        raise WiringError(f"{nodes[sink]}: rotation pair uses tuple indices {indices}")
-    return producer, tag
 
 
 # --- execution ------------------------------------------------------------------

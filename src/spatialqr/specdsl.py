@@ -218,7 +218,7 @@ class UnrollDirective:
 
 @dataclass(frozen=True)
 class RelayDirective:
-    """Forward selected tuple elements of ``source`` calls hop-by-hop along ``vector``."""
+    """Forward the rotation pair, elements ``indices`` = (0, 1) of ``source``, along ``vector``."""
 
     source: str
     indices: tuple[int, ...]
@@ -282,6 +282,14 @@ class SpatialSpec:
 
     def has_func(self, name: str) -> bool:
         return any(f.name == name for f in self.funcs)
+
+    def pair_reads(self, case: RecurrenceCase) -> dict[int, CallRef]:
+        """Per port, the arguments of ``case`` that read a rotation pair: element
+        0 or 1 of a function whose every case eliminates."""
+        eliminators = {f.name for f in self.funcs
+                       if f.cases and all(c.kernel == KERNEL_ELIMINATE for c in f.cases)}
+        return {port: a for port, a in enumerate(case.args)
+                if isinstance(a, CallRef) and a.func in eliminators and a.index in (0, 1)}
 
     @cached_property
     def walkers(self) -> tuple["_Walker | None", ...]:
@@ -502,11 +510,11 @@ def walk(spec: SpatialSpec, m: int, n: int, report: ValidationReport) -> Iterato
 
     Appends every violation to ``report`` rather than stopping at the first:
     structural problems (repeated or unknown names, bounds that do not name
-    the dims, bad indices, malformed relay vectors), guard
-    exclusivity/exhaustiveness over each enumerated domain, call coordinates
-    that land outside the callee's domain, and memory references, cell-map
-    entries and store conditions that cannot be evaluated or point outside
-    the M x (N+1) input.  Yields a :class:`Firing` for each point with
+    the dims, bad indices, malformed relay vectors, rotation pairs not read
+    or relayed whole), guard exclusivity/exhaustiveness over each domain,
+    call coordinates that land outside the callee's domain, and memory
+    references, cell-map entries and store conditions that cannot be
+    evaluated or point outside the M x (N+1) input.  Yields a :class:`Firing` for each point with
     exactly one firing case, in function then loop-nest order; they
     describe the spec only if ``report`` ends ok.
 
@@ -861,15 +869,13 @@ def _validate_structure(spec: SpatialSpec, func: FuncSpec, report: ValidationRep
                 bad(Violation("unroll-unknown-dim", func.name, None,
                               f"unroll names unknown dim {d.var!r}"))
         elif isinstance(d, RelayDirective):
-            if not spec.has_func(d.source):
-                bad(Violation("relay-unknown-func", func.name, None,
-                              f"relay names unknown function {d.source!r}"))
-            else:
-                src_arity = spec.func(d.source).tuple_arity
-                for idx in d.indices:
-                    if not (0 <= idx < src_arity):
-                        bad(Violation("relay-tuple-index", func.name, None,
-                                      f"relay index {idx} outside {d.source}'s arity {src_arity}"))
+            # the pair relayed is the one every case reads: elements 0 and 1 of ``source``
+            unread = [c.label for c in func.cases
+                      if d.source not in {a.func for a in spec.pair_reads(c).values()}]
+            if tuple(d.indices) != (0, 1) or unread:
+                why = (f"case {unread[0]} reads no rotation pair of {d.source!r}" if unread
+                       else f"a rotation pair is elements [0, 1], not {list(d.indices)}")
+                bad(Violation("relay-pair-mismatch", func.name, None, f"relay: {why}"))
             if len(d.vector) != len(func.dims):
                 bad(Violation("relay-vector", func.name, None,
                               f"relay vector rank {len(d.vector)} != {len(func.dims)} dims"))
@@ -884,6 +890,13 @@ def _validate_structure(spec: SpatialSpec, func: FuncSpec, report: ValidationRep
                 elif idx >= len(func.cell_map) or func.cell_map[idx] is None:
                     bad(Violation("store-no-cell", func.name, None,
                                   f"store index {idx} has no output cell"))
+    for case in func.cases:
+        reads = list(spec.pair_reads(case).values())
+        if reads and not (len(reads) == 2 and reads[0].index != reads[1].index
+                          and (reads[0].func, reads[0].coords) == (reads[1].func, reads[1].coords)):
+            names = ", ".join(f"{a.func}.{a.index}" for a in reads)
+            bad(Violation("pair-shape", func.name, None, f"case {case.label} reads {names}: a "
+                          "rotation pair is read as one .0 and one .1 at the same coordinates"))
 
 
 # --- JSON serialization ------------------------------------------------------------

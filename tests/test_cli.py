@@ -331,6 +331,25 @@ class TestHostileInputs:
         assert len(err) == 1 and err[0].startswith("error:")
 
 
+    @pytest.mark.parametrize("command", ["graph", "trace"])
+    @pytest.mark.parametrize("m,n", [("0", "4"), ("4", "-1"), ("x", "4"), ("4", "2.5")])
+    def test_bad_size_is_usage_error(self, command, m, n):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, m, n)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("target", ["missing/out", "."], ids=["no-dir", "a-dir"])
+    @pytest.mark.parametrize("command", ["graph", "simulate"])
+    def test_unwritable_output(self, tmp_path, capsys, matrix4, command, target):
+        path = tmp_path / target
+        argv = {
+            "graph": ("graph", "3", "3", "--output", path),
+            "simulate": ("simulate", matrix4, "--report", path),
+        }[command]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {path}: ")
+
     @pytest.mark.parametrize("name,text", [
         ("empty.txt", ""),
         ("ragged.txt", "2 2\n1.0 2.0\n3.0\n"),

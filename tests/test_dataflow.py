@@ -6,8 +6,6 @@ import pytest
 from spatialqr.dataflow import (
     CycleError,
     IterNode,
-    MemorySource,
-    ProducerSource,
     build_graph,
     emit_dot,
     emit_trace,
@@ -44,6 +42,11 @@ def y_count(m, n):
 
 def iterations(func, m, n):
     return [node for node in build_graph(builtin_qr_spec(), m, n).nodes if node.func == func.name]
+
+
+def in_edges(g, node):
+    """(source, port, pattern) of every edge into ``node``, in ``g.edges`` order."""
+    return [(source, port, pattern) for source, sink, port, pattern in g.edges if sink == node]
 
 
 def make_aug(m, n, seed=0):
@@ -88,20 +91,20 @@ class TestBuildGraph:
     def test_memory_pattern_edge(self):
         g = build_graph(builtin_qr_spec(), 4, 4)
         node = g.ids["X"][(1, 4)]
-        sources = {(e.port, e.source) for e in g.in_edges[node]}
+        sources = {(port, source) for source, port, _ in in_edges(g, node)}
         assert sources == {
-            (0, MemorySource("A'", 4, 1)),
-            (1, MemorySource("A'", 3, 1)),
+            (0, ("A'", 4, 1)),
+            (1, ("A'", 3, 1)),
         }
         assert g.node_pattern[node] == "a"
 
     def test_both_from_y_pattern_edge(self):
         g = build_graph(builtin_qr_spec(), 4, 4)
         node = g.ids["X"][(2, 4)]
-        sources = {(e.port, e.source) for e in g.in_edges[node]}
+        sources = {(port, source) for source, port, _ in in_edges(g, node)}
         assert sources == {
-            (0, ProducerSource(g.ids["Y"][(1, 4, 2)], 0)),
-            (1, ProducerSource(g.ids["Y"][(1, 3, 2)], 0)),
+            (0, (g.ids["Y"][(1, 4, 2)], 0)),
+            (1, (g.ids["Y"][(1, 3, 2)], 0)),
         }
         assert g.node_pattern[node] == "c"
 
@@ -109,14 +112,14 @@ class TestBuildGraph:
         g = build_graph(builtin_qr_spec(), 4, 4)
         for i, node in enumerate(g.nodes):
             expected = 2 if node.func == "X" else 4
-            assert len(g.in_edges[i]) == expected
+            assert len(in_edges(g, i)) == expected
 
     def test_topo_order_is_valid(self):
         g = build_graph(builtin_qr_spec(), 6, 4)
         position = {node: i for i, node in enumerate(g.topo_order)}
-        for e in g.edges:
-            if isinstance(e.source, ProducerSource):
-                assert position[e.source.node] < position[e.sink]
+        for source, sink, _, _ in g.edges:
+            if len(source) == 2:  # a producer, not a memory load
+                assert position[source[0]] < position[sink]
 
     def test_pattern_census_closed_form(self):
         spec = builtin_qr_spec()
@@ -209,6 +212,22 @@ class TestRelayCycle:
         with pytest.raises(CycleError, match=r"Y\(1, 4, 2\) -> Y\(1, 3, 2\)"):
             relay_view(graph)
 
+    def test_chain_across_eliminations_is_rejected(self):
+        """Relayed down a column, Y(1, 3, 2) would apply X(1, 4)'s rotation
+        instead of X(1, 3)'s, and no dependence cycle shows it."""
+        spec = builtin_qr_spec()
+        y = spec.func("Y")
+        directives = tuple(
+            RelayDirective("X", (0, 1), (0, -1, 0)) if isinstance(d, RelayDirective) else d
+            for d in y.directives
+        )
+        spec = dataclasses.replace(spec, funcs=(
+            spec.func("X"), dataclasses.replace(y, directives=directives)))
+        with pytest.raises(ValueError, match=r"relay chain Y\(1, 4, 2\) -> Y\(1, 3, 2\) would "
+                                             r"pass on the pair of X\(1, 4\), but Y\(1, 3, 2\) "
+                                             r"reads X\(1, 3\)'s"):
+            run(spec, SimConfig(), make_aug(4, 3))
+
     def test_run_without_relay_completes(self):
         aug = make_aug(4, 3)
         rep = run(self.spec(), SimConfig(relay_enabled=False), aug)
@@ -292,9 +311,9 @@ class TestStats:
     def test_critical_path_brute_force(self):
         g = build_graph(builtin_qr_spec(), 4, 4)
         succs = {node: [] for node in range(len(g.nodes))}
-        for e in g.edges:
-            if isinstance(e.source, ProducerSource):
-                succs[e.source.node].append(e.sink)
+        for source, sink, _, _ in g.edges:
+            if len(source) == 2:  # a producer, not a memory load
+                succs[source[0]].append(sink)
         memo = {}
 
         def longest(node):
@@ -314,21 +333,28 @@ class TestRelayView:
     def test_head_keeps_direct_edge(self):
         g = relay_view(build_graph(builtin_qr_spec(), 4, 4))
         node = g.ids["Y"][(1, 4, 2)]
-        cs = [e for e in g.in_edges[node] if e.pattern == "cs"]
+        cs = [source for source, _, pattern in in_edges(g, node) if pattern == "cs"]
         assert len(cs) == 1
-        assert cs[0].source == ProducerSource(g.ids["X"][(1, 4)], None)
+        assert cs[0] == (g.ids["X"][(1, 4)], None)
 
     def test_interior_takes_neighbour(self):
         g = relay_view(build_graph(builtin_qr_spec(), 4, 4))
         node = g.ids["Y"][(1, 4, 3)]
-        cs = [e for e in g.in_edges[node] if e.pattern == "cs"]
-        assert cs[0].source == ProducerSource(g.ids["Y"][(1, 4, 2)], None)
+        cs = [source for source, _, pattern in in_edges(g, node) if pattern == "cs"]
+        assert cs[0] == (g.ids["Y"][(1, 4, 2)], None)
+
+    def test_evaluation_follows_the_chains(self):
+        for m, n in [(4, 4), (6, 3), (5, 6)]:
+            g = build_graph(builtin_qr_spec(), m, n)
+            aug = make_aug(m, n)
+            expected = evaluate_graph(g, aug).inner.data
+            assert evaluate_graph(relay_view(g), aug).inner.data == expected
 
     def test_update_in_degree_drops_to_three(self):
         g = relay_view(build_graph(builtin_qr_spec(), 4, 4))
         for i, node in enumerate(g.nodes):
             if node.func == "Y":
-                assert len(g.in_edges[i]) == 3
+                assert len(in_edges(g, i)) == 3
 
 
 class TestGraphEvaluation:

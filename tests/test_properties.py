@@ -25,8 +25,8 @@ def dim_subset(func):
 
 @st.composite
 def simulations(draw):
-    m = draw(st.integers(1, 6))
-    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
     cfg = SimConfig(
         unroll={f.name: draw(dim_subset(f)) for f in SPEC.funcs},
         channel_capacity=draw(st.integers(1, 4)),

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from spatialqr import dataflow, numeric
 from spatialqr.numeric import AugmentedMatrix, random_matrix
 from spatialqr.simulator import SimConfig, run
 from spatialqr.specdsl import (
@@ -18,6 +19,7 @@ from spatialqr.specdsl import (
     MemoryRef,
     Name,
     RecurrenceCase,
+    RelayDirective,
     StoreDirective,
     UnboundNameError,
     builtin_qr_spec,
@@ -204,6 +206,70 @@ class TestInjectedFaults:
         spec2 = replace_func(spec, "X", cases=(x.cases[0], bad_case, clone) + x.cases[2:])
         report = validate(spec2, 4, 4)
         assert {"guard-overlap", "callref-tuple-index"} <= report.rules()
+
+
+Y_FUNC = builtin_qr_spec().func("Y")
+
+
+def with_relay(relay):
+    directives = tuple(relay if isinstance(d, RelayDirective) else d for d in Y_FUNC.directives)
+    return replace_func(builtin_qr_spec(), "Y", directives=directives)
+
+
+def with_y_case(index, args):
+    case = dataclasses.replace(Y_FUNC.cases[index], args=args)
+    return replace_func(builtin_qr_spec(), "Y",
+                        cases=Y_FUNC.cases[:index] + (case,) + Y_FUNC.cases[index + 1:])
+
+
+A_ARGS = Y_FUNC.cases[0].args  # X(1, M).0, X(1, M).1, then two memory loads
+
+
+class TestRotationPairs:
+    """A case reads a rotation pair whole, and a relay directive names that pair."""
+
+    @pytest.mark.parametrize("args", [
+        A_ARGS[:2] + (A_ARGS[0],) + A_ARGS[3:],  # .0 twice
+        (A_ARGS[0],) + A_ARGS[2:] + (A_ARGS[3],),  # .0 alone
+        (A_ARGS[0], CallRef("X", (IntLit(1), M - 1), 1)) + A_ARGS[2:],  # two eliminations
+    ], ids=["extra-c", "no-s", "split"])
+    @pytest.mark.parametrize("relay", [True, False])
+    def test_malformed_pair_is_rejected(self, args, relay):
+        spec = with_y_case(0, args)
+        assert [v.rule for v in validate(spec, 4, 4).violations] == ["pair-shape"]
+        aug = AugmentedMatrix.from_parts(random_matrix(4, 4, 0), [1.0] * 4)
+        with pytest.raises(ValueError, match=r"^spec does not validate at \(4, 4\): \[pair-shape"):
+            run(spec, SimConfig(relay_enabled=relay), aug)
+
+    def test_swapped_ports_read_the_pair(self, monkeypatch):
+        """c and s arrive on the ports that read them, relayed or not."""
+        swapped = tuple(dataclasses.replace(case, args=(case.args[1], case.args[0]) + case.args[2:])
+                        for case in Y_FUNC.cases)
+        spec = replace_func(builtin_qr_spec(), "Y", cases=swapped)
+        assert validate(spec, 4, 4).ok
+        aug = AugmentedMatrix.from_parts(random_matrix(4, 4, 0), [1.0] * 4)
+        expected = run(builtin_qr_spec(), SimConfig(), aug).output
+        # the update kernel, taking s before c
+        monkeypatch.setitem(dataflow.KERNELS, "update",
+                            lambda s, c, a, b: numeric.kernel_update(c, s, a, b))
+        for relay in (True, False):
+            assert run(spec, SimConfig(relay_enabled=relay), aug).output == expected
+
+    @pytest.mark.parametrize("relay,message", [
+        (RelayDirective("X", (2, 3), (0, 0, 1)), "a rotation pair is elements [0, 1], not [2, 3]"),
+        (RelayDirective("Y", (0, 1), (0, 0, 1)), "case a reads no rotation pair of 'Y'"),
+        (RelayDirective("Z", (0, 1), (0, 0, 1)), "case a reads no rotation pair of 'Z'"),
+    ], ids=["indices", "source", "unknown-source"])
+    def test_relay_must_name_the_pair_read(self, relay, message):
+        violations = validate(with_relay(relay), 4, 4).violations
+        assert [v.rule for v in violations] == ["relay-pair-mismatch"]
+        assert message in violations[0].message
+
+    def test_builtin_spec_is_clean(self):
+        spec = builtin_qr_spec()
+        for m in range(1, 9):
+            for n in range(1, m + 1):
+                assert not {"pair-shape", "relay-pair-mismatch"} & validate(spec, m, n).rules()
 
 
 X_FUNC = builtin_qr_spec().func("X")
