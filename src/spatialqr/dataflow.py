@@ -16,9 +16,17 @@ import heapq
 import json
 from dataclasses import dataclass
 
-from spatialqr import numeric, specdsl
+from spatialqr import specdsl
 from spatialqr.numeric import AugmentedMatrix
-from spatialqr.specdsl import A_PRIME, KERNEL_ELIMINATE, CallRef, ConstRef, MemoryRef, SpatialSpec
+from spatialqr.specdsl import (
+    A_PRIME,
+    KERNEL_ELIMINATE,
+    KERNELS,
+    CallRef,
+    ConstRef,
+    MemoryRef,
+    SpatialSpec,
+)
 
 
 class CycleError(ValueError):
@@ -52,7 +60,6 @@ class DataflowGraph:
     m: int
     n: int
     nodes: list[IterNode]
-    node_pattern: list[str]
     node_case: list[specdsl.RecurrenceCase]
     node_cells: list[tuple[int, ...]]  # flat (tuple index, row, col) triples
     node_stores: list[tuple[int, ...]]  # likewise; empty for nodes that store nothing
@@ -127,7 +134,6 @@ def build_graph(spec: SpatialSpec, m: int, n: int) -> DataflowGraph:
 
     graph = DataflowGraph(
         spec, m, n, [IterNode(f.func, f.coords) for f in firings],
-        node_pattern=[f.case.label for f in firings],
         node_case=[f.case for f in firings],
         node_cells=[f.cells for f in firings],
         node_stores=[f.stores for f in firings],
@@ -232,12 +238,6 @@ def relay_view(graph: DataflowGraph) -> DataflowGraph:
 
 # --- graph execution (the schedule-independent oracle) -----------------------
 
-KERNELS = {
-    specdsl.KERNEL_ELIMINATE: numeric.kernel_eliminate,
-    specdsl.KERNEL_UPDATE: numeric.kernel_update,
-}
-
-
 def evaluate_graph(graph: DataflowGraph, aug: AugmentedMatrix) -> AugmentedMatrix:
     """Fire every node once in topological order and replay cell writes.
 
@@ -262,7 +262,7 @@ def evaluate_graph(graph: DataflowGraph, aug: AugmentedMatrix) -> AugmentedMatri
             args[port] = values[producer][index]
         for row, col, port in graph.loads[i]:
             args[port] = get(row, col)
-        out = values[i] = KERNELS[case.kernel](*args)
+        out = values[i] = KERNELS[case.kernel][0](*args)
         rotations[i] = out if pair is None else rotations[pair[0]]
         cells = graph.node_cells[i]
         for k in range(0, len(cells), 3):
@@ -412,8 +412,8 @@ def graph_to_json(graph: DataflowGraph) -> str:
         "m": graph.m,
         "n": graph.n,
         "nodes": [
-            {"func": node.func, "coords": list(node.coords), "pattern": pattern}
-            for node, pattern in zip(graph.nodes, graph.node_pattern)
+            {"func": node.func, "coords": list(node.coords), "pattern": case.label}
+            for node, case in zip(graph.nodes, graph.node_case)
         ],
         "edges": [
             {"source": source_obj(source),

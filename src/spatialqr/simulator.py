@@ -17,15 +17,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from spatialqr.dataflow import (
-    KERNELS,
-    DataflowGraph,
-    IterNode,
-    build_graph,
-    relay_view,
-)
+from spatialqr.dataflow import DataflowGraph, IterNode, build_graph, relay_view
 from spatialqr.numeric import AugmentedMatrix, Matrix, NonFiniteError
-from spatialqr.specdsl import ConstRef, SpatialSpec
+from spatialqr.specdsl import KERNELS, ConstRef, SpatialSpec
 
 
 class WiringError(ValueError):
@@ -37,7 +31,7 @@ class DrainError(ValueError):
 
 
 class SimulationError(RuntimeError):
-    """A run exhausted ``max_steps`` or left values behind in its channels."""
+    """A run left values behind in its channels."""
 
 
 class PeId(NamedTuple):
@@ -63,14 +57,11 @@ class SimConfig:
     unroll: dict[str, tuple[str, ...]] | None = None
     channel_capacity: int = 2
     relay_enabled: bool = True
-    max_steps: int = 1_000_000
     log_events: bool = False
 
     def __post_init__(self) -> None:
         if self.channel_capacity < 1:
             raise ValueError("channel capacity must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
 
     def describe(self) -> dict:
         return {
@@ -275,7 +266,7 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
         case = work.node_case[i]
         kernel = kernels.get(id(case))
         if kernel is None:
-            kernel = kernels[id(case)] = (KERNELS[case.kernel], tuple(
+            kernel = kernels[id(case)] = (KERNELS[case.kernel][0], tuple(
                 [arg.value if isinstance(arg, ConstRef) else None for arg in case.args]))
         pushed = tuple(pushes[i])
         stored = work.node_stores[i]
@@ -360,9 +351,7 @@ def execute(design: Design, aug: AugmentedMatrix) -> SimReport:
     queued = [1] * len(programs)
     status = "completed"
     blocked: list[dict] = []
-    while fired < total:
-        if steps >= cfg.max_steps:
-            raise SimulationError(f"no completion within {cfg.max_steps} sweeps")
+    while fired < total:  # a sweep fires at least once or ends the run in deadlock
         steps += 1
         later: list[int] = []
         progressed = False

@@ -3,13 +3,14 @@
 A :class:`SpatialSpec` is a purely declarative object: named functions with
 tuple-valued piecewise recurrences over integer loop variables, inclusive
 ``lower:step:upper`` bounds that may reference outer variables, and the
-scheduling directives (channel, unroll, relay, store) that the simulator
-interprets.  :func:`builtin_qr_spec` returns the Givens-QR program over an
-augmented input matrix; :func:`walk` evaluates any spec at concrete constants,
-checking it exhaustively on the way.  The walk runs, per function, a walker
-generated from the spec's expressions and compiled once per spec object; the
-expression interpreter :func:`eval_expr` evaluates only the functions the
-generator rejects, and reports their violations.
+scheduling directives (unroll, relay, store) that the simulator interprets.
+:data:`KERNELS` is the one table of the kernels a case can fire.
+:func:`builtin_qr_spec` returns the Givens-QR program over an augmented input
+matrix; :func:`walk` evaluates any spec at concrete constants, checking it
+exhaustively on the way.  The walk runs, per function, a walker generated from
+the spec's expressions and compiled once per spec object; the expression
+interpreter :func:`eval_expr` evaluates only the functions the generator
+rejects, and reports their violations.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Union
+
+from spatialqr import numeric
 
 
 class UnboundNameError(LookupError):
@@ -159,10 +162,10 @@ class BoundSpec:
 KERNEL_ELIMINATE = "eliminate"
 KERNEL_UPDATE = "update"
 
-# kernel tag -> (input arity, output tuple arity)
-KERNEL_ARITY: dict[str, tuple[int, int]] = {
-    KERNEL_ELIMINATE: (2, 4),
-    KERNEL_UPDATE: (4, 2),
+# kernel tag -> (function, input arity, output tuple arity)
+KERNELS: dict[str, tuple[Callable[..., tuple[float, ...]], int, int]] = {
+    KERNEL_ELIMINATE: (numeric.kernel_eliminate, 2, 4),
+    KERNEL_UPDATE: (numeric.kernel_update, 4, 2),
 }
 
 
@@ -205,23 +208,14 @@ class RecurrenceCase:
 # --- directives ---------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ChannelDirective:
-    """Values called from the named functions arrive via bounded channels."""
-
-    callees: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class UnrollDirective:
     var: str
 
 
 @dataclass(frozen=True)
 class RelayDirective:
-    """Forward the rotation pair, elements ``indices`` = (0, 1) of ``source``, along ``vector``."""
+    """Forward the rotation pair every case reads, hop by hop along ``vector``."""
 
-    source: str
-    indices: tuple[int, ...]
     vector: tuple[int, ...]
 
 
@@ -233,7 +227,7 @@ class StoreDirective:
     condition: Expr
 
 
-Directive = Union[ChannelDirective, UnrollDirective, RelayDirective, StoreDirective]
+Directive = Union[UnrollDirective, RelayDirective, StoreDirective]
 
 
 # --- functions and the whole spec ----------------------------------------------
@@ -376,7 +370,6 @@ def builtin_qr_spec() -> SpatialSpec:
         tuple_arity=4,
         cases=x_cases,
         directives=(
-            ChannelDirective(("X", "Y")),
             UnrollDirective("col"),
             UnrollDirective("row"),
             StoreDirective((3,), ROW.eq(COL + 1)),
@@ -441,11 +434,10 @@ def builtin_qr_spec() -> SpatialSpec:
         tuple_arity=2,
         cases=y_cases,
         directives=(
-            ChannelDirective(("X", "Y")),
             UnrollDirective("col"),
             UnrollDirective("row"),
             UnrollDirective("k"),
-            RelayDirective("X", (0, 1), (0, 0, 1)),
+            RelayDirective((0, 0, 1)),
             StoreDirective((1,), ROW.eq(COL + 1)),
             StoreDirective((0,), ROW.eq(COL + 1) & ROW.eq(M)),
         ),
@@ -596,7 +588,7 @@ def _interpret(
             bad(Violation("guard-gap", func.name, point, "no case guard holds"))
             continue
         case = hits[0]
-        in_arity, _ = KERNEL_ARITY.get(case.kernel, (None, None))
+        _, in_arity, _ = KERNELS.get(case.kernel, (None, None, None))
         if in_arity is None:
             bad(Violation("kernel-unknown", func.name, point,
                           f"case {case.label}: no kernel {case.kernel!r}"))
@@ -761,7 +753,6 @@ def _walker_source(spec: SpatialSpec, func: FuncSpec) -> tuple[str, tuple[str, .
     spec reaches the source.
     """
     if (not func.cases or any(type(d) is not str for d in func.dims)
-            or len(set(func.dims)) != len(func.dims)
             or any(type(b.step) is not int for b in func.bounds)
             or any(type(i) is not int for d in func.stores() for i in d.indices)):
         raise _Unlowerable
@@ -803,7 +794,7 @@ def _walker_source(spec: SpatialSpec, func: FuncSpec) -> tuple[str, tuple[str, .
         stored = "".join(f"{idx}, r{idx}, c{idx}, " for idx in directive.indices)
         body.append(f"if {_typed(directive.condition, slots, bool)}: stores += ({stored})")
     for j, case in enumerate(func.cases):
-        arity, _ = KERNEL_ARITY.get(case.kernel, (None, None))
+        _, arity, _ = KERNELS.get(case.kernel, (None, None, None))
         if arity != len(case.args):
             raise _Unlowerable
         body.append(f"{'if' if j == 0 else 'elif'} g{j}:")
@@ -847,7 +838,7 @@ def _walker_source(spec: SpatialSpec, func: FuncSpec) -> tuple[str, tuple[str, .
 
 
 def _bounds_match(func: FuncSpec) -> bool:
-    return [b.var for b in func.bounds] == list(func.dims)
+    return [b.var for b in func.bounds] == list(func.dims) and len(set(func.dims)) == len(func.dims)
 
 
 def _validate_structure(spec: SpatialSpec, func: FuncSpec, report: ValidationReport) -> None:
@@ -858,23 +849,26 @@ def _validate_structure(spec: SpatialSpec, func: FuncSpec, report: ValidationRep
     if func.cell_map and len(func.cell_map) != func.tuple_arity:
         bad(Violation("cell-map-arity", func.name, None,
                       f"cell_map has {len(func.cell_map)} entries for arity {func.tuple_arity}"))
+    for case in func.cases:
+        kernel = KERNELS.get(case.kernel)  # an unknown kernel is reported where it fires
+        if kernel is not None and kernel[2] != func.tuple_arity:
+            bad(Violation("kernel-output-arity", func.name, None,
+                          f"case {case.label}: kernel {case.kernel} returns {kernel[2]} "
+                          f"values, not tuple arity {func.tuple_arity}"))
     for d in func.directives:
-        if isinstance(d, ChannelDirective):
-            for callee in d.callees:
-                if not spec.has_func(callee):
-                    bad(Violation("channel-unknown-func", func.name, None,
-                                  f"channel names unknown function {callee!r}"))
-        elif isinstance(d, UnrollDirective):
+        if isinstance(d, UnrollDirective):
             if d.var not in func.dims:
                 bad(Violation("unroll-unknown-dim", func.name, None,
                               f"unroll names unknown dim {d.var!r}"))
         elif isinstance(d, RelayDirective):
-            # the pair relayed is the one every case reads: elements 0 and 1 of ``source``
-            unread = [c.label for c in func.cases
-                      if d.source not in {a.func for a in spec.pair_reads(c).values()}]
-            if tuple(d.indices) != (0, 1) or unread:
-                why = (f"case {unread[0]} reads no rotation pair of {d.source!r}" if unread
-                       else f"a rotation pair is elements [0, 1], not {list(d.indices)}")
+            # the pair relayed is the one each case reads, so every case reads a pair,
+            # and all of them one function's
+            reads = [[a.func for a in spec.pair_reads(c).values()] for c in func.cases]
+            unread = [c.label for c, funcs in zip(func.cases, reads) if not funcs]
+            read = list(dict.fromkeys(f for funcs in reads for f in funcs))
+            if unread or len(read) > 1:
+                why = (f"case {unread[0]} reads no rotation pair" if unread
+                       else f"cases read the rotation pairs of {', '.join(map(str, read))}")
                 bad(Violation("relay-pair-mismatch", func.name, None, f"relay: {why}"))
             if len(d.vector) != len(func.dims):
                 bad(Violation("relay-vector", func.name, None,
@@ -901,7 +895,7 @@ def _validate_structure(spec: SpatialSpec, func: FuncSpec, report: ValidationRep
 
 # --- JSON serialization ------------------------------------------------------------
 
-SPEC_SCHEMA = 1
+SPEC_SCHEMA = 2
 
 
 def _expr_to_obj(e: Expr) -> object:
@@ -975,26 +969,20 @@ def _arg_from_obj(obj: object) -> Arg:
 
 
 def _directive_to_obj(d: Directive) -> object:
-    if isinstance(d, ChannelDirective):
-        return {"channel": list(d.callees)}
     if isinstance(d, UnrollDirective):
         return {"unroll": d.var}
     if isinstance(d, RelayDirective):
-        return {"relay": {"source": d.source, "indices": list(d.indices),
-                          "vector": list(d.vector)}}
+        return {"relay": {"vector": list(d.vector)}}
     return {"store": {"indices": list(d.indices), "condition": _expr_to_obj(d.condition)}}
 
 
 def _directive_from_obj(obj: object) -> Directive:
     if not isinstance(obj, dict):
         raise ValueError(f"bad directive {obj!r}")
-    if "channel" in obj:
-        return ChannelDirective(tuple(_field(obj, "channel", list)))
     if "unroll" in obj:
         return UnrollDirective(_field(obj, "unroll", str))
     if "relay" in obj:
-        d = obj["relay"]
-        return RelayDirective(_field(d, "source", str), _ints(d, "indices"), _ints(d, "vector"))
+        return RelayDirective(_ints(obj["relay"], "vector"))
     if "store" in obj:
         d = obj["store"]
         return StoreDirective(_ints(d, "indices"), _expr_from_obj(_field(d, "condition")))

@@ -77,13 +77,13 @@ def test_criterion_2_graph_census(capsys):
 
     patterns = {}
     for node in x_nodes:
-        patterns.setdefault(g.node_pattern[g.ids["X"][node.coords]], []).append(node.coords)
+        patterns.setdefault(g.node_case[g.ids["X"][node.coords]].label, []).append(node.coords)
     assert patterns["a"] == [(1, 4)]
     # pattern (c): one node per applicable boundary column (cols 2 and 3 here)
     assert sorted(patterns["c"]) == [(2, 4), (3, 4)]
     assert sum(len(v) for v in patterns.values()) == len(x_nodes)
     for i, node in enumerate(g.nodes):
-        assert g.node_pattern[i] in "abcd"
+        assert g.node_case[i].label in "abcd"
 
     for m in range(1, 9):
         for n in range(1, m + 1):
@@ -94,7 +94,7 @@ def test_criterion_2_graph_census(capsys):
             assert len(ys) == y_count(m, n)
             census = {"a": 0, "b": 0, "c": 0, "d": 0}
             for nd in xs:
-                census[gmn.node_pattern[gmn.ids["X"][nd.coords]]] += 1
+                census[gmn.node_case[gmn.ids["X"][nd.coords]].label] += 1
             assert census["a"] == (1 if m >= 2 else 0)
             assert census["b"] == max(0, m - 2)
             assert census["c"] == max(0, min(n, m - 1) - 1)

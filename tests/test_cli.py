@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
 
-from spatialqr import cli
+from spatialqr import cli, simulator
 from spatialqr.numeric import (
     Matrix,
     parse_matrix_text,
@@ -242,14 +243,21 @@ class TestSimulate:
         assert code == 1
         assert "differs from reference" in capsys.readouterr().err
 
-    def test_exhausted_max_steps_is_one_error_line(self, matrix4, tmp_path,
-                                                   monkeypatch, capsys):
-        real_config = cli.SimConfig
-        monkeypatch.setattr(cli, "SimConfig",
-                            lambda **kw: real_config(max_steps=1, **kw))
+    def test_values_left_in_channels_is_one_error_line(self, matrix4, tmp_path,
+                                                       monkeypatch, capsys):
+        made = []
+
+        def preloaded():
+            """The first channel's queue starts with a stray value."""
+            queue = deque([] if made else [0.5])
+            made.append(queue)
+            return queue
+
+        monkeypatch.setattr(simulator, "deque", preloaded)
         code = run_cli("simulate", matrix4, "--report", tmp_path / "r.json")
         assert code == 1
-        assert capsys.readouterr().err == "error: no completion within 1 sweeps\n"
+        assert capsys.readouterr().err == ("error: values left in channels after completion: "
+                                           "['X(col=1,row=4).t3->X(col=1,row=3).p0']\n")
 
 
 class TestVerify:

@@ -96,7 +96,7 @@ class TestBuildGraph:
             (0, ("A'", 4, 1)),
             (1, ("A'", 3, 1)),
         }
-        assert g.node_pattern[node] == "a"
+        assert g.node_case[node].label == "a"
 
     def test_both_from_y_pattern_edge(self):
         g = build_graph(builtin_qr_spec(), 4, 4)
@@ -106,7 +106,7 @@ class TestBuildGraph:
             (0, (g.ids["Y"][(1, 4, 2)], 0)),
             (1, (g.ids["Y"][(1, 3, 2)], 0)),
         }
-        assert g.node_pattern[node] == "c"
+        assert g.node_case[node].label == "c"
 
     def test_in_degrees(self):
         g = build_graph(builtin_qr_spec(), 4, 4)
@@ -129,7 +129,7 @@ class TestBuildGraph:
                 counts = {"a": 0, "b": 0, "c": 0, "d": 0}
                 for i, node in enumerate(g.nodes):
                     if node.func == "X":
-                        counts[g.node_pattern[i]] += 1
+                        counts[g.node_case[i].label] += 1
                 assert counts["a"] == (1 if m >= 2 else 0)
                 assert counts["b"] == max(0, m - 2)
                 assert counts["c"] == max(0, min(n, m - 1) - 1)
@@ -194,7 +194,7 @@ class TestRelayCycle:
         spec = builtin_qr_spec()
         y = spec.func("Y")
         directives = tuple(
-            RelayDirective("X", (0, 1), (0, 1, 0)) if isinstance(d, RelayDirective) else d
+            RelayDirective((0, 1, 0)) if isinstance(d, RelayDirective) else d
             for d in y.directives
         )
         return dataclasses.replace(spec, funcs=(
@@ -218,7 +218,7 @@ class TestRelayCycle:
         spec = builtin_qr_spec()
         y = spec.func("Y")
         directives = tuple(
-            RelayDirective("X", (0, 1), (0, -1, 0)) if isinstance(d, RelayDirective) else d
+            RelayDirective((0, -1, 0)) if isinstance(d, RelayDirective) else d
             for d in y.directives
         )
         spec = dataclasses.replace(spec, funcs=(

@@ -31,7 +31,6 @@ from spatialqr.specdsl import (
     KERNEL_ELIMINATE,
     BoundSpec,
     CallRef,
-    ChannelDirective,
     FuncSpec,
     IntLit,
     MemoryRef,
@@ -324,7 +323,7 @@ def chain_spec():
                  MemoryRef(A_PRIME, IntLit(1), IntLit(1))),
             ),
         ),
-        directives=(ChannelDirective(("F",)), UnrollDirective("row")),
+        directives=(UnrollDirective("row"),),
         cell_map=(None, None, None, None),
     )
     return SpatialSpec(constants=("M", "N"), inputs=(A_PRIME,), funcs=(f,))
@@ -358,21 +357,6 @@ class TestDeadlock:
 
 
 class TestSimulationErrors:
-    @pytest.mark.parametrize("m,n,mode,capacity,relay", [
-        (4, 4, "full", 2, True),
-        (6, 4, "folded", 1, True),
-        (5, 3, "full", 1, False),
-        (7, 7, "folded", 8, False),
-    ])
-    def test_max_steps_boundary(self, m, n, mode, capacity, relay):
-        aug = make_aug(m, n, 3)
-        steps = run(SPEC, config(mode, capacity, relay), aug).steps
-        assert steps >= 2
-        rep = run(SPEC, config(mode, capacity, relay, max_steps=steps), aug)
-        assert rep.completed and rep.steps == steps
-        with pytest.raises(SimulationError, match=f"within {steps - 1} sweeps"):
-            run(SPEC, config(mode, capacity, relay, max_steps=steps - 1), aug)
-
     def test_values_left_in_channels(self, monkeypatch):
         made = []
 

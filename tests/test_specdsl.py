@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from spatialqr import dataflow, numeric
+from spatialqr import numeric, specdsl
 from spatialqr.numeric import AugmentedMatrix, random_matrix
 from spatialqr.simulator import SimConfig, run
 from spatialqr.specdsl import (
@@ -15,6 +17,7 @@ from spatialqr.specdsl import (
     ROW,
     BoundSpec,
     CallRef,
+    ConstRef,
     IntLit,
     MemoryRef,
     Name,
@@ -189,7 +192,7 @@ class TestInjectedFaults:
         from spatialqr.specdsl import RelayDirective
 
         fixed = tuple(
-            RelayDirective("X", (0, 1), (0, 1, 1)) if isinstance(d, RelayDirective) else d
+            RelayDirective((0, 1, 1)) if isinstance(d, RelayDirective) else d
             for d in y.directives
         )
         spec2 = replace_func(spec, "Y", directives=fixed)
@@ -211,11 +214,6 @@ class TestInjectedFaults:
 Y_FUNC = builtin_qr_spec().func("Y")
 
 
-def with_relay(relay):
-    directives = tuple(relay if isinstance(d, RelayDirective) else d for d in Y_FUNC.directives)
-    return replace_func(builtin_qr_spec(), "Y", directives=directives)
-
-
 def with_y_case(index, args):
     case = dataclasses.replace(Y_FUNC.cases[index], args=args)
     return replace_func(builtin_qr_spec(), "Y",
@@ -225,8 +223,20 @@ def with_y_case(index, args):
 A_ARGS = Y_FUNC.cases[0].args  # X(1, M).0, X(1, M).1, then two memory loads
 
 
+def two_eliminators():
+    """Y's case b reads its pair from X2, a copy of X that stores nothing."""
+    spec = builtin_qr_spec()
+    x, y = spec.funcs
+    x2 = dataclasses.replace(x, name="X2", directives=x.directives[:2])
+    b = y.cases[1]
+    pair = tuple(CallRef("X2", a.coords, a.index) for a in b.args[:2])
+    y = dataclasses.replace(y, cases=(y.cases[0], dataclasses.replace(b, args=pair + b.args[2:]),
+                                      *y.cases[2:]))
+    return dataclasses.replace(spec, funcs=(x, x2, y))
+
+
 class TestRotationPairs:
-    """A case reads a rotation pair whole, and a relay directive names that pair."""
+    """A case reads a rotation pair whole, and a relay forwards the one pair its cases read."""
 
     @pytest.mark.parametrize("args", [
         A_ARGS[:2] + (A_ARGS[0],) + A_ARGS[3:],  # .0 twice
@@ -250,18 +260,18 @@ class TestRotationPairs:
         aug = AugmentedMatrix.from_parts(random_matrix(4, 4, 0), [1.0] * 4)
         expected = run(builtin_qr_spec(), SimConfig(), aug).output
         # the update kernel, taking s before c
-        monkeypatch.setitem(dataflow.KERNELS, "update",
-                            lambda s, c, a, b: numeric.kernel_update(c, s, a, b))
+        monkeypatch.setitem(specdsl.KERNELS, "update",
+                            (lambda s, c, a, b: numeric.kernel_update(c, s, a, b), 4, 2))
         for relay in (True, False):
             assert run(spec, SimConfig(relay_enabled=relay), aug).output == expected
 
-    @pytest.mark.parametrize("relay,message", [
-        (RelayDirective("X", (2, 3), (0, 0, 1)), "a rotation pair is elements [0, 1], not [2, 3]"),
-        (RelayDirective("Y", (0, 1), (0, 0, 1)), "case a reads no rotation pair of 'Y'"),
-        (RelayDirective("Z", (0, 1), (0, 0, 1)), "case a reads no rotation pair of 'Z'"),
-    ], ids=["indices", "source", "unknown-source"])
-    def test_relay_must_name_the_pair_read(self, relay, message):
-        violations = validate(with_relay(relay), 4, 4).violations
+    @pytest.mark.parametrize("spec,message", [
+        (with_y_case(0, (ConstRef(1.0), ConstRef(0.0)) + A_ARGS[2:]),
+         "case a reads no rotation pair"),
+        (two_eliminators(), "cases read the rotation pairs of X, X2"),
+    ], ids=["no-pair", "two-sources"])
+    def test_relay_must_name_the_pair_read(self, spec, message):
+        violations = validate(spec, 4, 4).violations
         assert [v.rule for v in violations] == ["relay-pair-mismatch"]
         assert message in violations[0].message
 
@@ -332,6 +342,19 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             spec_from_json('{"schema": 99}')
 
+    def test_rejects_schema_1(self):
+        obj = json.loads(spec_to_json(builtin_qr_spec()))
+        obj["schema"] = 1
+        with pytest.raises(ValueError, match="unsupported spec schema 1"):
+            spec_from_json(json.dumps(obj))
+
+    def test_relay_is_its_vector(self):
+        obj = json.loads(spec_to_json(builtin_qr_spec()))
+        assert [d for f in obj["funcs"] for d in f["directives"] if "relay" in d] == [
+            {"relay": {"vector": [0, 0, 1]}},
+        ]
+        assert not [d for f in obj["funcs"] for d in f["directives"] if "channel" in d]
+
 
 class TestJsonErrors:
     def corrupt(self, edit):
@@ -345,7 +368,7 @@ class TestJsonErrors:
         (lambda o: o["funcs"][1]["bounds"][0].pop("step"), "step"),
         (lambda o: o["funcs"][0]["cases"][1]["args"][0]["call"].pop("coords"), "coords"),
         (lambda o: o["funcs"][0]["cell_map"][2].pop("row"), "row"),
-        (lambda o: o["funcs"][0]["directives"][3]["store"].pop("condition"), "condition"),
+        (lambda o: o["funcs"][0]["directives"][2]["store"].pop("condition"), "condition"),
     ])
     def test_missing_key_names_it(self, edit, key):
         with pytest.raises(ValueError, match=f"spec JSON: missing key '{key}'"):
@@ -356,7 +379,7 @@ class TestJsonErrors:
         (lambda o: o["funcs"][0].__setitem__("name", 3), "name"),
         (lambda o: o["funcs"][0].__setitem__("tuple_arity", None), "tuple_arity"),
         (lambda o: o["funcs"][0]["bounds"][0].__setitem__("step", "1"), "step"),
-        (lambda o: o["funcs"][1]["directives"][4]["relay"].__setitem__("vector", [0, None]),
+        (lambda o: o["funcs"][1]["directives"][3]["relay"].__setitem__("vector", [0, None]),
          "vector"),
     ])
     def test_wrong_type_names_key(self, edit, key):
@@ -384,6 +407,28 @@ class TestMalformedFunctions:
         with pytest.raises(ValueError, match=r"does not validate at \(4, 4\)"):
             run(spec, SimConfig(), aug)
 
+    def test_repeated_dim_is_reported(self):
+        bounds = Y_FUNC.bounds[:2] + (dataclasses.replace(Y_FUNC.bounds[2], var="row"),)
+        spec = replace_func(builtin_qr_spec(), "Y", dims=("col", "row", "row"), bounds=bounds)
+        assert "bounds-shape" in validate(spec, 4, 4).rules()
+        aug = AugmentedMatrix.from_parts(random_matrix(4, 4, 0), [1.0] * 4)
+        with pytest.raises(ValueError, match=r"does not validate at \(4, 4\)"):
+            run(spec, SimConfig(), aug)
+
+    def test_tuple_arity_must_match_the_kernel(self):
+        """X claims a fifth element, which a Y case reads but no eliminate returns."""
+        spec = with_x(tuple_arity=5, cell_map=X_FUNC.cell_map + (None,))
+        d = Y_FUNC.cases[3]
+        case = dataclasses.replace(d, args=d.args[:3] + (CallRef("X", (COL, ROW), 4),))
+        spec = replace_func(spec, "Y", cases=Y_FUNC.cases[:3] + (case,))
+        violations = validate(spec, 4, 4).violations
+        assert [(v.rule, v.func) for v in violations] == [("kernel-output-arity", "X")] * 4
+        assert "case a: kernel eliminate returns 4 values, not tuple arity 5" in violations[0].message
+        aug = AugmentedMatrix.from_parts(random_matrix(4, 4, 0), [1.0] * 4)
+        with pytest.raises(ValueError, match=r"^spec does not validate at \(4, 4\): "
+                                             r"\[kernel-output-arity\]"):
+            run(spec, SimConfig(), aug)
+
     def test_duplicate_name_is_reported_once(self):
         spec = builtin_qr_spec()
         x, y = spec.funcs
@@ -394,3 +439,16 @@ class TestMalformedFunctions:
         aug = AugmentedMatrix.from_parts(random_matrix(3, 2, 0), [1.0] * 3)
         with pytest.raises(ValueError, match=r"does not validate at \(3, 2\)"):
             run(spec2, SimConfig(), aug)
+
+
+def test_readme_rule_table_matches_the_code():
+    """Every rule id in the README's rule table is one that specdsl raises, and back."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    table = readme[readme.index("| checked | rule ids |"):]
+    table = table[:table.index("\n\n")]
+    documented = {rule for row in table.splitlines()[2:]
+                  for rule in re.findall(r"`([a-z]+(?:-[a-z]+)+)`", row.split("|")[2])}
+    source = Path(specdsl.__file__).read_text()
+    raised = set(re.findall(r'Violation\(\s*"([a-z-]+)"', source))
+    assert documented == raised
