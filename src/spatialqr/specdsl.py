@@ -7,10 +7,10 @@ scheduling directives (unroll, relay, store) that the simulator interprets.
 :data:`KERNELS` is the one table of the kernels a case can fire.
 :func:`builtin_qr_spec` returns the Givens-QR program over an augmented input
 matrix; :func:`walk` evaluates any spec at concrete constants, checking it
-exhaustively on the way.  The walk runs, per function, a walker generated from
-the spec's expressions and compiled once per spec object; the expression
-interpreter :func:`eval_expr` evaluates only the functions the generator
-rejects, and reports their violations.
+exhaustively on the way.  Each expression has one meaning, the Python text it
+is lowered to: per function, the static checks (names, types, references)
+run once and a walker is generated and compiled, both once per spec object,
+and the walker is the only thing that evaluates the spec.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from typing import Callable, Iterator, Mapping, Union
 from spatialqr import numeric
 
 
-class UnboundNameError(LookupError):
-    """An expression referenced a name with no binding."""
-
-
 class ExprTypeError(ValueError):
-    """An expression combined operands of the wrong kind."""
+    """An expression names nothing in scope or combines operands of the wrong kind."""
+
+
+class _TooDeep(ExprTypeError):
+    """An expression is nested deeper than :data:`_MAX_DEPTH`."""
 
 
 # --- expressions ------------------------------------------------------------
@@ -84,7 +84,6 @@ class BinOp(Expr):
 
 
 _ARITH_OPS = {"+", "-", "*"}
-_COMPARE_OPS = {"==", "!=", "<", "<="}
 
 
 def as_expr(value: Union[Expr, int]) -> Expr:
@@ -93,43 +92,6 @@ def as_expr(value: Union[Expr, int]) -> Expr:
     if isinstance(value, int):
         return IntLit(value)
     raise ExprTypeError(f"cannot use {value!r} as an expression")
-
-
-def eval_expr(e: Expr, bindings: Mapping[str, int]) -> Union[int, bool]:
-    """Evaluate under a complete binding; returns an int or a bool."""
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, Name):
-        try:
-            return bindings[e.name]
-        except KeyError:
-            raise UnboundNameError(e.name) from None
-    if isinstance(e, BinOp):
-        lhs = eval_expr(e.lhs, bindings)
-        rhs = eval_expr(e.rhs, bindings)
-        if e.op in _ARITH_OPS:
-            if isinstance(lhs, bool) or isinstance(rhs, bool):
-                raise ExprTypeError(f"arithmetic {e.op} on boolean operand")
-            if e.op == "+":
-                return lhs + rhs
-            if e.op == "-":
-                return lhs - rhs
-            return lhs * rhs
-        if e.op in _COMPARE_OPS:
-            if isinstance(lhs, bool) or isinstance(rhs, bool):
-                raise ExprTypeError(f"comparison {e.op} on boolean operand")
-            if e.op == "==":
-                return lhs == rhs
-            if e.op == "!=":
-                return lhs != rhs
-            if e.op == "<":
-                return lhs < rhs
-            return lhs <= rhs
-        if e.op == "&&":
-            if not isinstance(lhs, bool) or not isinstance(rhs, bool):
-                raise ExprTypeError("&& needs boolean operands")
-            return lhs and rhs
-    raise ExprTypeError(f"unknown expression node {e!r}")
 
 
 # --- bounds and domains -----------------------------------------------------
@@ -144,17 +106,8 @@ class BoundSpec:
     upper: Expr
 
     def __post_init__(self) -> None:
-        if self.step == 0:
-            raise ValueError(f"bound for {self.var!r} has zero step")
-
-    def enumerate(self, bindings: Mapping[str, int]) -> list[int]:
-        lo = eval_expr(self.lower, bindings)
-        up = eval_expr(self.upper, bindings)
-        if isinstance(lo, bool) or isinstance(up, bool):
-            raise ExprTypeError(f"bound for {self.var!r} evaluated to a boolean")
-        if self.step > 0:
-            return list(range(lo, up + 1, self.step))
-        return list(range(lo, up - 1, self.step))
+        if type(self.step) is not int or self.step == 0:
+            raise ValueError(f"bound for {self.var!r} has step {self.step!r}, not a nonzero int")
 
 
 # --- recurrence right-hand sides ---------------------------------------------
@@ -249,9 +202,6 @@ class FuncSpec:
     directives: tuple[Directive, ...] = ()
     cell_map: tuple[tuple[Expr, Expr] | None, ...] = ()
 
-    def stores(self) -> list[StoreDirective]:
-        return [d for d in self.directives if isinstance(d, StoreDirective)]
-
     def relay(self) -> RelayDirective | None:
         for d in self.directives:
             if isinstance(d, RelayDirective):
@@ -286,29 +236,12 @@ class SpatialSpec:
                 if isinstance(a, CallRef) and a.func in eliminators and a.index in (0, 1)}
 
     @cached_property
-    def walkers(self) -> tuple["_Walker | None", ...]:
-        """Per function, its compiled walker, or None where the interpreter walks it.
+    def walkers(self) -> tuple["_Walker", ...]:
+        """Per function, its static faults and compiled walker.
 
         Derived state of this frozen spec, generated on first use.
         """
         return tuple(_compile_walker(self, func) for func in self.funcs)
-
-
-def enumerate_domain(func: FuncSpec, bindings: Mapping[str, int]) -> list[tuple[int, ...]]:
-    """All iteration points of ``func`` in loop-nest order (outermost first)."""
-    points: list[tuple[int, ...]] = []
-
-    def descend(level: int, partial: dict[str, int]) -> None:
-        if level == len(func.dims):
-            points.append(tuple(partial[d] for d in func.dims))
-            return
-        for value in func.bounds[level].enumerate(partial):
-            partial[func.bounds[level].var] = value
-            descend(level + 1, partial)
-            del partial[func.bounds[level].var]
-
-    descend(0, dict(bindings))
-    return points
 
 
 # --- the built-in Givens-QR program ---------------------------------------------
@@ -500,174 +433,57 @@ def validate(spec: SpatialSpec, m: int, n: int) -> ValidationReport:
 def walk(spec: SpatialSpec, m: int, n: int, report: ValidationReport) -> Iterator[Firing]:
     """Evaluate the spec at every iteration point, checking it on the way.
 
-    Appends every violation to ``report`` rather than stopping at the first:
-    structural problems (repeated or unknown names, bounds that do not name
-    the dims, bad indices, malformed relay vectors, rotation pairs not read
-    or relayed whole), guard exclusivity/exhaustiveness over each domain,
-    call coordinates that land outside the callee's domain, and memory
-    references, cell-map entries and store conditions that cannot be
-    evaluated or point outside the M x (N+1) input.  Yields a :class:`Firing` for each point with
-    exactly one firing case, in function then loop-nest order; they
-    describe the spec only if ``report`` ends ok.
+    Appends every violation to ``report`` rather than stopping at the first.
+    The static ones come once per function, with no coordinates: structural
+    problems (repeated or unknown names, bounds that do not name the dims,
+    bad indices, arities and ranks, malformed relay vectors, rotation pairs
+    not read or relayed whole), and expressions that name something out of
+    scope, have the wrong type or nest too deep.  The dynamic ones come per
+    point: guard exclusivity/exhaustiveness over each domain, call
+    coordinates outside the callee's domain, and memory references and cells
+    outside the M x (N+1) input.  Yields a :class:`Firing` for each point with
+    exactly one firing case, in function then loop-nest order; they describe
+    the spec only if ``report`` ends ok.
 
-    Each function runs its compiled walker (:attr:`SpatialSpec.walkers`).
-    A walker accepts only points with nothing to report; at the first other
-    point it gives up, and the interpreter walks that function again from
-    its first point, so the violations and their order are the interpreter's.
+    Each function runs its compiled walker (:attr:`SpatialSpec.walkers`),
+    which stops at the first point with a dynamic violation; a walker
+    generated to report them then walks that function again.
     """
     if m < 1 or n < 1:
         raise ValueError(f"constants must be >= 1, got M={m}, N={n}")
-    consts = {"M": m, "N": n}
-    walkers = spec.walkers
-
     names = [f.name for f in spec.funcs]
     for name in dict.fromkeys(names):
         if names.count(name) > 1:
             report.violations.append(Violation("func-duplicate", name, None,
                                                f"{names.count(name)} functions have this name"))
     # only the first function of each name is walked
-    funcs = [(f, w) for k, (f, w) in enumerate(zip(spec.funcs, walkers))
+    funcs = [(f, w) for k, (f, w) in enumerate(zip(spec.funcs, spec.walkers))
              if names.index(f.name) == k]
-
-    orders: dict[str, list[tuple[int, ...]]] = {}
-    domains: dict[str, set[tuple[int, ...]]] = {}
-    for func, walker in funcs:
-        if walker is not None:
-            pts = walker.domain(m, n)
-        elif not _bounds_match(func):
-            pts = []  # bounds-shape, reported below
-        else:
-            try:
-                pts = enumerate_domain(func, consts)
-            except (UnboundNameError, ExprTypeError) as exc:
-                report.violations.append(Violation("bound-eval", func.name, None,
-                                                   f"cannot enumerate bounds: {exc}"))
-                pts = []
-        orders[func.name] = pts
-        domains[func.name] = set(pts)
+    orders = {func.name: walker.domain(m, n) for func, walker in funcs}
+    domains = {name: set(points) for name, points in orders.items()}
 
     for func, walker in funcs:
-        _validate_structure(spec, func, report)
-        firings = None
-        if walker is not None:
-            firings = walker.fire(m, n, orders[func.name],
-                                  tuple(domains[name] for name in walker.callees),
-                                  func.cases, func.name)
+        report.violations.extend(walker.faults)
+        args = (m, n, orders[func.name], tuple(domains[name] for name in walker.callees),
+                func.cases, func.name)
+        firings = walker.fire(*args)
         if firings is None:
-            firings = _interpret(spec, func, orders[func.name], domains, consts, report)
+            sites: list[tuple[str, str]] = []
+
+            def bad(site: int, point: tuple[int, ...], value: tuple) -> None:
+                rule, prefix = sites[site]
+                if rule == "guard-gap":  # value holds every guard
+                    held = [str(c.label) for c, g in zip(func.cases, value) if g]
+                    message = f"cases {', '.join(held)} all hold" if held else "no case guard holds"
+                    rule = "guard-overlap" if held else rule
+                elif rule == "callref-out-of-domain":
+                    message = f"{prefix}{value} is outside its domain"
+                else:
+                    message = f"{prefix}{value} is outside the {m}x{n + 1} input"
+                report.violations.append(Violation(rule, func.name, point, message))
+
+            firings = _compile_walker(spec, func, sites).fire(*args, bad)
         yield from firings
-
-
-def _interpret(
-    spec: SpatialSpec,
-    func: FuncSpec,
-    points: list[tuple[int, ...]],
-    domains: dict[str, set[tuple[int, ...]]],
-    consts: dict[str, int],
-    report: ValidationReport,
-) -> Iterator[Firing]:
-    """:func:`walk` over one function by the expression interpreter."""
-    m, n = consts["M"], consts["N"]
-    bad = report.violations.append
-    store_directives = func.stores()
-    for point in points:
-        bindings = dict(consts)
-        bindings.update(zip(func.dims, point))
-        hits = []
-        for case in func.cases:
-            try:
-                if eval_expr(case.guard, bindings) is True:
-                    hits.append(case)
-            except (UnboundNameError, ExprTypeError) as exc:
-                bad(Violation("guard-eval", func.name, point, f"case {case.label}: {exc}"))
-        if len(hits) > 1:
-            labels = ", ".join(c.label for c in hits)
-            bad(Violation("guard-overlap", func.name, point, f"cases {labels} all hold"))
-            continue
-        if not hits:
-            bad(Violation("guard-gap", func.name, point, "no case guard holds"))
-            continue
-        case = hits[0]
-        _, in_arity, _ = KERNELS.get(case.kernel, (None, None, None))
-        if in_arity is None:
-            bad(Violation("kernel-unknown", func.name, point,
-                          f"case {case.label}: no kernel {case.kernel!r}"))
-        elif len(case.args) != in_arity:
-            bad(Violation(
-                "arg-arity", func.name, point,
-                f"case {case.label}: kernel {case.kernel} takes {in_arity} args, got {len(case.args)}",
-            ))
-        sources: list[tuple[int, ...] | None] = [None] * len(case.args)
-        for slot, arg in enumerate(case.args):
-            if isinstance(arg, MemoryRef):
-                if arg.input not in spec.inputs:
-                    bad(Violation("memref-unknown-input", func.name, point,
-                                  f"case {case.label} arg {slot}: no input {arg.input!r}"))
-                try:
-                    pos = (eval_expr(arg.row, bindings), eval_expr(arg.col, bindings))
-                except (UnboundNameError, ExprTypeError) as exc:
-                    bad(Violation("memref-eval", func.name, point,
-                                  f"case {case.label} arg {slot}: {exc}"))
-                    continue
-                if not (1 <= pos[0] <= m and 1 <= pos[1] <= n + 1):
-                    bad(Violation("memref-out-of-range", func.name, point,
-                                  f"case {case.label} arg {slot}: {arg.input}{pos} "
-                                  f"is outside the {m}x{n + 1} input"))
-                sources[slot] = pos
-            elif isinstance(arg, CallRef):
-                if not spec.has_func(arg.func):
-                    bad(Violation("callref-unknown-func", func.name, point,
-                                  f"case {case.label} arg {slot}: no function {arg.func!r}"))
-                    continue
-                callee = spec.func(arg.func)
-                if not (0 <= arg.index < callee.tuple_arity):
-                    bad(Violation("callref-tuple-index", func.name, point,
-                                  f"case {case.label} arg {slot}: index {arg.index} "
-                                  f"outside {arg.func}'s tuple arity {callee.tuple_arity}"))
-                if len(arg.coords) != len(callee.dims):
-                    bad(Violation("callref-rank", func.name, point,
-                                  f"case {case.label} arg {slot}: {len(arg.coords)} coords "
-                                  f"for {len(callee.dims)}-dim {arg.func}"))
-                    continue
-                try:
-                    target = tuple(eval_expr(c, bindings) for c in arg.coords)
-                except (UnboundNameError, ExprTypeError) as exc:
-                    bad(Violation("callref-eval", func.name, point,
-                                  f"case {case.label} arg {slot}: {exc}"))
-                    continue
-                if target not in domains[arg.func]:
-                    bad(Violation("callref-out-of-domain", func.name, point,
-                                  f"case {case.label} arg {slot}: "
-                                  f"{arg.func}{target} is outside its domain"))
-                sources[slot] = target
-
-        cells: dict[int, tuple[int, int]] = {}
-        for idx, cell in enumerate(func.cell_map):
-            if cell is None:
-                continue
-            try:
-                pos = (eval_expr(cell[0], bindings), eval_expr(cell[1], bindings))
-            except (UnboundNameError, ExprTypeError) as exc:
-                bad(Violation("cell-eval", func.name, point, f"cell_map[{idx}]: {exc}"))
-                continue
-            if not (1 <= pos[0] <= m and 1 <= pos[1] <= n + 1):
-                bad(Violation("cell-out-of-range", func.name, point,
-                              f"cell_map[{idx}] {pos} is outside the {m}x{n + 1} input"))
-            cells[idx] = pos
-        stores: list[int] = []
-        for directive in store_directives:
-            try:
-                holds = eval_expr(directive.condition, bindings) is True
-            except (UnboundNameError, ExprTypeError) as exc:
-                bad(Violation("cell-eval", func.name, point, f"store condition: {exc}"))
-                continue
-            if holds:
-                # an index without a resolved cell is already a violation
-                stores.extend(v for idx in directive.indices if idx in cells
-                              for v in (idx, *cells[idx]))
-        yield Firing(func.name, point, case, tuple(sources),
-                     tuple(v for idx, pos in cells.items() for v in (idx, *pos)),
-                     tuple(stores))
 
 
 # --- generated walkers ----------------------------------------------------------------
@@ -675,33 +491,29 @@ def _interpret(
 # the expression language's operators, spelled in Python
 _PY_OPS = {"+": "+", "-": "-", "*": "*", "==": "==", "!=": "!=", "<": "<", "<=": "<=",
            "&&": "and"}
-# deeper expressions are left to the interpreter; CPython's parser stops at 200
+# deeper expressions are an expr-depth violation; CPython's parser stops at 200
 # nested parentheses
 _MAX_DEPTH = 64
 
 
-class _Unlowerable(Exception):
-    """The generator leaves this function to the interpreter."""
-
-
 @dataclass(frozen=True)
 class _Walker:
-    """One function's compiled walk; see :func:`_walker_source`."""
+    """One function's static faults and compiled walk; see :func:`_walker_source`."""
 
     domain: Callable[[int, int], list[tuple[int, ...]]]
     fire: Callable[..., list[Firing] | None]
     callees: tuple[str, ...]  # whose domains ``fire`` checks calls against, in order
+    faults: tuple[Violation, ...]
 
 
-def _compile_walker(spec: SpatialSpec, func: FuncSpec) -> _Walker | None:
-    """Generate and compile ``func``'s walker; None leaves it to the interpreter."""
-    try:
-        source, callees = _walker_source(spec, func)
-        namespace: dict = {"__builtins__": {}, "range": range, "Firing": Firing}
-        exec(compile(source, "<spatialqr walker>", "exec"), namespace)
-    except (_Unlowerable, SyntaxError, ValueError, RecursionError, MemoryError):
-        return None
-    return _Walker(namespace["domain"], namespace["fire"], callees)
+def _compile_walker(spec: SpatialSpec, func: FuncSpec,
+                    sites: list[tuple[str, str]] | None = None) -> _Walker:
+    """Check ``func`` statically, then generate and compile its walker."""
+    faults = _validate_structure(spec, func)
+    source, callees = _walker_source(spec, func, faults, sites)
+    namespace: dict = {"__builtins__": {}, "range": range, "Firing": Firing}
+    exec(compile(source, "<spatialqr walker>", "exec"), namespace)
+    return _Walker(namespace["domain"], namespace["fire"], callees, tuple(faults))
 
 
 def _lower_expr(e: Expr, slots: Mapping[str, str], depth: int = 0) -> tuple[str, type]:
@@ -709,12 +521,14 @@ def _lower_expr(e: Expr, slots: Mapping[str, str], depth: int = 0) -> tuple[str,
 
     The source holds only text the generator chose: a name becomes its local
     slot, an int literal (``type(v) is int``) its repr, an operator one of
-    :data:`_PY_OPS`.  Whatever the interpreter might reject, a boolean in
-    arithmetic for one, raises :class:`_Unlowerable`; a well-typed
-    expression cannot fail, so evaluating it needs no checks.
+    :data:`_PY_OPS`.  An expression that does not type-check raises
+    :class:`ExprTypeError` for its first fault in evaluation order (operands
+    before their operator): a name with no slot, an unknown operator or
+    node, a boolean in arithmetic or a comparison, an integer under ``&&``.
+    A well-typed expression cannot fail, so evaluating it needs no checks.
     """
     if depth > _MAX_DEPTH:
-        raise _Unlowerable
+        raise _TooDeep(f"nested more than {_MAX_DEPTH} deep")
     if isinstance(e, IntLit):
         if type(e.value) is int:
             return f"({e.value!r})", int
@@ -723,108 +537,140 @@ def _lower_expr(e: Expr, slots: Mapping[str, str], depth: int = 0) -> tuple[str,
     elif isinstance(e, Name):
         if isinstance(e.name, str) and e.name in slots:
             return slots[e.name], int
-    elif isinstance(e, BinOp) and isinstance(e.op, str) and e.op in _PY_OPS:
+        raise ExprTypeError(e.name)
+    elif isinstance(e, BinOp):
         lhs, lhs_type = _lower_expr(e.lhs, slots, depth + 1)
         rhs, rhs_type = _lower_expr(e.rhs, slots, depth + 1)
-        operand = bool if e.op == "&&" else int
-        if lhs_type is operand and rhs_type is operand:
+        if isinstance(e.op, str) and e.op in _PY_OPS:
+            if e.op == "&&":
+                if lhs_type is not bool or rhs_type is not bool:
+                    raise ExprTypeError("&& needs boolean operands")
+            elif lhs_type is not int or rhs_type is not int:
+                kind = "arithmetic" if e.op in _ARITH_OPS else "comparison"
+                raise ExprTypeError(f"{kind} {e.op} on boolean operand")
             result = int if e.op in _ARITH_OPS else bool
             return f"({lhs} {_PY_OPS[e.op]} {rhs})", result
-    raise _Unlowerable
+    raise ExprTypeError(f"unknown expression node {e!r}")
 
 
-def _typed(e: Expr, slots: Mapping[str, str], kind: type) -> str:
-    source, actual = _lower_expr(e, slots)
-    if actual is not kind:
-        raise _Unlowerable
-    return source
-
-
-def _walker_source(spec: SpatialSpec, func: FuncSpec) -> tuple[str, tuple[str, ...]]:
+def _walker_source(spec: SpatialSpec, func: FuncSpec, faults: list[Violation] | None = None,
+                   sites: list[tuple[str, str]] | None = None) -> tuple[str, tuple[str, ...]]:
     """Source of ``domain(m, n)`` and ``fire(m, n, points, domains, cases, name)``.
 
     ``domain`` lists the iteration points in loop-nest order.  ``fire``
-    returns one :class:`Firing` per point, or None at the first point that
-    the interpreter would report on: no or several guards holding, a memory
-    reference or a cell outside the input, a call outside its callee's
-    domain.  Everything else the interpreter checks is static, and a
-    function that fails it is not lowered.  Constants, loop variables,
-    callee domains and cases are locals named by position, so no text of the
-    spec reaches the source.
+    returns one :class:`Firing` per point, or None at the first point with a
+    dynamic violation: no or several guards holding, a memory reference or a
+    cell outside the input, a call outside its callee's domain.  Given
+    ``sites``, ``fire`` takes a last argument ``bad`` instead, and calls
+    ``bad(site, point, value)`` at each such violation, where ``sites[site]``
+    is its rule and message prefix; a guard violation skips the point.
+
+    An expression that does not type-check is appended to ``faults`` and
+    lowered as the walk treats it: a guard or store condition that never
+    holds, a memory, call or cell coordinate that yields no source or cell, a
+    bound that empties the domain.  Constants, loop variables, callee domains
+    and cases are locals named by position, so no text of the spec reaches
+    the source.
     """
-    if (not func.cases or any(type(d) is not str for d in func.dims)
-            or any(type(b.step) is not int for b in func.bounds)
-            or any(type(i) is not int for d in func.stores() for i in d.indices)):
-        raise _Unlowerable
-    structure = ValidationReport(0, 0)
-    _validate_structure(spec, func, structure)
-    if structure.violations:
-        raise _Unlowerable
+    faults = [] if faults is None else faults
     rank = len(func.dims)
     point = "".join(f"d{i}, " for i in range(rank))
     slots = {"M": "m", "N": "n"}
 
+    def lowered(exprs, kind: type, rule: str, where: str) -> list[str] | None:
+        """The sources of ``exprs``, or None once one is not a ``kind``, reported as ``rule``."""
+        try:
+            sources = [_lower_expr(e, slots) for e in exprs]
+            for _, actual in sources:
+                if actual is not kind:
+                    raise ExprTypeError(f"{'a bool' if actual is bool else 'an int'} where "
+                                        f"{'an int' if kind is int else 'a bool'} is needed")
+        except ValueError as exc:  # an ExprTypeError, or an int literal too long to print
+            faults.append(Violation("expr-depth" if isinstance(exc, _TooDeep) else rule,
+                                    func.name, None, f"{where}: {exc}"))
+            return None
+        return [source for source, _ in sources]
+
+    def fault(rule: str, prefix: str, value: str) -> str:
+        """The statement that meets a dynamic violation of ``rule``."""
+        if sites is None:
+            return "return None"
+        sites.append((rule, prefix))
+        return f"bad({len(sites) - 1}, point, {value})"
+
+    def within(row: str, col: str, rule: str, prefix: str, value: str) -> str:
+        return f"if not (1 <= {row} <= m and 1 <= {col} <= n + 1): {fault(rule, prefix, value)}"
+
+    if not _bounds_match(func):  # bounds-shape: nothing to walk, nothing in scope
+        return "def domain(m, n):\n    return []\ndef fire(*args):\n    return []\n", ()
     lines = ["def domain(m, n):", "    points = []", "    add = points.append"]
+    loops = []
     for i, bound in enumerate(func.bounds):
-        end = "+ 1" if bound.step > 0 else "- 1"
-        lines.append(f"{'    ' * (i + 1)}for d{i} in range({_typed(bound.lower, slots, int)}, "
-                     f"{_typed(bound.upper, slots, int)} {end}, ({bound.step!r})):")
+        ends = lowered((bound.lower, bound.upper), int, "bound-eval", "cannot enumerate bounds")
+        if ends is not None:
+            loops.append(f"{'    ' * (i + 1)}for d{i} in range({ends[0]}, {ends[1]} "
+                         f"{'+ 1' if bound.step > 0 else '- 1'}, ({bound.step!r})):")
         slots[func.dims[i]] = f"d{i}"
-    lines += [f"{'    ' * (rank + 1)}add(({point}))", "    return points"]
+    if len(loops) == rank:  # else a bound is bad and the domain empty
+        lines += loops + [f"{'    ' * (rank + 1)}add(({point}))"]
+    lines.append("    return points")
 
     callees: dict[str, int] = {}
     body: list[str] = []
-
-    def within(row: str, col: str) -> str:
-        return f"if not (1 <= {row} <= m and 1 <= {col} <= n + 1): return None"
-
-    guards = [_typed(case.guard, slots, bool) for case in func.cases]
-    body += [f"g{j} = {g}" for j, g in enumerate(guards)]
-    body.append(f"if {' + '.join(f'g{j}' for j in range(len(guards)))} != 1: return None")
-    cells = []
+    guards = [lowered((case.guard,), bool, "guard-eval", f"case {case.label}")
+              for case in func.cases]
+    body += [f"g{j} = {'False' if g is None else g[0]}" for j, g in enumerate(guards)]
+    held = " + ".join(f"g{j}" for j in range(len(guards))) or "0"
+    values = "".join(f"g{j}, " for j in range(len(guards)))
+    body.append(f"if {held} != 1: {fault('guard-gap', '', f'({values})')}"
+                + ("; continue" if sites is not None else ""))
+    cells = {}
     for idx, cell in enumerate(func.cell_map):
-        if cell is not None:
-            body.append(f"r{idx} = {_typed(cell[0], slots, int)}")
-            body.append(f"c{idx} = {_typed(cell[1], slots, int)}")
-            body.append(within(f"r{idx}", f"c{idx}"))
-            cells.append(f"{idx}, r{idx}, c{idx}, ")
-    body.append(f"cells = ({''.join(cells)})")
+        pos = None if cell is None else lowered(cell, int, "cell-eval", f"cell_map[{idx}]")
+        if pos is not None:
+            body.append(f"r{idx} = {pos[0]}")
+            body.append(f"c{idx} = {pos[1]}")
+            body.append(within(f"r{idx}", f"c{idx}", "cell-out-of-range", f"cell_map[{idx}] ",
+                               f"(r{idx}, c{idx})"))
+            cells[idx] = f"{idx}, r{idx}, c{idx}, "
+    body.append(f"cells = ({''.join(cells.values())})")
     body.append("stores = ()")
-    for directive in func.stores():
-        stored = "".join(f"{idx}, r{idx}, c{idx}, " for idx in directive.indices)
-        body.append(f"if {_typed(directive.condition, slots, bool)}: stores += ({stored})")
+    for directive in func.directives:
+        if not isinstance(directive, StoreDirective):
+            continue
+        condition = lowered((directive.condition,), bool, "cell-eval", "store condition")
+        # an index without a cell is already a violation
+        stored = "".join(cells[idx] for idx in directive.indices
+                         if type(idx) is int and idx in cells)
+        if condition is not None:
+            body.append(f"if {condition[0]}: stores += ({stored})")
     for j, case in enumerate(func.cases):
-        _, arity, _ = KERNELS.get(case.kernel, (None, None, None))
-        if arity != len(case.args):
-            raise _Unlowerable
         body.append(f"{'if' if j == 0 else 'elif'} g{j}:")
         sources = []
         for slot, arg in enumerate(case.args):
+            where, source = f"case {case.label} arg {slot}", None
             if isinstance(arg, MemoryRef):
-                if arg.input not in spec.inputs:
-                    raise _Unlowerable
-                body.append(f"    a{slot} = ({_typed(arg.row, slots, int)}, "
-                            f"{_typed(arg.col, slots, int)})")
-                body.append("    " + within(f"a{slot}[0]", f"a{slot}[1]"))
-            elif isinstance(arg, CallRef):
-                if not spec.has_func(arg.func):
-                    raise _Unlowerable
-                callee = spec.func(arg.func)
-                if not 0 <= arg.index < callee.tuple_arity or len(arg.coords) != len(callee.dims):
-                    raise _Unlowerable
-                coords = "".join(f"{_typed(c, slots, int)}, " for c in arg.coords)
-                dom = callees.setdefault(arg.func, len(callees))
-                body.append(f"    a{slot} = ({coords})")
-                body.append(f"    if a{slot} not in dom{dom}: return None")
-            elif isinstance(arg, ConstRef):
-                body.append(f"    a{slot} = None")
-            else:
-                raise _Unlowerable
+                pos = lowered((arg.row, arg.col), int, "memref-eval", where)
+                if pos is not None:
+                    source = f"({pos[0]}, {pos[1]})"
+                    check = within(f"a{slot}[0]", f"a{slot}[1]", "memref-out-of-range",
+                                   f"{where}: {arg.input}", f"a{slot}")
+            elif (isinstance(arg, CallRef) and spec.has_func(arg.func)
+                  and len(arg.coords) == len(spec.func(arg.func).dims)):
+                coords = lowered(arg.coords, int, "callref-eval", where)
+                if coords is not None:
+                    source = f"({''.join(f'{c}, ' for c in coords)})"
+                    dom = callees.setdefault(arg.func, len(callees))
+                    check = (f"if a{slot} not in dom{dom}: "
+                             + fault("callref-out-of-domain", f"{where}: {arg.func}", f"a{slot}"))
+            body.append(f"    a{slot} = {source or 'None'}")
+            if source:
+                body.append(f"    {check}")
             sources.append(f"a{slot}, ")
         body.append(f"    add(Firing(name, point, case{j}, ({''.join(sources)}), cells, stores))")
 
     lines += [
-        "def fire(m, n, points, domains, cases, name):",
+        f"def fire(m, n, points, domains, cases, name{'' if sites is None else ', bad'}):",
         f"    ({''.join(f'dom{k}, ' for k in range(len(callees)))}) = domains",
         f"    ({''.join(f'case{j}, ' for j in range(len(func.cases)))}) = cases",
         "    out = []",
@@ -838,23 +684,48 @@ def _walker_source(spec: SpatialSpec, func: FuncSpec) -> tuple[str, tuple[str, .
 
 
 def _bounds_match(func: FuncSpec) -> bool:
-    return [b.var for b in func.bounds] == list(func.dims) and len(set(func.dims)) == len(func.dims)
+    return (all(type(d) is str for d in func.dims) and len(set(func.dims)) == len(func.dims) <= 20
+            and [b.var for b in func.bounds] == list(func.dims))  # CPython nests 20 loops at most
 
 
-def _validate_structure(spec: SpatialSpec, func: FuncSpec, report: ValidationReport) -> None:
-    bad = report.violations.append
+def _validate_structure(spec: SpatialSpec, func: FuncSpec) -> list[Violation]:
+    """``func``'s static faults but those of its expressions, which the generator reports."""
+    faults: list[Violation] = []
+    bad = faults.append
     if not _bounds_match(func):
         bad(Violation("bounds-shape", func.name, None,
-                      "bounds must name each dim once, in dim order"))
+                      "bounds must name each dim once, in dim order, and at most 20 dims"))
     if func.cell_map and len(func.cell_map) != func.tuple_arity:
         bad(Violation("cell-map-arity", func.name, None,
                       f"cell_map has {len(func.cell_map)} entries for arity {func.tuple_arity}"))
     for case in func.cases:
-        kernel = KERNELS.get(case.kernel)  # an unknown kernel is reported where it fires
+        kernel = KERNELS.get(case.kernel)
+        if kernel is None:
+            bad(Violation("kernel-unknown", func.name, None,
+                          f"case {case.label}: no kernel {case.kernel!r}"))
+        elif kernel[1] != len(case.args):
+            bad(Violation("arg-arity", func.name, None, f"case {case.label}: kernel "
+                          f"{case.kernel} takes {kernel[1]} args, got {len(case.args)}"))
         if kernel is not None and kernel[2] != func.tuple_arity:
             bad(Violation("kernel-output-arity", func.name, None,
                           f"case {case.label}: kernel {case.kernel} returns {kernel[2]} "
                           f"values, not tuple arity {func.tuple_arity}"))
+        for slot, arg in enumerate(case.args):
+            where = f"case {case.label} arg {slot}"
+            if isinstance(arg, MemoryRef) and arg.input not in spec.inputs:
+                bad(Violation("memref-unknown-input", func.name, None,
+                              f"{where}: no input {arg.input!r}"))
+            elif isinstance(arg, CallRef) and not spec.has_func(arg.func):
+                bad(Violation("callref-unknown-func", func.name, None,
+                              f"{where}: no function {arg.func!r}"))
+            elif isinstance(arg, CallRef):
+                callee = spec.func(arg.func)
+                if not (type(arg.index) is int and 0 <= arg.index < callee.tuple_arity):
+                    bad(Violation("callref-tuple-index", func.name, None, f"{where}: index "
+                                  f"{arg.index} outside {arg.func}'s tuple arity {callee.tuple_arity}"))
+                if len(arg.coords) != len(callee.dims):
+                    bad(Violation("callref-rank", func.name, None, f"{where}: {len(arg.coords)} "
+                                  f"coords for {len(callee.dims)}-dim {arg.func}"))
     for d in func.directives:
         if isinstance(d, UnrollDirective):
             if d.var not in func.dims:
@@ -878,7 +749,7 @@ def _validate_structure(spec: SpatialSpec, func: FuncSpec, report: ValidationRep
                               "relay vector must have exactly one entry of magnitude 1"))
         elif isinstance(d, StoreDirective):
             for idx in d.indices:
-                if not (0 <= idx < func.tuple_arity):
+                if not (type(idx) is int and 0 <= idx < func.tuple_arity):
                     bad(Violation("store-tuple-index", func.name, None,
                                   f"store index {idx} outside tuple arity {func.tuple_arity}"))
                 elif idx >= len(func.cell_map) or func.cell_map[idx] is None:
@@ -891,6 +762,7 @@ def _validate_structure(spec: SpatialSpec, func: FuncSpec, report: ValidationRep
             names = ", ".join(f"{a.func}.{a.index}" for a in reads)
             bad(Violation("pair-shape", func.name, None, f"case {case.label} reads {names}: a "
                           "rotation pair is read as one .0 and one .1 at the same coordinates"))
+    return faults
 
 
 # --- JSON serialization ------------------------------------------------------------
@@ -911,20 +783,20 @@ def _expr_to_obj(e: Expr) -> object:
 def _field(obj: object, key: str, kind: type | tuple[type, ...] = object):
     """``obj[key]`` checked to be a ``kind``; a ValueError naming the key otherwise."""
     if not isinstance(obj, dict):
-        raise ValueError(f"spec JSON: expected an object with key {key!r}, "
+        raise ValueError(f"expected an object with key {key!r}, "
                          f"got {type(obj).__name__}")
     if key not in obj:
-        raise ValueError(f"spec JSON: missing key {key!r}")
+        raise ValueError(f"missing key {key!r}")
     value = obj[key]
     if not isinstance(value, kind):
-        raise ValueError(f"spec JSON: key {key!r} has type {type(value).__name__}")
+        raise ValueError(f"key {key!r} has type {type(value).__name__}")
     return value
 
 
 def _ints(obj: object, key: str) -> tuple[int, ...]:
     values = _field(obj, key, list)
     if not all(isinstance(v, int) for v in values):
-        raise ValueError(f"spec JSON: key {key!r} must hold integers")
+        raise ValueError(f"key {key!r} must hold integers")
     return tuple(values)
 
 
@@ -1023,10 +895,18 @@ def spec_to_json(spec: SpatialSpec) -> str:
 
 
 def spec_from_json(text: str) -> SpatialSpec:
-    """Parse :func:`spec_to_json` output; malformed input raises ValueError."""
-    obj = json.loads(text)
+    """Parse :func:`spec_to_json` output; malformed input raises ValueError("spec JSON: ...")."""
+    try:
+        return _spec_from_obj(json.loads(text))
+    except RecursionError:
+        raise ValueError("spec JSON: nested too deeply") from None
+    except ValueError as exc:
+        raise ValueError(f"spec JSON: {exc}") from None
+
+
+def _spec_from_obj(obj: object) -> SpatialSpec:
     if not isinstance(obj, dict):
-        raise ValueError(f"spec JSON: expected an object, got {type(obj).__name__}")
+        raise ValueError(f"expected an object, got {type(obj).__name__}")
     if obj.get("schema") != SPEC_SCHEMA:
         raise ValueError(f"unsupported spec schema {obj.get('schema')!r}")
     funcs = []

@@ -2,20 +2,24 @@
 booleans in arithmetic and deep nesting.
 
 Specs are evaluated by generated, compiled walkers, so these tests pin that
-no spec text is ever executed and that every such spec gets the same
-violations, in the same order, as the expression interpreter gives.  Each
-spec is built directly and again through ``spec_from_json``.
+no spec text is ever executed, that a static fault is reported once per
+function, and that the dynamic violations and the firings are the ones the
+expression interpreter gave before it was deleted
+(``fixtures/walk_oracle.json``).  Each spec is built directly and again
+through ``spec_from_json``.
 """
 
 import builtins
 import dataclasses
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from spatialqr.numeric import AugmentedMatrix, random_matrix
-from spatialqr.simulator import SimConfig, folded_unroll, report_to_json, run
+from spatialqr.simulator import SimConfig, report_to_json, run
 from spatialqr.specdsl import (
     A_PRIME,
     COL,
@@ -30,6 +34,7 @@ from spatialqr.specdsl import (
     StoreDirective,
     UnrollDirective,
     ValidationReport,
+    Violation,
     _walker_source,
     builtin_qr_spec,
     spec_from_json,
@@ -87,16 +92,15 @@ HOSTILE = {
     "int_guard": with_case(X, 3, guard=COL - ROW),
 }
 
-# validate(spec, 4, 3), as the expression interpreter reports it, with CODE
-# written as <CODE>
+# validate(spec, 4, 3) with CODE written as <CODE>: the static faults once per
+# function, then the dynamic ones per point as the expression interpreter reported them
 EXPECTED = {
     'bool_guard_operand': [
         '[guard-overlap] X(1, 3): cases a, b all hold',
         '[guard-overlap] X(1, 2): cases a, b all hold',
     ],
     'bool_in_arithmetic': [
-        '[memref-eval] X(1, 3): case b arg 1: arithmetic + on boolean operand',
-        '[memref-eval] X(1, 2): case b arg 1: arithmetic + on boolean operand',
+        '[memref-eval] X: case b arg 1: arithmetic + on boolean operand',
     ],
     'code_name_bound': [
         '[bound-eval] X: cannot enumerate bounds: <CODE>',
@@ -130,60 +134,34 @@ EXPECTED = {
         '[callref-out-of-domain] Y(3, 4, 4): case c arg 1: X(3, 4) is outside its domain',
     ],
     'code_name_call': [
-        '[callref-eval] Y(2, 3, 3): case d arg 2: <CODE>',
-        '[callref-eval] Y(2, 3, 4): case d arg 2: <CODE>',
+        '[callref-eval] Y: case d arg 2: <CODE>',
     ],
     'code_name_cell_and_store': [
-        '[cell-eval] X(1, 4): cell_map[3]: <CODE>',
-        '[cell-eval] X(1, 4): store condition: <CODE>',
-        '[cell-eval] X(1, 3): cell_map[3]: <CODE>',
-        '[cell-eval] X(1, 3): store condition: <CODE>',
-        '[cell-eval] X(1, 2): cell_map[3]: <CODE>',
-        '[cell-eval] X(1, 2): store condition: <CODE>',
-        '[cell-eval] X(2, 4): cell_map[3]: <CODE>',
-        '[cell-eval] X(2, 4): store condition: <CODE>',
-        '[cell-eval] X(2, 3): cell_map[3]: <CODE>',
-        '[cell-eval] X(2, 3): store condition: <CODE>',
-        '[cell-eval] X(3, 4): cell_map[3]: <CODE>',
-        '[cell-eval] X(3, 4): store condition: <CODE>',
+        '[cell-eval] X: cell_map[3]: <CODE>',
+        '[cell-eval] X: store condition: <CODE>',
     ],
     'code_name_guard': [
-        '[guard-eval] X(1, 4): case a: <CODE>',
+        '[guard-eval] X: case a: <CODE>',
         '[guard-gap] X(1, 4): no case guard holds',
-        '[guard-eval] X(1, 3): case a: <CODE>',
-        '[guard-eval] X(1, 2): case a: <CODE>',
-        '[guard-eval] X(2, 4): case a: <CODE>',
-        '[guard-eval] X(2, 3): case a: <CODE>',
-        '[guard-eval] X(3, 4): case a: <CODE>',
     ],
     'code_name_input': [
-        '[memref-unknown-input] X(1, 4): case a arg 0: no input "<CODE>"',
+        '[memref-unknown-input] X: case a arg 0: no input "<CODE>"',
     ],
     'code_name_memref': [
-        '[memref-eval] X(1, 3): case b arg 1: <CODE>',
-        '[memref-eval] X(1, 2): case b arg 1: <CODE>',
+        '[memref-eval] X: case b arg 1: <CODE>',
     ],
     'code_op': [
-        '[guard-eval] X(1, 4): case c: unknown expression node BinOp(op="<CODE>", lhs=Name(name=\'col\'), rhs=IntLit(value=1))',
-        '[guard-eval] X(1, 3): case c: unknown expression node BinOp(op="<CODE>", lhs=Name(name=\'col\'), rhs=IntLit(value=1))',
-        '[guard-eval] X(1, 2): case c: unknown expression node BinOp(op="<CODE>", lhs=Name(name=\'col\'), rhs=IntLit(value=1))',
-        '[guard-eval] X(2, 4): case c: unknown expression node BinOp(op="<CODE>", lhs=Name(name=\'col\'), rhs=IntLit(value=1))',
+        '[guard-eval] X: case c: unknown expression node BinOp(op="<CODE>", lhs=Name(name=\'col\'), rhs=IntLit(value=1))',
         '[guard-gap] X(2, 4): no case guard holds',
-        '[guard-eval] X(2, 3): case c: unknown expression node BinOp(op="<CODE>", lhs=Name(name=\'col\'), rhs=IntLit(value=1))',
-        '[guard-eval] X(3, 4): case c: unknown expression node BinOp(op="<CODE>", lhs=Name(name=\'col\'), rhs=IntLit(value=1))',
         '[guard-gap] X(3, 4): no case guard holds',
     ],
     'int_guard': [
+        '[guard-eval] X: case d: an int where a bool is needed',
         '[guard-gap] X(2, 3): no case guard holds',
     ],
     'unknown_op': [
-        "[guard-eval] X(1, 4): case a: unknown expression node BinOp(op='**', lhs=Name(name='col'), rhs=IntLit(value=2))",
+        "[guard-eval] X: case a: unknown expression node BinOp(op='**', lhs=Name(name='col'), rhs=IntLit(value=2))",
         '[guard-gap] X(1, 4): no case guard holds',
-        "[guard-eval] X(1, 3): case a: unknown expression node BinOp(op='**', lhs=Name(name='col'), rhs=IntLit(value=2))",
-        "[guard-eval] X(1, 2): case a: unknown expression node BinOp(op='**', lhs=Name(name='col'), rhs=IntLit(value=2))",
-        "[guard-eval] X(2, 4): case a: unknown expression node BinOp(op='**', lhs=Name(name='col'), rhs=IntLit(value=2))",
-        "[guard-eval] X(2, 3): case a: unknown expression node BinOp(op='**', lhs=Name(name='col'), rhs=IntLit(value=2))",
-        "[guard-eval] X(3, 4): case a: unknown expression node BinOp(op='**', lhs=Name(name='col'), rhs=IntLit(value=2))",
     ],
 }
 
@@ -202,8 +180,24 @@ def nothing_ran():
 @pytest.mark.parametrize("how", ["direct", "json"])
 @pytest.mark.parametrize("name", sorted(HOSTILE))
 def test_violations_match_interpreter(name, how):
+    """The static faults once per function; the dynamic ones as the interpreter gave them."""
     report = validate(built(name, how), 4, 3)
     assert [str(v).replace(CODE, "<CODE>") for v in report.violations] == EXPECTED[name]
+
+
+@pytest.mark.parametrize("how", ["direct", "json"])
+def test_boolean_coordinate_is_a_memref_fault(how):
+    """A memory row of ``(row + 0) == row`` is a bool, not row 1."""
+    b = X.cases[1]
+    spec = with_case(X, 1, args=(b.args[0], MemoryRef(A_PRIME, (ROW + 0).eq(ROW), IntLit(1))))
+    if how == "json":
+        spec = spec_from_json(spec_to_json(spec))
+    assert [str(v) for v in validate(spec, 4, 3).violations] == [
+        "[memref-eval] X: case b arg 1: a bool where an int is needed",
+    ]
+    aug = AugmentedMatrix.from_parts(random_matrix(4, 3, 9), [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match=r"^spec does not validate at \(4, 3\): \[memref-eval\]"):
+        run(spec, SimConfig(), aug)
 
 
 def test_json_form_is_the_hostile_one():
@@ -212,16 +206,37 @@ def test_json_form_is_the_hostile_one():
     assert row == {"op": "+", "lhs": {"name": "row"}, "rhs": {"int": True}}
 
 
+# a guard nested too deep is one violation, and case a then never holds
+DEEP_GUARD = [Violation("expr-depth", "X", None, "case a: nested more than 64 deep"),
+              Violation("guard-gap", "X", (1, 4), "no case guard holds")]
+
+
 @pytest.mark.parametrize("how", ["direct", "json"])
-def test_deep_guard_runs_like_the_builtin_spec(how):
+def test_deep_guard_is_an_expr_depth_violation(how):
     spec = with_case(X, 0, guard=deep(COL, 299).eq(1) & ROW.eq(M))
     if how == "json":
         spec = spec_from_json(spec_to_json(spec))
-    assert validate(spec, 4, 3).ok
+    assert validate(spec, 4, 3).violations == DEEP_GUARD
     aug = AugmentedMatrix.from_parts(random_matrix(4, 3, 9), [1.0, 2.0, 3.0, 4.0])
-    for cfg in (SimConfig(log_events=True),
-                SimConfig(unroll=folded_unroll(SPEC), channel_capacity=1, log_events=True)):
-        assert report_to_json(run(spec, cfg, aug)) == report_to_json(run(SPEC, cfg, aug))
+    with pytest.raises(ValueError, match=r"^spec does not validate at \(4, 3\): \[expr-depth\]"):
+        run(spec, SimConfig(), aug)
+
+
+def test_guard_deeper_than_the_recursion_limit():
+    """Built in Python, it is the same violation; as spec JSON, a ValueError."""
+    spec = with_case(X, 0, guard=deep(COL, 2000).eq(1) & ROW.eq(M))
+    assert validate(spec, 4, 3).violations == DEEP_GUARD
+    obj = json.loads(spec_to_json(SPEC))
+    obj["funcs"][0]["cases"][0]["guard"] = "GUARD"
+    guard = '{"op": "+", "lhs": ' * 2000 + '{"name": "col"}' + ', "rhs": {"int": 0}}' * 2000
+    with pytest.raises(ValueError, match="^spec JSON: "):
+        spec_from_json(json.dumps(obj).replace('"GUARD"', guard))
+
+
+def test_literal_too_long_to_print_is_a_guard_fault():
+    spec = with_case(X, 0, guard=COL.eq(IntLit(10 ** 5000)) & ROW.eq(M))
+    assert [(v.rule, v.coords) for v in validate(spec, 4, 3).violations] == [
+        ("guard-eval", None), ("guard-gap", (1, 4))]
 
 
 def renamed(e, text):
@@ -275,13 +290,6 @@ def test_code_named_dim_is_a_slot(how):
     cfg = SimConfig(log_events=True)
     got = report_to_json(run(spec, cfg, aug)).replace(CODE, "col")
     assert got == report_to_json(run(SPEC, cfg, aug))
-
-
-def test_generator_falls_back_past_its_depth_limit():
-    shallow = with_case(X, 0, guard=deep(COL, 40).eq(1) & ROW.eq(M))
-    deeper = with_case(X, 0, guard=deep(COL, 299).eq(1) & ROW.eq(M))
-    assert shallow.walkers[0] is not None
-    assert deeper.walkers[0] is None and deeper.walkers[1] is not None
 
 
 def mutated_expr(e, rnd):
@@ -338,20 +346,51 @@ def mutated_spec(rnd):
         if isinstance(d, StoreDirective) else d for d in func.directives)))
 
 
+ORACLE = Path(__file__).parent / "fixtures" / "walk_oracle.json"
+DYNAMIC = {"guard-gap", "guard-overlap", "memref-out-of-range", "cell-out-of-range",
+           "callref-out-of-domain"}
+LET_THROUGH = "a type the interpreter let through"
+
+
+def oracle_specs():
+    """The specs of the walk oracle, in its order: (id, spec, m, n)."""
+    rnd = random.Random(6)
+    for i in range(300):
+        spec = mutated_spec(rnd)
+        m = rnd.randint(1, 5)
+        yield f"mutated-{i}", spec, m, rnd.randint(1, m)
+    for name in sorted(HOSTILE):
+        for how in ("direct", "json"):
+            yield f"{name}-{how}", built(name, how), 4, 3
+
+
 def walked(spec, m, n):
+    """The (rule, function) pairs, the points of each dynamic rule and a digest of the firings."""
     report = ValidationReport(m, n)
-    firings = [(f.func, f.coords, f.case.label, f.sources, f.cells, f.stores)
+    firings = [[f.func, f.coords, f.case.label, f.sources, f.cells, f.stores]
                for f in walk(spec, m, n, report)]
-    return [str(v) for v in report.violations], firings
+    dynamic = {}
+    for v in report.violations:
+        if v.rule in DYNAMIC:
+            dynamic.setdefault(v.rule, []).append([v.func, list(v.coords)])
+    return ({(v.rule, v.func) for v in report.violations}, dynamic,
+            hashlib.sha256(json.dumps(firings).encode()).hexdigest())
 
 
 def test_compiled_walk_matches_interpreter_on_mutated_specs():
-    rnd = random.Random(6)
-    for _ in range(300):
-        spec = mutated_spec(rnd)
-        interpreted = dataclasses.replace(spec)
-        # the cached walkers, set before first use: every function interpreted
-        interpreted.__dict__["walkers"] = (None,) * len(spec.funcs)
-        m = rnd.randint(1, 5)
-        n = rnd.randint(1, m)
-        assert walked(spec, m, n) == walked(interpreted, m, n)
+    """The walk against what the expression interpreter gave at the fixture's commit.
+
+    A spec whose static faults the interpreter never reported lists them
+    under "new", with the reason; one with a type the interpreter let
+    through may also drop pairs ("gone") and differ in its points and firings.
+    """
+    oracle = json.loads(ORACLE.read_text())["specs"]
+    for (name, spec, m, n), pinned in zip(oracle_specs(), oracle, strict=True):
+        assert (name, m, n) == (pinned["id"], pinned["m"], pinned["n"])
+        rules, dynamic, firings = walked(spec, m, n)
+        expected = ({tuple(pair) for pair in pinned["rules"]}
+                    - {(rule, func) for rule, func, _ in pinned.get("gone", [])}
+                    | {(rule, func) for rule, func, _ in pinned.get("new", [])})
+        assert rules == expected, name
+        if all(why != LET_THROUGH for _, _, why in pinned.get("new", [])):
+            assert (dynamic, firings) == (pinned["dynamic"], pinned["firings"]), name

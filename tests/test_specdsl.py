@@ -1,5 +1,8 @@
 import dataclasses
+import functools
 import json
+import operator
+import random
 import re
 from pathlib import Path
 
@@ -13,7 +16,6 @@ from spatialqr.specdsl import (
     COL,
     K,
     M,
-    N,
     ROW,
     BoundSpec,
     CallRef,
@@ -24,11 +26,9 @@ from spatialqr.specdsl import (
     RecurrenceCase,
     RelayDirective,
     StoreDirective,
-    UnboundNameError,
     builtin_qr_spec,
-    enumerate_domain,
     ValidationReport,
-    eval_expr,
+    Violation,
     spec_from_json,
     spec_to_json,
     validate,
@@ -43,26 +43,36 @@ def replace_func(spec, name, **changes):
     return dataclasses.replace(spec, funcs=funcs)
 
 
+def x_domain(m, n):
+    """X's points in loop-nest order: 1 <= col <= N, row running down from M to col + 1."""
+    return [(col, row) for col in range(1, n + 1) for row in range(m, col, -1)]
+
+
+def y_domain(m, n):
+    """Y's points: X's, each with col + 1 <= k <= N + 1."""
+    return [(col, row, k) for col, row in x_domain(m, n) for k in range(col + 1, n + 2)]
+
+
+def walked_coords(spec, m, n):
+    """Per function, the coordinates of its firings in walk order."""
+    report = ValidationReport(m, n)
+    coords = {f.name: [] for f in spec.funcs}
+    for firing in walk(spec, m, n, report):
+        coords[firing.func].append(firing.coords)
+    assert report.ok
+    return coords
+
+
 class TestEvalExpr:
-    def test_arithmetic(self):
-        assert eval_expr(M - COL, {"M": 4, "col": 1}) == 3
-
-    def test_store_condition_guard(self):
-        cond = ROW.eq(COL + 1) & ROW.eq(M)
-        assert eval_expr(cond, {"row": 4, "col": 3, "M": 4}) is True
-        assert eval_expr(cond, {"row": 4, "col": 2, "M": 4}) is False
-
-    def test_unbound_name(self):
-        with pytest.raises(UnboundNameError):
-            eval_expr(M - COL, {"M": 4})
-
     def test_bound_range_inner(self):
-        b = BoundSpec("k", COL + 1, 1, N + 1)
-        assert b.enumerate({"col": 3, "N": 4}) == [4, 5]
+        # k: col + 1 .. N + 1
+        y = walked_coords(builtin_qr_spec(), 4, 4)["Y"]
+        assert [k for col, row, k in y if (col, row) == (3, 4)] == [4, 5]
 
     def test_bound_range_descending(self):
-        b = BoundSpec("row", M, -1, COL + 1)
-        assert b.enumerate({"M": 4, "col": 1}) == [4, 3, 2]
+        # row: M .. col + 1, step -1
+        x = walked_coords(builtin_qr_spec(), 4, 3)["X"]
+        assert [row for col, row in x if col == 1] == [4, 3, 2]
 
     def test_zero_step_rejected(self):
         with pytest.raises(ValueError):
@@ -81,11 +91,10 @@ class TestBuiltinSpec:
                 assert report.ok, f"violations at ({m},{n}): {report.violations}"
 
     def test_iteration_counts_at_4x4(self):
-        spec = builtin_qr_spec()
-        x_pts = enumerate_domain(spec.func("X"), {"M": 4, "N": 4})
-        y_pts = enumerate_domain(spec.func("Y"), {"M": 4, "N": 4})
-        assert len(x_pts) == 6
-        assert len(y_pts) == 20
+        coords = walked_coords(builtin_qr_spec(), 4, 4)
+        assert coords == {"X": x_domain(4, 4), "Y": y_domain(4, 4)}
+        assert len(coords["X"]) == 6
+        assert len(coords["Y"]) == 20
 
     def test_guard_partition_at_4x4(self):
         spec = builtin_qr_spec()
@@ -101,22 +110,18 @@ class TestBuiltinSpec:
         assert labels["d"] == [(2, 3)]
 
     def test_guards_exclusive_and_exhaustive(self):
+        # exactly one firing per point of each domain, in loop-nest order
         spec = builtin_qr_spec()
         for m in range(1, 9):
             for n in range(1, m + 1):
-                case_at = {(f.func, f.coords): f.case
-                           for f in walk(spec, m, n, ValidationReport(m, n))}
-                for func in spec.funcs:
-                    for point in enumerate_domain(func, {"M": m, "N": n}):
-                        case_at[func.name, point]  # raises unless exactly one
+                assert walked_coords(spec, m, n) == {"X": x_domain(m, n), "Y": y_domain(m, n)}
 
     def test_empty_domain_is_legal(self):
         spec = builtin_qr_spec()
-        x = spec.func("X")
         # col = N contributes nothing when M = N: row range M..col+1 is empty
-        pts = enumerate_domain(x, {"M": 4, "N": 4})
-        assert all(p[0] != 4 for p in pts)
-        assert enumerate_domain(x, {"M": 1, "N": 1}) == []
+        x = walked_coords(spec, 4, 4)["X"]
+        assert x and all(col != 4 for col, row in x)
+        assert walked_coords(spec, 1, 1) == {"X": [], "Y": []}
 
 
 class TestInjectedFaults:
@@ -130,6 +135,12 @@ class TestInjectedFaults:
         assert "guard-overlap" in report.rules()
         overlapping = [v.coords for v in report.violations if v.rule == "guard-overlap"]
         assert (1, 4) in overlapping
+
+    def test_overlap_names_a_label_that_is_not_a_string(self):
+        x = builtin_qr_spec().func("X")
+        clone = dataclasses.replace(x.cases[0], label=5)
+        report = validate(replace_func(builtin_qr_spec(), "X", cases=x.cases + (clone,)), 4, 4)
+        assert "[guard-overlap] X(1, 4): cases a, 5 all hold" in map(str, report.violations)
 
     def test_missing_case_is_gap(self):
         spec = builtin_qr_spec()
@@ -415,6 +426,13 @@ class TestMalformedFunctions:
         with pytest.raises(ValueError, match=r"does not validate at \(4, 4\)"):
             run(spec, SimConfig(), aug)
 
+    def test_more_dims_than_python_nests_is_reported(self):
+        dims = tuple(f"d{i}" for i in range(21))
+        z = dataclasses.replace(X_FUNC, name="Z", dims=dims, directives=(), cell_map=(),
+                                bounds=tuple(BoundSpec(d, IntLit(1), 1, IntLit(1)) for d in dims))
+        spec = dataclasses.replace(builtin_qr_spec(), funcs=builtin_qr_spec().funcs + (z,))
+        assert [(v.rule, v.func) for v in validate(spec, 4, 4).violations] == [("bounds-shape", "Z")]
+
     def test_tuple_arity_must_match_the_kernel(self):
         """X claims a fifth element, which a Y case reads but no eliminate returns."""
         spec = with_x(tuple_arity=5, cell_map=X_FUNC.cell_map + (None,))
@@ -441,14 +459,79 @@ class TestMalformedFunctions:
             run(spec2, SimConfig(), aug)
 
 
-def test_readme_rule_table_matches_the_code():
-    """Every rule id in the README's rule table is one that specdsl raises, and back."""
-    root = Path(__file__).resolve().parents[1]
-    readme = (root / "README.md").read_text()
+def readme_rules():
+    """The rule ids in the README's rule table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme[readme.index("| checked | rule ids |"):]
     table = table[:table.index("\n\n")]
-    documented = {rule for row in table.splitlines()[2:]
-                  for rule in re.findall(r"`([a-z]+(?:-[a-z]+)+)`", row.split("|")[2])}
+    return {rule for row in table.splitlines()[2:]
+            for rule in re.findall(r"`([a-z]+(?:-[a-z]+)+)`", row.split("|")[2])}
+
+
+def test_readme_rule_table_matches_the_code():
+    """Every rule id in the README's rule table is one that specdsl raises, and back."""
+    # rule ids are the only hyphenated string literals in specdsl
     source = Path(specdsl.__file__).read_text()
-    raised = set(re.findall(r'Violation\(\s*"([a-z-]+)"', source))
-    assert documented == raised
+    raised = set(re.findall(r'"([a-z]+(?:-[a-z]+)+)"', source))
+    assert readme_rules() == raised
+
+
+def json_paths(obj):
+    """(path, value) of every node below ``obj``, the root excluded."""
+    nodes = [((), obj)]
+    for path, value in nodes:  # grows as it goes
+        items = (value.items() if isinstance(value, dict)
+                 else enumerate(value) if isinstance(value, list) else ())
+        nodes.extend((path + (key,), child) for key, child in items)
+    return nodes[1:]
+
+
+SPEC_TEXT = spec_to_json(builtin_qr_spec())
+PATHS = json_paths(json.loads(SPEC_TEXT))
+CASES = [p for p, _ in PATHS if p[-1] == "cases"]
+LISTS = [p for p, v in PATHS if isinstance(v, list) and v]
+DICTS = [p for p, v in PATHS if isinstance(v, dict) and v]
+INTS = [p for p, v in PATHS if type(v) is int]
+
+
+def structurally_mutated(rnd):
+    """The built-in spec's JSON with one structural edit."""
+    obj = json.loads(SPEC_TEXT)
+    what = rnd.randrange(4)
+    if what == 0:  # drop or duplicate a case, or an element of another list
+        path = rnd.choice(CASES if rnd.random() < 0.5 else LISTS)
+        items = functools.reduce(operator.getitem, path, obj)
+        i = rnd.randrange(len(items))
+        if rnd.random() < 0.5:
+            del items[i]
+        else:
+            items.insert(i, json.loads(json.dumps(items[i])))
+    elif what == 1:  # delete a key
+        d = functools.reduce(operator.getitem, rnd.choice(DICTS), obj)
+        del d[rnd.choice(sorted(d))]
+    else:  # shift an int, or replace a node
+        *path, key = rnd.choice(INTS) if what == 2 else rnd.choice(PATHS)[0]
+        container = functools.reduce(operator.getitem, path, obj)
+        if what == 2:
+            container[key] += rnd.choice([-2, -1, 1, 2])
+        else:
+            container[key] = rnd.choice([None, [], {}, "x", 1.5])
+    return json.dumps(obj)
+
+
+def test_structural_json_mutations_end_in_violations_or_spec_json_errors():
+    rules = readme_rules()
+    rnd = random.Random(12)
+    outcomes = {"violations": 0, "ok": 0, "error": 0}
+    for _ in range(500):
+        mutated = structurally_mutated(rnd)
+        try:
+            spec = spec_from_json(mutated)
+        except ValueError as exc:
+            assert str(exc).startswith("spec JSON: "), (mutated, exc)
+            outcomes["error"] += 1
+            continue
+        report = validate(spec, 4, 3)
+        assert all(isinstance(v, Violation) and v.rule in rules for v in report.violations)
+        outcomes["violations" if report.violations else "ok"] += 1
+    assert min(outcomes.values()) > 0, outcomes
