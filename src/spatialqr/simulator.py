@@ -2,14 +2,15 @@
 
 Iterations are placed onto PEs according to which loop dims are unrolled,
 values travel through bounded FIFO channels (relay chains included), and a
-deterministic event-driven sweep scheduler fires each PE's iterations in
-program order.
+deterministic event-driven sweep scheduler, run once per design on queue
+lengths, fires each PE's iterations in program order; every input replays it.
 Store directives drain final values into an assembled result matrix, and the
 report carries occupancy and deadlock diagnostics.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 import json
 import math
@@ -128,16 +129,11 @@ def place(graph: DataflowGraph, cfg: SimConfig) -> Placement:
 # --- the compiled design ---------------------------------------------------------
 
 class NodeOp(NamedTuple):
-    """One iteration's firing, with channels named by their index in a :class:`Design`.
+    """One iteration's firing on PE ``pe``, with channels named by their index in a :class:`Design`.
 
-    The firing is ready when every channel in ``pops`` holds a value and
-    every channel in ``room`` has a free slot.  ``wire`` guarantees that a
-    firing pops at most one value from, and pushes at most one value into,
-    each channel, so these two sets are the whole check; a channel the
-    firing both pops and pushes frees its own slot and needs no room check.
-    ``wakes`` lists the PE indices whose readiness this firing can change:
-    the consumers of the channels it pushes to, the producers of the
-    channels it pops from, and its own PE.
+    ``wire`` guarantees that a firing pops at most one value from, and
+    pushes at most one value into, each channel.  The firing pops every
+    channel in ``pops``, runs the kernel, then pushes.
     """
 
     kernel: Callable[..., tuple[float, ...]]
@@ -148,17 +144,18 @@ class NodeOp(NamedTuple):
     pushes: tuple[tuple[int, int], ...]  # (channel, output index, or _CS / _RELAY for a pair)
     stores: tuple[tuple[int, tuple[int, int]], ...]  # (output index, result position)
     pops: tuple[int, ...]  # the pair channel first, then ``fetches``' channels
-    room: tuple[int, ...]
-    wakes: tuple[int, ...]
+    pe: int
 
 
 @dataclass(frozen=True)
 class Design:
-    """A spec placed and wired at one shape: everything a run fixes before the data.
+    """A spec placed, wired and scheduled at one shape: everything a run fixes before the data.
 
     Channels are ints; channel ``c`` runs from PE ``chan_src[c]`` to PE
     ``chan_dst[c]`` and is named ``chan_labels[c]`` in reports and errors.
-    :func:`execute` runs any number of matrices of the shape on one design.
+    ``sweeps`` holds, per sweep, the node ids it fires in order, and
+    ``report`` every report field but the drained values and the events.
+    :func:`execute` replays the sweeps for any number of matrices of the shape.
     """
 
     graph: DataflowGraph  # as built, before any relay view
@@ -169,6 +166,8 @@ class Design:
     chan_labels: tuple[str, ...]
     ops: tuple[NodeOp, ...]  # per node id
     programs: tuple[tuple[int, ...], ...]  # per PE index, its node ids in program order
+    sweeps: tuple[tuple[int, ...], ...]
+    report: SimReport
 
 
 # channel tags and pair pushes as ints: tuple index or port >= 0, else one of these
@@ -176,7 +175,7 @@ _CS, _RELAY = -1, -2
 
 
 def compile_design(spec: SpatialSpec, cfg: SimConfig, m: int, n: int) -> Design:
-    """Build, place and wire ``spec`` at m x n; see :func:`wire`."""
+    """Build, place, wire and schedule ``spec`` at m x n; see :func:`wire`."""
     graph = build_graph(spec, m, n)
     return wire(graph, place(graph, cfg), cfg)
 
@@ -196,6 +195,20 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
     them, one per producer firing.  Consumers are visited in program order,
     so that holds when the producer slots of each channel's flows strictly
     increase; the first channel that breaks it raises :class:`WiringError`.
+
+    Last, the design is scheduled once, from queue lengths alone.  Each sweep
+    visits PEs in a fixed order; a PE fires its next unfired iteration if and
+    only if all its input channels hold a value and all its output channels
+    have room (a channel the firing also pops frees its own slot).  A sweep
+    that fires nothing while work remains is a deadlock, recorded as a last,
+    empty sweep, and reported with per-PE blocking diagnostics.  Only PEs
+    whose readiness may have changed are visited: a PE found not ready is
+    dropped until a firing on one of its channels wakes it, namely the
+    producers of the channels it pops, the consumers of the channels it
+    pushes, and its own PE.  A PE woken by a firing earlier in the fixed
+    order joins the current sweep, any other one the next sweep, so every
+    sweep fires exactly the PEs a scan over all of them would.  No kernel
+    runs, so the schedule holds for every input.
     """
     work = relay_view(graph) if cfg.relay_enabled else graph
     nodes, relayed = work.nodes, work.relayed
@@ -268,18 +281,97 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
         if kernel is None:
             kernel = kernels[id(case)] = (KERNELS[case.kernel][0], tuple(
                 [arg.value if isinstance(arg, ConstRef) else None for arg in case.args]))
-        pushed = tuple(pushes[i])
         stored = work.node_stores[i]
         ops.append(NodeOp(
-            *kernel, pair, chans, work.loads[i], pushed,
+            *kernel, pair, chans, work.loads[i], tuple(pushes[i]),
             tuple([(stored[k], (stored[k + 1], stored[k + 2])) for k in range(0, len(stored), 3)]),
-            pops,
-            tuple([c for c, _ in pushed if c not in pops]),
-            tuple(sorted({node_pe[i], *[chan_src[c] for c in pops],
-                          *[chan_dst[c] for c, _ in pushed]})),
+            pops, node_pe[i],
         ))
-    return Design(graph, cfg, pe_labels, tuple(chan_src), tuple(chan_dst), labels,
-                  tuple(ops), tuple(map(tuple, programs)))
+
+    # the schedule, on queue lengths
+    capacity = cfg.channel_capacity
+    lengths = [0] * len(labels)
+    sends = [0] * len(labels)
+    occupancy = [0] * len(labels)
+    pointers = [0] * len(programs)
+    sweeps: list[tuple[int, ...]] = []
+    fired = 0
+
+    # ``queued[i]`` is the sweep PE i is queued for; a PE is never queued for
+    # the current and the next sweep at once, because only PEs at or before
+    # the one firing go to the next sweep and those have left the heap.
+    current = list(range(len(programs)))  # ascending, so already a heap
+    queued = [1] * len(programs)
+    while fired < len(ops):  # a sweep fires at least once or ends the run in deadlock
+        steps = len(sweeps) + 1
+        sweep: list[int] = []
+        later: list[int] = []
+        while current:
+            i = heapq.heappop(current)
+            k = pointers[i]
+            program = programs[i]
+            if k >= len(program):
+                continue
+            node = program[k]
+            _, _, _, _, _, outs, _, ins, _ = ops[node]
+            for c in ins:
+                if not lengths[c]:
+                    break
+            else:
+                for c, _ in outs:
+                    if lengths[c] >= capacity and c not in ins:
+                        break
+                else:
+                    for c in ins:
+                        lengths[c] -= 1
+                    for c, _ in outs:
+                        lengths[c] += 1
+                        sends[c] += 1
+                        if lengths[c] > occupancy[c]:
+                            occupancy[c] = lengths[c]
+                    sweep.append(node)
+                    pointers[i] = k + 1
+                    fired += 1
+                    for j in {i, *[chan_src[c] for c in ins], *[chan_dst[c] for c, _ in outs]}:
+                        if j > i:
+                            if queued[j] != steps:
+                                queued[j] = steps
+                                heapq.heappush(current, j)
+                        elif queued[j] != steps + 1:
+                            queued[j] = steps + 1
+                            later.append(j)
+        sweeps.append(tuple(sweep))
+        if not sweep:
+            break
+        heapq.heapify(later)
+        current = later
+
+    blocked = []
+    for program, label, k in zip(programs, pe_labels, pointers):
+        if k < len(program):
+            op = ops[program[k]]
+            blocked.append({
+                "pe": label,
+                "iteration": str(graph.nodes[program[k]]),
+                "waiting_on_empty": [labels[c] for c in op.pops if not lengths[c]],
+                "waiting_on_full": [labels[c] for c, _ in op.pushes if lengths[c] >= capacity],
+            })
+    report = SimReport(
+        status="deadlock" if blocked else "completed",
+        m=graph.m,
+        n=graph.n,
+        config=cfg.describe(),
+        steps=len(sweeps),
+        firings=dict(zip(pe_labels, pointers)),
+        max_occupancy=dict(zip(labels, occupancy)),
+        channel_sends=dict(zip(labels, sends)),
+        output=None,
+        drained=[],
+        uncovered=[],
+        blocked=blocked,
+    )
+    return Design(graph, cfg, pe_labels, tuple(chan_src), tuple(chan_dst), labels, tuple(ops),
+                  tuple(map(tuple, programs)), tuple(sweeps), report)
 
 
 # --- execution ------------------------------------------------------------------
@@ -314,156 +406,65 @@ def run(spec: SpatialSpec, cfg: SimConfig, aug: AugmentedMatrix) -> SimReport:
 
 
 def execute(design: Design, aug: AugmentedMatrix) -> SimReport:
-    """Run one input through ``design``, with fresh queues and counters.
+    """Replay ``design``'s sweeps on one input, with fresh queues.
 
-    Each sweep visits PEs in a fixed order; a PE fires its next unfired
-    iteration if and only if all its input channels hold a value and all its
-    output channels have room.  A sweep that fires nothing while work remains
-    is a deadlock and is reported with per-PE blocking diagnostics.
-
-    Only PEs whose readiness may have changed are visited: a PE found not
-    ready is dropped until a firing on one of its channels wakes it.  A PE
-    woken by a firing earlier in the fixed order joins the current sweep,
-    any other one the next sweep, so every sweep fires exactly the PEs a
-    scan over all of them would.
+    Each recorded firing pops its channels, runs its kernel and pushes its
+    outputs; the first non-finite kernel output raises
+    :class:`NonFiniteError`.  A deadlocked design replays the firings before
+    the deadlock and reports it.  The report's data-free fields are copies
+    of ``design.report``, so executions share no state.
     """
-    graph, cfg = design.graph, design.cfg
+    graph, cfg, rep = design.graph, design.cfg, design.report
     m, n = graph.m, graph.n
     if (aug.m, aug.n) != (m, n):
         raise ValueError(f"design is for {m}x{n} inputs, got {aug.m}x{aug.n}")
-    nodes, ops, programs, labels = graph.nodes, design.ops, design.programs, design.chan_labels
+    nodes, ops, labels, log_events = graph.nodes, design.ops, design.chan_labels, cfg.log_events
     get = aug.inner.get
     queues = [deque() for _ in labels]
-    sends = [0] * len(labels)
-    occupancy = [0] * len(labels)
-    pointers = [0] * len(programs)
-    capacity, log_events = cfg.channel_capacity, cfg.log_events
     store_events: list[tuple[tuple[int, int], float, IterNode, int]] = []
     events: list[str] = []
-    total = len(ops)
-    fired = 0
-    steps = 0
-
-    # ``queued[i]`` is the sweep PE i is queued for; a PE is never queued for
-    # the current and the next sweep at once, because only PEs at or before
-    # the one firing go to the next sweep and those have left the heap.
-    current = list(range(len(programs)))  # ascending, so already a heap
-    queued = [1] * len(programs)
-    status = "completed"
-    blocked: list[dict] = []
-    while fired < total:  # a sweep fires at least once or ends the run in deadlock
-        steps += 1
-        later: list[int] = []
-        progressed = False
-        while current:
-            i = heapq.heappop(current)
-            k = pointers[i]
-            program = programs[i]
-            if k >= len(program):
-                continue
-            node = program[k]
-            op = ops[node]
-            for c in op.pops:
-                if not queues[c]:
-                    break
-            else:
-                for c in op.room:
-                    if len(queues[c]) >= capacity:
-                        break
-                else:
-                    kernel, args, pair, fetches, mems, pushes, stores, _, _, wakes = op
-                    args = list(args)
-                    popped = None
-                    if pair is not None:
-                        c, lo, hi = pair
-                        popped = queues[c].popleft()
-                        args[lo], args[hi] = popped
-                    for c, port in fetches:
-                        args[port] = queues[c].popleft()
-                    for row, col, port in mems:
-                        args[port] = get(row, col)
-                    try:
-                        out = kernel(*args)
-                    except NonFiniteError as exc:
-                        raise NonFiniteError(f"{nodes[node]}: {exc}") from None
-                    if not all(map(math.isfinite, out)):
-                        raise NonFiniteError(f"non-finite kernel output at {nodes[node]}")
-                    for c, index in pushes:
-                        q = queues[c]
-                        if len(q) >= capacity:
-                            raise WiringError(f"push into full channel {labels[c]}")
-                        q.append(out[index] if index >= 0 else popped if index == _RELAY
+    for step, sweep in enumerate(design.sweeps, 1):
+        for node in sweep:
+            kernel, args, pair, fetches, mems, pushes, stores, _, pe = ops[node]
+            args = list(args)
+            popped = None
+            if pair is not None:
+                c, lo, hi = pair
+                popped = queues[c].popleft()
+                args[lo], args[hi] = popped
+            for c, port in fetches:
+                args[port] = queues[c].popleft()
+            for row, col, port in mems:
+                args[port] = get(row, col)
+            try:
+                out = kernel(*args)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"{nodes[node]}: {exc}") from None
+            if not all(map(math.isfinite, out)):
+                raise NonFiniteError(f"non-finite kernel output at {nodes[node]}")
+            for c, index in pushes:
+                queues[c].append(out[index] if index >= 0 else popped if index == _RELAY
                                  else (out[0], out[1]))
-                        sends[c] += 1
-                        if len(q) > occupancy[c]:
-                            occupancy[c] = len(q)
-                    for index, position in stores:
-                        store_events.append((position, out[index], nodes[node], index))
-                    if log_events:
-                        consumed = ",".join(repr(v) for v in args)
-                        produced = ",".join(repr(v) for v in out)
-                        events.append(
-                            f"step={steps} pe={design.pe_labels[i]} iter={nodes[node]} "
-                            f"consumed=[{consumed}] produced=[{produced}]"
-                        )
-                    pointers[i] = k + 1
-                    fired += 1
-                    progressed = True
-                    for j in wakes:
-                        if j > i:
-                            if queued[j] != steps:
-                                queued[j] = steps
-                                heapq.heappush(current, j)
-                        elif queued[j] != steps + 1:
-                            queued[j] = steps + 1
-                            later.append(j)
-        if not progressed:
-            status = "deadlock"
-            blocked = _blocking_diagnostics(design, queues, pointers)
-            break
-        heapq.heapify(later)
-        current = later
+            for index, position in stores:
+                store_events.append((position, out[index], nodes[node], index))
+            if log_events:
+                consumed = ",".join(repr(v) for v in args)
+                produced = ",".join(repr(v) for v in out)
+                events.append(
+                    f"step={step} pe={design.pe_labels[pe]} iter={nodes[node]} "
+                    f"consumed=[{consumed}] produced=[{produced}]"
+                )
 
-    if status == "completed":
+    if rep.completed:
         leftovers = [label for label, q in zip(labels, queues) if q]
         if leftovers:
             raise SimulationError(f"values left in channels after completion: {leftovers}")
         output, drained, uncovered = drain(graph, store_events)
     else:
         output, drained, uncovered = None, [], []
-
-    by_label = sorted(range(len(labels)), key=labels.__getitem__)
-    return SimReport(
-        status=status,
-        m=m,
-        n=n,
-        config=cfg.describe(),
-        steps=steps,
-        firings=dict(zip(design.pe_labels, pointers)),
-        max_occupancy={labels[c]: occupancy[c] for c in by_label},
-        channel_sends={labels[c]: sends[c] for c in by_label},
-        output=output,
-        drained=drained,
-        uncovered=uncovered,
-        blocked=blocked,
-        events=events,
-    )
-
-
-def _blocking_diagnostics(design: Design, queues: list[deque], pointers: list[int]) -> list[dict]:
-    labels, capacity = design.chan_labels, design.cfg.channel_capacity
-    out: list[dict] = []
-    for program, label, k in zip(design.programs, design.pe_labels, pointers):
-        if k >= len(program):
-            continue
-        op = design.ops[program[k]]
-        out.append({
-            "pe": label,
-            "iteration": str(design.graph.nodes[program[k]]),
-            "waiting_on_empty": [labels[c] for c in op.pops if not queues[c]],
-            "waiting_on_full": [labels[c] for c, _ in op.pushes if len(queues[c]) >= capacity],
-        })
-    return out
+    return SimReport(rep.status, m, n, cfg.describe(), rep.steps, dict(rep.firings),
+                     dict(rep.max_occupancy), dict(rep.channel_sends), output, drained,
+                     uncovered, copy.deepcopy(rep.blocked), events)
 
 
 def expected_store_positions(graph: DataflowGraph) -> list[tuple[int, int]]:

@@ -446,8 +446,7 @@ def walk(spec: SpatialSpec, m: int, n: int, report: ValidationReport) -> Iterato
     the spec only if ``report`` ends ok.
 
     Each function runs its compiled walker (:attr:`SpatialSpec.walkers`),
-    which stops at the first point with a dynamic violation; a walker
-    generated to report them then walks that function again.
+    which reports each dynamic violation through a ``bad`` callback.
     """
     if m < 1 or n < 1:
         raise ValueError(f"constants must be >= 1, got M={m}, N={n}")
@@ -464,26 +463,22 @@ def walk(spec: SpatialSpec, m: int, n: int, report: ValidationReport) -> Iterato
 
     for func, walker in funcs:
         report.violations.extend(walker.faults)
-        args = (m, n, orders[func.name], tuple(domains[name] for name in walker.callees),
-                func.cases, func.name)
-        firings = walker.fire(*args)
-        if firings is None:
-            sites: list[tuple[str, str]] = []
 
-            def bad(site: int, point: tuple[int, ...], value: tuple) -> None:
-                rule, prefix = sites[site]
-                if rule == "guard-gap":  # value holds every guard
-                    held = [str(c.label) for c, g in zip(func.cases, value) if g]
-                    message = f"cases {', '.join(held)} all hold" if held else "no case guard holds"
-                    rule = "guard-overlap" if held else rule
-                elif rule == "callref-out-of-domain":
-                    message = f"{prefix}{value} is outside its domain"
-                else:
-                    message = f"{prefix}{value} is outside the {m}x{n + 1} input"
-                report.violations.append(Violation(rule, func.name, point, message))
+        def bad(site: int, point: tuple[int, ...], value: tuple) -> None:
+            rule, prefix = walker.sites[site]
+            if rule == "guard-gap":  # value holds every guard
+                held = [str(c.label) for c, g in zip(func.cases, value) if g]
+                message = f"cases {', '.join(held)} all hold" if held else "no case guard holds"
+                rule = "guard-overlap" if held else rule
+            elif rule == "callref-out-of-domain":
+                message = f"{prefix}{value} is outside its domain"
+            else:
+                message = f"{prefix}{value} is outside the {m}x{n + 1} input"
+            report.violations.append(Violation(rule, func.name, point, message))
 
-            firings = _compile_walker(spec, func, sites).fire(*args, bad)
-        yield from firings
+        yield from walker.fire(m, n, orders[func.name],
+                               tuple(domains[name] for name in walker.callees),
+                               func.cases, func.name, bad)
 
 
 # --- generated walkers ----------------------------------------------------------------
@@ -501,19 +496,20 @@ class _Walker:
     """One function's static faults and compiled walk; see :func:`_walker_source`."""
 
     domain: Callable[[int, int], list[tuple[int, ...]]]
-    fire: Callable[..., list[Firing] | None]
+    fire: Callable[..., list[Firing]]
     callees: tuple[str, ...]  # whose domains ``fire`` checks calls against, in order
     faults: tuple[Violation, ...]
+    sites: tuple[tuple[str, str], ...]  # per site ``fire`` passes to ``bad``: rule, message prefix
 
 
-def _compile_walker(spec: SpatialSpec, func: FuncSpec,
-                    sites: list[tuple[str, str]] | None = None) -> _Walker:
+def _compile_walker(spec: SpatialSpec, func: FuncSpec) -> _Walker:
     """Check ``func`` statically, then generate and compile its walker."""
     faults = _validate_structure(spec, func)
+    sites: list[tuple[str, str]] = []
     source, callees = _walker_source(spec, func, faults, sites)
     namespace: dict = {"__builtins__": {}, "range": range, "Firing": Firing}
     exec(compile(source, "<spatialqr walker>", "exec"), namespace)
-    return _Walker(namespace["domain"], namespace["fire"], callees, tuple(faults))
+    return _Walker(namespace["domain"], namespace["fire"], callees, tuple(faults), tuple(sites))
 
 
 def _lower_expr(e: Expr, slots: Mapping[str, str], depth: int = 0) -> tuple[str, type]:
@@ -555,15 +551,14 @@ def _lower_expr(e: Expr, slots: Mapping[str, str], depth: int = 0) -> tuple[str,
 
 def _walker_source(spec: SpatialSpec, func: FuncSpec, faults: list[Violation] | None = None,
                    sites: list[tuple[str, str]] | None = None) -> tuple[str, tuple[str, ...]]:
-    """Source of ``domain(m, n)`` and ``fire(m, n, points, domains, cases, name)``.
+    """Source of ``domain(m, n)`` and ``fire(m, n, points, domains, cases, name, bad)``.
 
     ``domain`` lists the iteration points in loop-nest order.  ``fire``
-    returns one :class:`Firing` per point, or None at the first point with a
-    dynamic violation: no or several guards holding, a memory reference or a
-    cell outside the input, a call outside its callee's domain.  Given
-    ``sites``, ``fire`` takes a last argument ``bad`` instead, and calls
-    ``bad(site, point, value)`` at each such violation, where ``sites[site]``
-    is its rule and message prefix; a guard violation skips the point.
+    returns one :class:`Firing` per point.  It calls ``bad(site, point,
+    value)`` at each dynamic violation: no or several guards holding, a
+    memory reference or a cell outside the input, a call outside its
+    callee's domain.  ``sites[site]`` is the violation's rule and message
+    prefix, appended here; a guard violation skips the point.
 
     An expression that does not type-check is appended to ``faults`` and
     lowered as the walk treats it: a guard or store condition that never
@@ -573,6 +568,7 @@ def _walker_source(spec: SpatialSpec, func: FuncSpec, faults: list[Violation] | 
     the source.
     """
     faults = [] if faults is None else faults
+    sites = [] if sites is None else sites
     rank = len(func.dims)
     point = "".join(f"d{i}, " for i in range(rank))
     slots = {"M": "m", "N": "n"}
@@ -593,8 +589,6 @@ def _walker_source(spec: SpatialSpec, func: FuncSpec, faults: list[Violation] | 
 
     def fault(rule: str, prefix: str, value: str) -> str:
         """The statement that meets a dynamic violation of ``rule``."""
-        if sites is None:
-            return "return None"
         sites.append((rule, prefix))
         return f"bad({len(sites) - 1}, point, {value})"
 
@@ -622,8 +616,7 @@ def _walker_source(spec: SpatialSpec, func: FuncSpec, faults: list[Violation] | 
     body += [f"g{j} = {'False' if g is None else g[0]}" for j, g in enumerate(guards)]
     held = " + ".join(f"g{j}" for j in range(len(guards))) or "0"
     values = "".join(f"g{j}, " for j in range(len(guards)))
-    body.append(f"if {held} != 1: {fault('guard-gap', '', f'({values})')}"
-                + ("; continue" if sites is not None else ""))
+    body.append(f"if {held} != 1: {fault('guard-gap', '', f'({values})')}; continue")
     cells = {}
     for idx, cell in enumerate(func.cell_map):
         pos = None if cell is None else lowered(cell, int, "cell-eval", f"cell_map[{idx}]")
@@ -670,7 +663,7 @@ def _walker_source(spec: SpatialSpec, func: FuncSpec, faults: list[Violation] | 
         body.append(f"    add(Firing(name, point, case{j}, ({''.join(sources)}), cells, stores))")
 
     lines += [
-        f"def fire(m, n, points, domains, cases, name{'' if sites is None else ', bad'}):",
+        "def fire(m, n, points, domains, cases, name, bad):",
         f"    ({''.join(f'dom{k}, ' for k in range(len(callees)))}) = domains",
         f"    ({''.join(f'case{j}, ' for j in range(len(func.cases)))}) = cases",
         "    out = []",

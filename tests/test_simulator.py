@@ -19,6 +19,7 @@ from spatialqr.simulator import (
     WiringError,
     compile_design,
     drain,
+    execute,
     folded_unroll,
     place,
     report_to_json,
@@ -354,6 +355,26 @@ class TestDeadlock:
         obj = json.loads(report_to_json(rep))
         assert obj["status"] == "deadlock"
         assert obj["output"] is None
+
+
+class TestDesignReuse:
+    @pytest.mark.parametrize("spec, cfg, shape", [
+        (SPEC, config("full"), (4, 4)),
+        (chain_spec(), SimConfig(unroll={"F": ()}), (2, 2)),  # deadlocks
+    ])
+    def test_executions_share_no_state(self, spec, cfg, shape):
+        design = compile_design(spec, cfg, *shape)
+        aug = make_aug(*shape)
+        first = execute(design, aug)
+        expected = report_to_json(first)
+        for table in (first.firings, first.max_occupancy, first.channel_sends):
+            for key in table:
+                table[key] += 1
+            table["stray"] = 1
+        for entry in first.blocked:
+            entry["waiting_on_empty"].append("stray")
+        first.blocked.append({"pe": "stray"})
+        assert report_to_json(execute(design, aug)) == expected
 
 
 class TestSimulationErrors:

@@ -151,6 +151,21 @@ class TestInjectedFaults:
         gaps = [v.coords for v in report.violations if v.rule == "guard-gap"]
         assert gaps == [(2, 3)]
 
+    def test_invalid_spec_compiles_each_walker_once(self, monkeypatch):
+        """A spec that never validates keeps its walkers, so a walk at a new
+        size reports every violation without compiling anything."""
+        x = builtin_qr_spec().func("X")
+        spec = replace_func(builtin_qr_spec(), "X", cases=x.cases[:-1])
+        assert [v.coords for v in validate(spec, 4, 4).violations] == [(2, 3)]
+
+        def no_compile(*args):
+            raise AssertionError("a walker was compiled again")
+
+        monkeypatch.setattr(specdsl, "_compile_walker", no_compile)
+        report = validate(spec, 5, 5)
+        assert report.rules() == {"guard-gap"}
+        assert [v.coords for v in report.violations] == [(2, 4), (2, 3), (3, 4)]
+
     def test_out_of_domain_callref(self):
         spec = builtin_qr_spec()
         x = spec.func("X")
