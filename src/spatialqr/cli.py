@@ -65,7 +65,9 @@ def _writing(path: str):
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        with _writing("standard output"):
+            sys.stdout.write(text)
+            sys.stdout.flush()
     else:
         with _writing(path), open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -93,16 +95,14 @@ def cmd_solve(args) -> int:
     a = read_matrix(args.matrix)
     z = read_vector(args.rhs)
     y = solve(a, z)
-    sys.stdout.write("\n".join(repr(v) for v in y) + "\n")
+    _write_text(None, "\n".join(repr(v) for v in y) + "\n")
     return EXIT_OK
 
 
 def cmd_trace(args) -> int:
     events = emit_trace(build_graph(builtin_qr_spec(), args.m, args.n))
-    if args.format == "json":
-        sys.stdout.write(dataflow.trace_to_json(events))
-    else:
-        sys.stdout.write(dataflow.format_trace_text(events))
+    _write_text(None, dataflow.trace_to_json(events) if args.format == "json"
+                else dataflow.format_trace_text(events))
     return EXIT_OK
 
 
@@ -156,7 +156,8 @@ def cmd_verify(args) -> int:
     aug = _load_augmented(args.matrix, None)
     result = qr_givens_reference(aug, accumulate_q=True)
     report = verify_qr(aug, result, args.tol)
-    sys.stdout.write(
+    _write_text(
+        None,
         f"reconstruction_max_error {report.reconstruction_max_error!r}\n"
         f"orthogonality_max_error {report.orthogonality_max_error!r}\n"
         f"lower_triangle_max_abs {report.lower_triangle_max_abs!r}\n"
@@ -176,10 +177,10 @@ def cmd_selfcheck(args) -> int:
         for n in range(1, m + 1):
             failure = _check_shape(spec, configs, m, n)
             if failure:
-                print(f"selfcheck: {m}x{n} FAIL {failure}")
+                _write_text(None, f"selfcheck: {m}x{n} FAIL {failure}\n")
                 return EXIT_FAIL
-            print(f"selfcheck: {m}x{n} ok")
-    print("selfcheck: all passed")
+            _write_text(None, f"selfcheck: {m}x{n} ok\n")
+    _write_text(None, "selfcheck: all passed\n")
     return EXIT_OK
 
 
@@ -273,7 +274,7 @@ def main(argv=None) -> int:
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SimulationError, NonFiniteError, SingularMatrixError) as exc:

@@ -15,6 +15,7 @@ import dataclasses
 import heapq
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 from spatialqr import specdsl
 from spatialqr.numeric import AugmentedMatrix
@@ -61,6 +62,8 @@ class DataflowGraph:
     n: int
     nodes: list[IterNode]
     node_case: list[specdsl.RecurrenceCase]
+    # per node, its case's kernel and argument template, constants filled in
+    node_kernel: list[tuple[Callable[..., tuple[float, ...]], tuple[float | None, ...]]]
     node_cells: list[tuple[int, ...]]  # flat (tuple index, row, col) triples
     node_stores: list[tuple[int, ...]]  # likewise; empty for nodes that store nothing
     pairs: list[tuple[int, int, int] | None]  # (producer, port of c, port of s)
@@ -122,11 +125,13 @@ def build_graph(spec: SpatialSpec, m: int, n: int) -> DataflowGraph:
     pairs: list[tuple[int, int, int] | None] = []
     data: list[tuple[tuple[int, int, int], ...]] = []
     loads: list[tuple[tuple[int, int, int], ...]] = []
+    kernels: list[tuple] = []
     for firing in firings:
         plan = plans.get(id(firing.case))
         if plan is None:
             plan = plans[id(firing.case)] = _case_plan(spec, firing.case, ids)
-        pair, calls, memory = plan
+        pair, calls, memory, kernel = plan
+        kernels.append(kernel)
         sources = firing.sources
         pairs.append(None if pair is None else (pair[0][sources[pair[1]]], pair[1], pair[2]))
         data.append(tuple([(callee[sources[port]], index, port) for callee, index, port in calls]))
@@ -135,6 +140,7 @@ def build_graph(spec: SpatialSpec, m: int, n: int) -> DataflowGraph:
     graph = DataflowGraph(
         spec, m, n, [IterNode(f.func, f.coords) for f in firings],
         node_case=[f.case for f in firings],
+        node_kernel=kernels,
         node_cells=[f.cells for f in firings],
         node_stores=[f.stores for f in firings],
         pairs=pairs, data=data, loads=loads, topo_order=[], ids=ids,
@@ -146,14 +152,16 @@ def build_graph(spec: SpatialSpec, m: int, n: int) -> DataflowGraph:
 def _case_plan(spec: SpatialSpec, case: specdsl.RecurrenceCase,
                ids: dict[str, dict[tuple[int, ...], int]]) -> tuple:
     """Where a case's arguments come from: its pair (callee ids, port of c, port of s)
-    or None, its data calls (callee ids, tuple index, port) and its memory ports."""
+    or None, its data calls (callee ids, tuple index, port) and its memory ports;
+    then its kernel and argument template, the one place either is looked up."""
     reads = spec.pair_reads(case)  # validation makes it one .0 and one .1 of one call
     ports = {a.index: port for port, a in reads.items()}
     pair = (ids[reads[ports[0]].func], ports[0], ports[1]) if reads else None
     calls = [(ids[a.func], a.index, port) for port, a in enumerate(case.args)
              if isinstance(a, CallRef) and port not in reads]
     memory = [port for port, a in enumerate(case.args) if isinstance(a, MemoryRef)]
-    return pair, calls, memory
+    template = tuple([a.value if isinstance(a, ConstRef) else None for a in case.args])
+    return pair, calls, memory, (KERNELS[case.kernel][0], template)
 
 
 def _topo_sort(graph: DataflowGraph) -> list[int]:
@@ -253,8 +261,8 @@ def evaluate_graph(graph: DataflowGraph, aug: AugmentedMatrix) -> AugmentedMatri
     rotations = values[:]  # per node, the pair it applies, or its own output
 
     for i in graph.topo_order:
-        case = graph.node_case[i]
-        args = [arg.value if isinstance(arg, ConstRef) else None for arg in case.args]
+        kernel, template = graph.node_kernel[i]
+        args = list(template)
         pair = graph.pairs[i]
         if pair is not None:
             args[pair[1]], args[pair[2]] = rotations[pair[0]][:2]
@@ -262,7 +270,7 @@ def evaluate_graph(graph: DataflowGraph, aug: AugmentedMatrix) -> AugmentedMatri
             args[port] = values[producer][index]
         for row, col, port in graph.loads[i]:
             args[port] = get(row, col)
-        out = values[i] = KERNELS[case.kernel][0](*args)
+        out = values[i] = kernel(*args)
         rotations[i] = out if pair is None else rotations[pair[0]]
         cells = graph.node_cells[i]
         for k in range(0, len(cells), 3):

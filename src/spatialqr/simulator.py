@@ -4,23 +4,24 @@ Iterations are placed onto PEs according to which loop dims are unrolled,
 values travel through bounded FIFO channels (relay chains included), and a
 deterministic event-driven sweep scheduler, run once per design on queue
 lengths, fires each PE's iterations in program order; every input replays it.
-Store directives drain final values into an assembled result matrix, and the
+Which result positions the store directives drain is fixed with the schedule;
+a run writes each stored value straight into the result matrix, and the
 report carries occupancy and deadlock diagnostics.
 """
 
 from __future__ import annotations
 
-import copy
 import heapq
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
-from spatialqr.dataflow import DataflowGraph, IterNode, build_graph, relay_view
+from spatialqr.dataflow import DataflowGraph, build_graph, relay_view
 from spatialqr.numeric import AugmentedMatrix, Matrix, NonFiniteError
-from spatialqr.specdsl import KERNELS, ConstRef, SpatialSpec
+from spatialqr.specdsl import SpatialSpec
 
 
 class WiringError(ValueError):
@@ -28,7 +29,7 @@ class WiringError(ValueError):
 
 
 class DrainError(ValueError):
-    """Store directives covered a result position twice or not at all."""
+    """Store directives name one result position twice."""
 
 
 class SimulationError(RuntimeError):
@@ -153,9 +154,14 @@ class Design:
 
     Channels are ints; channel ``c`` runs from PE ``chan_src[c]`` to PE
     ``chan_dst[c]`` and is named ``chan_labels[c]`` in reports and errors.
-    ``sweeps`` holds, per sweep, the node ids it fires in order, and
-    ``report`` every report field but the drained values and the events.
-    :func:`execute` replays the sweeps for any number of matrices of the shape.
+    ``sweeps`` holds, per sweep, the node ids it fires in order.  The other
+    fields are every report field but the output and the events, immutable:
+    counters as read-only mappings by PE or channel label, and ``blocked``
+    (pe, iteration, channels waiting on empty, channels waiting on full) per
+    PE left with work, which is empty unless the design deadlocks.
+    ``drained`` and ``uncovered`` are empty for a deadlock.  :func:`execute`
+    replays the sweeps for any number of matrices of the shape and builds
+    each report afresh.
     """
 
     graph: DataflowGraph  # as built, before any relay view
@@ -167,7 +173,12 @@ class Design:
     ops: tuple[NodeOp, ...]  # per node id
     programs: tuple[tuple[int, ...], ...]  # per PE index, its node ids in program order
     sweeps: tuple[tuple[int, ...], ...]
-    report: SimReport
+    firings: Mapping[str, int]
+    max_occupancy: Mapping[str, int]
+    channel_sends: Mapping[str, int]
+    blocked: tuple[tuple[str, str, tuple[str, ...], tuple[str, ...]], ...]
+    drained: tuple[tuple[int, int], ...]  # see :func:`drain`
+    uncovered: tuple[tuple[int, int], ...]
 
 
 # channel tags and pair pushes as ints: tuple index or port >= 0, else one of these
@@ -208,7 +219,8 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
     pushes, and its own PE.  A PE woken by a firing earlier in the fixed
     order joins the current sweep, any other one the next sweep, so every
     sweep fires exactly the PEs a scan over all of them would.  No kernel
-    runs, so the schedule holds for every input.
+    runs, so the schedule holds for every input.  A schedule that completes
+    fires every node once, so :func:`drain` then fixes the store coverage.
     """
     work = relay_view(graph) if cfg.relay_enabled else graph
     nodes, relayed = work.nodes, work.relayed
@@ -273,17 +285,11 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
         c = min(faults)
         raise WiringError(f"channel {labels[c]}: {faults[c]}")
 
-    kernels: dict[int, tuple] = {}  # id of a recurrence case -> (kernel, argument template)
     ops = []
     for i, (pair, chans, pops) in enumerate(fetches):
-        case = work.node_case[i]
-        kernel = kernels.get(id(case))
-        if kernel is None:
-            kernel = kernels[id(case)] = (KERNELS[case.kernel][0], tuple(
-                [arg.value if isinstance(arg, ConstRef) else None for arg in case.args]))
         stored = work.node_stores[i]
         ops.append(NodeOp(
-            *kernel, pair, chans, work.loads[i], tuple(pushes[i]),
+            *work.node_kernel[i], pair, chans, work.loads[i], tuple(pushes[i]),
             tuple([(stored[k], (stored[k + 1], stored[k + 2])) for k in range(0, len(stored), 3)]),
             pops, node_pe[i],
         ))
@@ -346,32 +352,34 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
         heapq.heapify(later)
         current = later
 
-    blocked = []
-    for program, label, k in zip(programs, pe_labels, pointers):
-        if k < len(program):
-            op = ops[program[k]]
-            blocked.append({
-                "pe": label,
-                "iteration": str(graph.nodes[program[k]]),
-                "waiting_on_empty": [labels[c] for c in op.pops if not lengths[c]],
-                "waiting_on_full": [labels[c] for c, _ in op.pushes if lengths[c] >= capacity],
-            })
-    report = SimReport(
-        status="deadlock" if blocked else "completed",
-        m=graph.m,
-        n=graph.n,
-        config=cfg.describe(),
-        steps=len(sweeps),
-        firings=dict(zip(pe_labels, pointers)),
-        max_occupancy=dict(zip(labels, occupancy)),
-        channel_sends=dict(zip(labels, sends)),
-        output=None,
-        drained=[],
-        uncovered=[],
-        blocked=blocked,
-    )
+    blocked = tuple([
+        (label, str(graph.nodes[program[k]]),
+         tuple([labels[c] for c in ops[program[k]].pops if not lengths[c]]),
+         tuple([labels[c] for c, _ in ops[program[k]].pushes if lengths[c] >= capacity]))
+        for program, label, k in zip(programs, pe_labels, pointers) if k < len(program)
+    ])
+    drained, uncovered = ((), ()) if blocked else drain(graph)
     return Design(graph, cfg, pe_labels, tuple(chan_src), tuple(chan_dst), labels, tuple(ops),
-                  tuple(map(tuple, programs)), tuple(sweeps), report)
+                  tuple(map(tuple, programs)), tuple(sweeps),
+                  MappingProxyType(dict(zip(pe_labels, pointers))),
+                  MappingProxyType(dict(zip(labels, occupancy))),
+                  MappingProxyType(dict(zip(labels, sends))), blocked, drained, uncovered)
+
+
+def drain(graph: DataflowGraph) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """The result positions the store directives drain, sorted, and the
+    upper-triangle positions of the M x (N+1) result that none drains.
+
+    A position named twice raises :class:`DrainError`.  The uncovered
+    positions are diagnostics (empty whenever eliminations reach the bottom row).
+    """
+    named = [(s[k + 1], s[k + 2]) for s in graph.node_stores if s for k in range(0, len(s), 3)]
+    stored = set(named)
+    if len(stored) < len(named):
+        doubles = sorted(p for p, count in Counter(named).items() if count > 1)
+        raise DrainError(f"positions stored more than once: {doubles}")
+    upper = [(i, j) for i in range(1, graph.m + 1) for j in range(i, graph.n + 2)]
+    return tuple(sorted(stored)), tuple([p for p in upper if p not in stored])
 
 
 # --- execution ------------------------------------------------------------------
@@ -408,20 +416,20 @@ def run(spec: SpatialSpec, cfg: SimConfig, aug: AugmentedMatrix) -> SimReport:
 def execute(design: Design, aug: AugmentedMatrix) -> SimReport:
     """Replay ``design``'s sweeps on one input, with fresh queues.
 
-    Each recorded firing pops its channels, runs its kernel and pushes its
-    outputs; the first non-finite kernel output raises
-    :class:`NonFiniteError`.  A deadlocked design replays the firings before
-    the deadlock and reports it.  The report's data-free fields are copies
-    of ``design.report``, so executions share no state.
+    Each recorded firing pops its channels, runs its kernel, pushes its
+    outputs and writes its stored values into the result; the first
+    non-finite kernel output raises :class:`NonFiniteError`.  A deadlocked
+    design replays the firings before the deadlock and reports it.
     """
-    graph, cfg, rep = design.graph, design.cfg, design.report
+    graph, cfg = design.graph, design.cfg
     m, n = graph.m, graph.n
     if (aug.m, aug.n) != (m, n):
         raise ValueError(f"design is for {m}x{n} inputs, got {aug.m}x{aug.n}")
     nodes, ops, labels, log_events = graph.nodes, design.ops, design.chan_labels, cfg.log_events
     get = aug.inner.get
+    output = Matrix.zeros(m, n + 1)
+    put = output.set
     queues = [deque() for _ in labels]
-    store_events: list[tuple[tuple[int, int], float, IterNode, int]] = []
     events: list[str] = []
     for step, sweep in enumerate(design.sweeps, 1):
         for node in sweep:
@@ -445,8 +453,8 @@ def execute(design: Design, aug: AugmentedMatrix) -> SimReport:
             for c, index in pushes:
                 queues[c].append(out[index] if index >= 0 else popped if index == _RELAY
                                  else (out[0], out[1]))
-            for index, position in stores:
-                store_events.append((position, out[index], nodes[node], index))
+            for index, (row, col) in stores:
+                put(row, col, out[index])
             if log_events:
                 consumed = ",".join(repr(v) for v in args)
                 produced = ",".join(repr(v) for v in out)
@@ -455,58 +463,18 @@ def execute(design: Design, aug: AugmentedMatrix) -> SimReport:
                     f"consumed=[{consumed}] produced=[{produced}]"
                 )
 
-    if rep.completed:
+    if design.blocked:
+        output = None
+    else:
         leftovers = [label for label, q in zip(labels, queues) if q]
         if leftovers:
             raise SimulationError(f"values left in channels after completion: {leftovers}")
-        output, drained, uncovered = drain(graph, store_events)
-    else:
-        output, drained, uncovered = None, [], []
-    return SimReport(rep.status, m, n, cfg.describe(), rep.steps, dict(rep.firings),
-                     dict(rep.max_occupancy), dict(rep.channel_sends), output, drained,
-                     uncovered, copy.deepcopy(rep.blocked), events)
-
-
-def expected_store_positions(graph: DataflowGraph) -> list[tuple[int, int]]:
-    """Result positions the store directives name, with multiplicity."""
-    return [
-        (stored[i + 1], stored[i + 2])
-        for stored in graph.node_stores
-        for i in range(0, len(stored), 3)
-    ]
-
-
-def drain(
-    graph: DataflowGraph,
-    store_events: list[tuple[tuple[int, int], float, IterNode, int]],
-) -> tuple[Matrix, list[tuple[int, int]], list[tuple[int, int]]]:
-    """Assemble stored values into an M x (N+1) result.
-
-    Asserts exactly-once coverage: a position stored twice, or a position the
-    directives name that never arrived, raises :class:`DrainError`.
-    Upper-triangle positions no directive covers are returned as diagnostics
-    (this set is empty whenever eliminations reach the bottom row).
-    """
-    m, n = graph.m, graph.n
-    output = Matrix.zeros(m, n + 1)
-    seen: dict[tuple[int, int], int] = {}
-    for position, value, _node, _idx in store_events:
-        seen[position] = seen.get(position, 0) + 1
-        output.set(position[0], position[1], value)
-    doubles = sorted(p for p, count in seen.items() if count > 1)
-    if doubles:
-        raise DrainError(f"positions stored more than once: {doubles}")
-    expected = expected_store_positions(graph)
-    missing = sorted(set(expected) - set(seen))
-    if missing:
-        raise DrainError(f"positions never stored: {missing}")
-    uncovered = sorted(
-        (i, j)
-        for i in range(1, m + 1)
-        for j in range(i, n + 2)
-        if (i, j) not in seen
-    )
-    return output, sorted(seen), uncovered
+    blocked = [{"pe": pe, "iteration": iteration, "waiting_on_empty": list(empty),
+                "waiting_on_full": list(full)} for pe, iteration, empty, full in design.blocked]
+    return SimReport("deadlock" if blocked else "completed", m, n, cfg.describe(),
+                     len(design.sweeps), design.firings.copy(), design.max_occupancy.copy(),
+                     design.channel_sends.copy(), output, list(design.drained),
+                     list(design.uncovered), blocked, events)
 
 
 def report_to_json(report: SimReport) -> str:

@@ -24,7 +24,6 @@ from spatialqr.numeric import (
 )
 from spatialqr.simulator import (
     SimConfig,
-    expected_store_positions,
     folded_unroll,
     run,
     spec_unroll,
@@ -172,7 +171,8 @@ def test_criterion_5_three_way_bitwise_equivalence(capsys):
 def test_criterion_6_drain_coverage(capsys):
     expected = [(i, j) for i in range(1, 5) for j in range(i, 6)]
     assert len(expected) == 14
-    declared = expected_store_positions(build_graph(SPEC, 4, 4))
+    declared = [(stored[k + 1], stored[k + 2]) for stored in build_graph(SPEC, 4, 4).node_stores
+                for k in range(0, len(stored), 3)]
     assert sorted(declared) == expected          # every position named...
     assert len(set(declared)) == len(declared)  # ...exactly once
     rep = run(SPEC, SimConfig(), make_aug(4, 4, 0))

@@ -358,6 +358,27 @@ class TestHostileInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: cannot write {path}: ")
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "a" * 300),
+        ("decompose", "/dev/null/x", "--output", "o.txt"),
+    ], ids=["name-too-long", "not-a-directory"])
+    def test_unreadable_input_path(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot read input: ")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["trace", "solve"])
+    def test_full_stdout_is_one_error_line(self, matrix4, rhs4, command):
+        argv = {"trace": ("trace", "3", "3"), "solve": ("solve", matrix4, rhs4)}[command]
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "spatialqr", *map(str, argv)],
+                                  stdout=full, stderr=subprocess.PIPE, check=False)
+        assert done.returncode == 2
+        err = done.stderr.decode().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write standard output: ")
+
     @pytest.mark.parametrize("name,text", [
         ("empty.txt", ""),
         ("ragged.txt", "2 2\n1.0 2.0\n3.0\n"),

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from spatialqr.dataflow import build_graph, evaluate_graph
 from spatialqr.numeric import AugmentedMatrix, qr_givens_reference, random_matrix
-from spatialqr.simulator import SimConfig, WiringError, compile_design, execute, run
+from spatialqr.simulator import SimConfig, WiringError, compile_design, drain, execute, run
 from spatialqr.specdsl import builtin_qr_spec
 
 SPEC = builtin_qr_spec()
@@ -114,9 +114,11 @@ def test_any_ready_order_drains_the_same_bits(sim):
         return
     order = random_ready_order(design, random.Random(seed))
     assert sorted(order) == list(range(len(design.ops)))  # the graph is acyclic
-    completed = dataclasses.replace(design.report, status="completed")
+    drained, uncovered = drain(design.graph)
+    completed = dataclasses.replace(design, sweeps=(order,), blocked=(), drained=drained,
+                                    uncovered=uncovered)
     aug = seeded_input(m, n, seed)
-    rep = execute(dataclasses.replace(design, sweeps=(order,), report=completed), aug)
+    rep = execute(completed, aug)
     assert_drains_reference_bits(rep, aug)
 
 
@@ -125,14 +127,15 @@ def test_any_ready_order_drains_the_same_bits(sim):
 @example(DEADLOCK)
 def test_recorded_schedule_keeps_its_invariants(sim):
     """Replayed on queue lengths, ``design.sweeps`` never overfills a channel
-    and sends what the report says; each PE fires at most once per sweep, in
-    ascending PE index and in program order."""
+    and sends what the design says; each PE fires at most once per sweep, in
+    ascending PE index and in program order.  A completed design drains every
+    position its nodes store and reports the rest of the upper triangle."""
     m, n, cfg, _ = sim
     try:
         design = compile_design(SPEC, cfg, m, n)
     except WiringError:
         return
-    labels, capacity, rep = design.chan_labels, cfg.channel_capacity, design.report
+    labels, capacity = design.chan_labels, cfg.channel_capacity
     lengths = [0] * len(labels)
     sends = [0] * len(labels)
     peak = [0] * len(labels)
@@ -151,11 +154,15 @@ def test_recorded_schedule_keeps_its_invariants(sim):
                 sends[c] += 1
                 peak[c] = max(peak[c], lengths[c])
                 assert lengths[c] <= capacity, labels[c]
-    assert rep.steps == len(design.sweeps)
-    assert rep.firings == dict(zip(design.pe_labels, fired))
-    assert rep.channel_sends == dict(zip(labels, sends))
-    assert rep.max_occupancy == dict(zip(labels, peak))
-    if rep.completed:
-        assert sum(fired) == len(design.ops)
-    else:
-        assert rep.blocked and design.sweeps[-1] == ()
+    assert design.firings == dict(zip(design.pe_labels, fired))
+    assert design.channel_sends == dict(zip(labels, sends))
+    assert design.max_occupancy == dict(zip(labels, peak))
+    if design.blocked:
+        assert design.sweeps[-1] == () and design.drained == design.uncovered == ()
+        return
+    assert sum(fired) == len(design.ops)
+    stored = sorted((cells[k + 1], cells[k + 2]) for cells in design.graph.node_stores
+                    for k in range(0, len(cells), 3))
+    assert list(design.drained) == stored
+    upper = [(i, j) for i in range(1, m + 1) for j in range(i, n + 2)]
+    assert list(design.uncovered) == [p for p in upper if p not in stored]

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 from collections import deque
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -38,6 +40,7 @@ from spatialqr.specdsl import (
     Name,
     RecurrenceCase,
     SpatialSpec,
+    StoreDirective,
     UnrollDirective,
     builtin_qr_spec,
 )
@@ -53,6 +56,17 @@ def make_aug(m, n, seed=0):
 def config(mode="full", capacity=2, relay=True, **kw):
     unroll = spec_unroll(SPEC) if mode == "full" else folded_unroll(SPEC)
     return SimConfig(unroll=unroll, channel_capacity=capacity, relay_enabled=relay, **kw)
+
+
+def assert_immutable(value):
+    """Fail on any list, dict, set or mutable object reachable from ``value``."""
+    if isinstance(value, MappingProxyType):
+        value = tuple(value.items())
+    if isinstance(value, tuple):
+        for item in value:
+            assert_immutable(item)
+    else:
+        hash(value)  # a list, dict, set or mutable dataclass raises TypeError
 
 
 def x_count(m, n):
@@ -291,14 +305,24 @@ class TestDrain:
         assert (5, 5) not in rep.drained
 
     def test_double_store_detected(self):
-        events = [((1, 1), 2.5, IterNode("X", (1, 2)), 3),
-                  ((1, 1), 2.5, IterNode("X", (1, 2)), 3)]
-        with pytest.raises(DrainError, match="more than once"):
-            drain(build_graph(SPEC, 4, 4), events)
+        """Two store directives naming one position fail before any data flows."""
+        x = SPEC.func("X")
+        store = next(d for d in x.directives if isinstance(d, StoreDirective))
+        twice = dataclasses.replace(x, directives=x.directives + (store,))
+        spec = dataclasses.replace(SPEC, funcs=tuple(twice if f.name == "X" else f
+                                                     for f in SPEC.funcs))
+        with pytest.raises(DrainError, match=r"more than once: \[\(1, 1\), \(2, 2\), \(3, 3\)\]"):
+            compile_design(spec, config("full"), 4, 4)
 
-    def test_missing_store_detected(self):
-        with pytest.raises(DrainError, match="never stored"):
-            drain(build_graph(SPEC, 4, 4), [])
+    def test_coverage_is_fixed_once_per_completing_design(self, monkeypatch):
+        graphs = []
+        monkeypatch.setattr(simulator, "drain", lambda graph: graphs.append(graph) or drain(graph))
+        design = compile_design(SPEC, config("full"), 4, 4)
+        execute(design, make_aug(4, 4))
+        execute(design, make_aug(4, 4, 1))
+        assert len(graphs) == 1 and graphs[0] is design.graph
+        compile_design(chain_spec(), SimConfig(unroll={"F": ()}), 2, 2)  # deadlocks
+        assert len(graphs) == 1
 
 
 def chain_spec():
@@ -374,6 +398,31 @@ class TestDesignReuse:
         for entry in first.blocked:
             entry["waiting_on_empty"].append("stray")
         first.blocked.append({"pe": "stray"})
+        assert report_to_json(execute(design, aug)) == expected
+
+    @pytest.mark.parametrize("spec, cfg, shape", [
+        (SPEC, config("full"), (4, 4)),
+        (chain_spec(), SimConfig(unroll={"F": ()}), (2, 2)),  # deadlocks
+    ])
+    def test_design_holds_no_mutable_state(self, spec, cfg, shape):
+        """Past its graph and configuration, which it was built from, a design
+        is immutable all the way down, so no caller can change a later report."""
+        design = compile_design(spec, cfg, *shape)
+        aug = make_aug(*shape)
+        expected = report_to_json(execute(design, aug))
+        for f in dataclasses.fields(design):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(design, f.name, None)
+            if f.name not in ("graph", "cfg"):
+                assert_immutable(getattr(design, f.name))
+        for table, key in ((design.firings, design.pe_labels[0]),
+                           (design.max_occupancy, design.chan_labels[0]),
+                           (design.channel_sends, design.chan_labels[0]), (design.sweeps, 0)):
+            with pytest.raises(TypeError):
+                table[key] = 99
+        for entry in design.blocked:
+            with pytest.raises(AttributeError):
+                entry[2].append("stray")
         assert report_to_json(execute(design, aug)) == expected
 
 
