@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from spatialqr import dataflow
 from spatialqr.dataflow import build_graph, emit_dot, emit_trace, evaluate_graph, relay_view
@@ -61,6 +61,12 @@ def _writing(path: str):
         yield
     except OSError as exc:
         raise _Usage(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _error(message: object) -> None:
+    """Print ``error: message`` on stderr; a stderr that fails changes no exit code."""
+    with suppress(OSError):
+        print(f"error: {message}", file=sys.stderr, flush=True)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -127,18 +133,18 @@ def cmd_simulate(args) -> int:
         log_events=args.event_log,
     )
     report = run(spec, cfg, aug)
-    for line in report.events:
-        sys.stderr.write(line + "\n")
+    with _writing("standard error"):
+        sys.stderr.writelines(line + "\n" for line in report.events)
+        sys.stderr.flush()
     report.events = []
     _write_text(args.report, report_to_json(report))
     if not report.completed:
         blocked = ", ".join(b["pe"] for b in report.blocked)
-        print(f"error: deadlock after {report.steps} sweeps; blocked PEs: {blocked}",
-              file=sys.stderr)
+        _error(f"deadlock after {report.steps} sweeps; blocked PEs: {blocked}")
         return EXIT_DEADLOCK
     mismatch = _drain_mismatch(report, qr_givens_reference(aug).r_aug)
     if mismatch:
-        print(f"error: {mismatch}", file=sys.stderr)
+        _error(mismatch)
         return EXIT_FAIL
     return EXIT_OK
 
@@ -271,17 +277,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (SimulationError, NonFiniteError, SingularMatrixError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return EXIT_FAIL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        _error(f"cannot read input: {exc}")
+        return EXIT_USAGE
+    except (_Usage, ValueError) as exc:
+        _error(exc)
         return EXIT_USAGE
 
 

@@ -2,8 +2,8 @@
 
 Iterations are placed onto PEs according to which loop dims are unrolled,
 values travel through bounded FIFO channels (relay chains included), and a
-deterministic event-driven sweep scheduler, run once per design on queue
-lengths, fires each PE's iterations in program order; every input replays it.
+deterministic sweep schedule, computed once per design from queue lengths,
+fires each PE's iterations in program order; every input replays it.
 Which result positions the store directives drain is fixed with the schedule;
 a run writes each stored value straight into the result matrix, and the
 report carries occupancy and deadlock diagnostics.
@@ -11,11 +11,11 @@ report carries occupancy and deadlock diagnostics.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import groupby
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
@@ -56,14 +56,17 @@ class SimConfig:
     dims execute in program order on their PE.
     """
 
-    unroll: dict[str, tuple[str, ...]] | None = None
+    unroll: Mapping[str, tuple[str, ...]] | None = None
     channel_capacity: int = 2
     relay_enabled: bool = True
     log_events: bool = False
 
     def __post_init__(self) -> None:
-        if self.channel_capacity < 1:
-            raise ValueError("channel capacity must be >= 1")
+        if type(self.channel_capacity) is not int or self.channel_capacity < 1:
+            raise ValueError(f"channel capacity must be an int >= 1, got {self.channel_capacity!r}")
+        if self.unroll is not None:  # a copy, so no caller can change a design's unroll sets
+            object.__setattr__(self, "unroll", MappingProxyType(
+                {name: tuple(dims) for name, dims in self.unroll.items()}))
 
     def describe(self) -> dict:
         return {
@@ -203,24 +206,25 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
     use, and gets its label once.
 
     Every channel must carry its values in the order its consumer pops
-    them, one per producer firing.  Consumers are visited in program order,
-    so that holds when the producer slots of each channel's flows strictly
+    them, one per producer firing.  A PE's program is its nodes in id order,
+    so that holds when the producer ids of each channel's flows strictly
     increase; the first channel that breaks it raises :class:`WiringError`.
 
-    Last, the design is scheduled once, from queue lengths alone.  Each sweep
-    visits PEs in a fixed order; a PE fires its next unfired iteration if and
-    only if all its input channels hold a value and all its output channels
-    have room (a channel the firing also pops frees its own slot).  A sweep
-    that fires nothing while work remains is a deadlock, recorded as a last,
-    empty sweep, and reported with per-PE blocking diagnostics.  Only PEs
-    whose readiness may have changed are visited: a PE found not ready is
-    dropped until a firing on one of its channels wakes it, namely the
-    producers of the channels it pops, the consumers of the channels it
-    pushes, and its own PE.  A PE woken by a firing earlier in the fixed
-    order joins the current sweep, any other one the next sweep, so every
-    sweep fires exactly the PEs a scan over all of them would.  No kernel
-    runs, so the schedule holds for every input.  A schedule that completes
-    fires every node once, so :func:`drain` then fixes the store coverage.
+    Last, the design is scheduled once, from queue lengths alone.  A sweep
+    scans the PEs in index order; each fires its next iteration if every
+    channel it pops holds a value and every channel it only pushes has room,
+    and a firing is seen later in the same scan.  A channel has one producer
+    and one consumer PE, so a firing stays ready once it is, and firing
+    ``x`` on PE ``p`` falls in the largest of: 1; the sweep of its PE's
+    previous firing, plus 1; for each channel it pops, the sweep of the
+    firing that pushed the value; for each channel it only pushes, the sweep
+    of the pop ``channel_capacity`` flows earlier.  The last two gain 1 when
+    that firing's PE index is ``>= p``.  So a sweep is a longest path over
+    the waits, and firings on or after a cycle of waits never fire: the
+    deadlock, recorded as a last, empty sweep and reported with per-PE
+    blocking diagnostics.  No kernel runs, so the schedule holds for every
+    input; one that completes fires every node once, so :func:`drain` then
+    fixes the store coverage.
     """
     work = relay_view(graph) if cfg.relay_enabled else graph
     nodes, relayed = work.nodes, work.relayed
@@ -228,13 +232,11 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
     pe_labels = tuple([pe.label() for pe in placement.pes])
 
     programs: list[list[int]] = [[] for _ in pe_labels]
-    slot = [0] * len(nodes)  # a node's position in its PE's program
     for i, pe in enumerate(node_pe):
-        slot[i] = len(programs[pe])
         programs[pe].append(i)
 
     # per channel: producer PE, its tag, consumer PE, its tag, and the
-    # producer slot of its latest flow
+    # producer of its latest flow
     chan_src: list[int] = []
     src_tags: list[int] = []
     chan_dst: list[int] = []
@@ -253,7 +255,7 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
         dst_pe = node_pe[i]
         chans, pops = [], []
         for src, src_tag, dst_tag in flows:
-            src_pe, producer = node_pe[src], slot[src]
+            src_pe = node_pe[src]
             key = (src_pe, src_tag, dst_pe, dst_tag)
             c = found.get(key)
             if c is None:
@@ -262,19 +264,20 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
                 src_tags.append(src_tag)
                 chan_dst.append(dst_pe)
                 dst_tags.append(dst_tag)
-                last_producer.append(producer)
+                last_producer.append(src)
             else:
-                if producer < last_producer[c]:
+                if src < last_producer[c]:
                     faults[c] = "push order does not match pop order"
-                elif producer == last_producer[c]:
+                elif src == last_producer[c]:
                     faults.setdefault(c, "one firing would push twice")
-                last_producer[c] = producer
+                last_producer[c] = src
             pops.append(c)
             pushes[src].append((c, src_tag))
             if dst_tag != _CS:
                 chans.append((c, dst_tag))
         fetches.append((None if pair is None else (pops[0], pair[1], pair[2]),
                         tuple(chans), tuple(pops)))
+    del found  # free the channel keys before the schedule builds its tables
 
     tags = {_CS: "cs", _RELAY: "relay"}  # any other tag is a tuple index or a port
     labels = tuple([
@@ -294,64 +297,57 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
             pops, node_pe[i],
         ))
 
-    # the schedule, on queue lengths
+    # the schedule: per firing, the firings it waits on and its sweep
     capacity = cfg.channel_capacity
+    after: list[list[int]] = [[] for _ in nodes]  # per node, the firings waiting on it
+    waits = [0] * len(nodes)
+    for program in programs:
+        for a, b in zip(program, program[1:]):
+            after[a].append(b)
+            waits[b] += 1
+    poppers: list[list[int]] = [[] for _ in labels]  # per channel, its consumers in pop order
+    for i, op in enumerate(ops):
+        for c, a in zip(op.pops, work.producers(i)):
+            seen = poppers[c]
+            if len(seen) >= capacity and c not in ops[a].pops:
+                after[seen[-capacity]].append(a)  # a's push needs the pop capacity flows earlier
+                waits[a] += 1
+            seen.append(i)
+            after[a].append(i)
+            waits[i] += 1
+    sweep = [1] * len(nodes)
+    ready = [i for i, w in enumerate(waits) if not w]
+    fired: list[int] = []
+    while ready:  # Kahn's algorithm: nodes on or after a cycle of waits never fire
+        a = ready.pop()
+        fired.append(a)
+        s, pe = sweep[a], node_pe[a]
+        for b in after[a]:
+            sweep[b] = max(sweep[b], s + (pe >= node_pe[b]))
+            waits[b] -= 1
+            if not waits[b]:
+                ready.append(b)
+    del after, poppers  # freed before the counters, so lowering peaks no higher
+
+    # the counters, replayed in firing order on queue lengths
+    fired.sort(key=node_pe.__getitem__)
+    fired.sort(key=sweep.__getitem__)  # stable, so by sweep, then by PE index
     lengths = [0] * len(labels)
     sends = [0] * len(labels)
     occupancy = [0] * len(labels)
     pointers = [0] * len(programs)
-    sweeps: list[tuple[int, ...]] = []
-    fired = 0
-
-    # ``queued[i]`` is the sweep PE i is queued for; a PE is never queued for
-    # the current and the next sweep at once, because only PEs at or before
-    # the one firing go to the next sweep and those have left the heap.
-    current = list(range(len(programs)))  # ascending, so already a heap
-    queued = [1] * len(programs)
-    while fired < len(ops):  # a sweep fires at least once or ends the run in deadlock
-        steps = len(sweeps) + 1
-        sweep: list[int] = []
-        later: list[int] = []
-        while current:
-            i = heapq.heappop(current)
-            k = pointers[i]
-            program = programs[i]
-            if k >= len(program):
-                continue
-            node = program[k]
-            _, _, _, _, _, outs, _, ins, _ = ops[node]
-            for c in ins:
-                if not lengths[c]:
-                    break
-            else:
-                for c, _ in outs:
-                    if lengths[c] >= capacity and c not in ins:
-                        break
-                else:
-                    for c in ins:
-                        lengths[c] -= 1
-                    for c, _ in outs:
-                        lengths[c] += 1
-                        sends[c] += 1
-                        if lengths[c] > occupancy[c]:
-                            occupancy[c] = lengths[c]
-                    sweep.append(node)
-                    pointers[i] = k + 1
-                    fired += 1
-                    for j in {i, *[chan_src[c] for c in ins], *[chan_dst[c] for c, _ in outs]}:
-                        if j > i:
-                            if queued[j] != steps:
-                                queued[j] = steps
-                                heapq.heappush(current, j)
-                        elif queued[j] != steps + 1:
-                            queued[j] = steps + 1
-                            later.append(j)
-        sweeps.append(tuple(sweep))
-        if not sweep:
-            break
-        heapq.heapify(later)
-        current = later
-
+    for i in fired:
+        _, _, _, _, _, outs, _, ins, pe = ops[i]
+        pointers[pe] += 1
+        for c in ins:
+            lengths[c] -= 1
+        for c, _ in outs:
+            lengths[c] += 1
+            sends[c] += 1
+            occupancy[c] = max(occupancy[c], lengths[c])
+    sweeps = [tuple(group) for _, group in groupby(fired, sweep.__getitem__)]
+    if len(fired) < len(nodes):
+        sweeps.append(())  # the deadlock: a sweep that fires nothing
     blocked = tuple([
         (label, str(graph.nodes[program[k]]),
          tuple([labels[c] for c in ops[program[k]].pops if not lengths[c]]),

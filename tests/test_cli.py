@@ -379,6 +379,17 @@ class TestHostileInputs:
         err = done.stderr.decode().splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot write standard output: ")
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("event_log", [False, True], ids=["missing-input", "event-log"])
+    def test_full_stderr_keeps_the_usage_exit_code(self, tmp_path, matrix4, event_log):
+        """An unreadable input, or an event log stderr cannot take, is a usage
+        error even when its error line cannot be printed either."""
+        argv = ("simulate", matrix4, "--event-log") if event_log else ("simulate", "missing.txt")
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "spatialqr", *map(str, argv)],
+                                  cwd=tmp_path, stdout=subprocess.PIPE, stderr=full, check=False)
+        assert (done.returncode, done.stdout) == (2, b"")
+
     @pytest.mark.parametrize("name,text", [
         ("empty.txt", ""),
         ("ragged.txt", "2 2\n1.0 2.0\n3.0\n"),

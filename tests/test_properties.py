@@ -122,19 +122,44 @@ def test_any_ready_order_drains_the_same_bits(sim):
     assert_drains_reference_bits(rep, aug)
 
 
+def scan(design):
+    """The sweeps by their definition: each visits every PE in index order and
+    fires its next node if every channel it pops holds a value and every
+    channel it pushes has room or is also popped, until one fires nothing."""
+    ops, programs, capacity = design.ops, design.programs, design.cfg.channel_capacity
+    lengths = [0] * len(design.chan_labels)
+    pointers = [0] * len(programs)
+    sweeps = []
+    while sum(pointers) < len(ops) and (not sweeps or sweeps[-1]):
+        sweeps.append(())
+        for pe, program in enumerate(programs):
+            node = program[pointers[pe]] if pointers[pe] < len(program) else None
+            if node is not None and all(lengths[c] for c in ops[node].pops) and all(
+                    lengths[c] < capacity or c in ops[node].pops for c, _ in ops[node].pushes):
+                for c in ops[node].pops:
+                    lengths[c] -= 1
+                for c, _ in ops[node].pushes:
+                    lengths[c] += 1
+                pointers[pe] += 1
+                sweeps[-1] += (node,)
+    return tuple(sweeps)
+
+
 @settings(max_examples=100, deadline=None)
 @given(simulations())
 @example(DEADLOCK)
 def test_recorded_schedule_keeps_its_invariants(sim):
-    """Replayed on queue lengths, ``design.sweeps`` never overfills a channel
-    and sends what the design says; each PE fires at most once per sweep, in
-    ascending PE index and in program order.  A completed design drains every
-    position its nodes store and reports the rest of the upper triangle."""
+    """``design.sweeps`` are the sweeps of a scan over every PE.  Replayed on
+    queue lengths, they never overfill a channel and send what the design
+    says; each PE fires at most once per sweep, in ascending PE index and in
+    program order.  A completed design drains every position its nodes store
+    and reports the rest of the upper triangle."""
     m, n, cfg, _ = sim
     try:
         design = compile_design(SPEC, cfg, m, n)
     except WiringError:
         return
+    assert scan(design) == design.sweeps
     labels, capacity = design.chan_labels, cfg.channel_capacity
     lengths = [0] * len(labels)
     sends = [0] * len(labels)

@@ -248,6 +248,11 @@ class TestRunEquivalence:
         with pytest.raises(ValueError):
             SimConfig(channel_capacity=0)
 
+    @pytest.mark.parametrize("capacity", [1.5, True, "2"])
+    def test_non_int_capacity_rejected(self, capacity):
+        with pytest.raises(ValueError, match="channel capacity must be an int"):
+            SimConfig(channel_capacity=capacity)
+
     def test_invalid_spec_rejected(self):
         import dataclasses
 
@@ -405,16 +410,23 @@ class TestDesignReuse:
         (chain_spec(), SimConfig(unroll={"F": ()}), (2, 2)),  # deadlocks
     ])
     def test_design_holds_no_mutable_state(self, spec, cfg, shape):
-        """Past its graph and configuration, which it was built from, a design
-        is immutable all the way down, so no caller can change a later report."""
-        design = compile_design(spec, cfg, *shape)
+        """Past its graph, which it was built from, a design is immutable all
+        the way down, so no caller can change a later report; its configuration
+        keeps its own read-only copy of the unroll sets it was given."""
+        unroll = dict(cfg.unroll)
+        design = compile_design(spec, dataclasses.replace(cfg, unroll=unroll), *shape)
         aug = make_aug(*shape)
         expected = report_to_json(execute(design, aug))
+        name = next(iter(unroll))
+        unroll[name] = ("zz",)
+        with pytest.raises(TypeError):
+            design.cfg.unroll[name] = ("zz",)
         for f in dataclasses.fields(design):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(design, f.name, None)
             if f.name not in ("graph", "cfg"):
                 assert_immutable(getattr(design, f.name))
+        assert_immutable(design.cfg.unroll)
         for table, key in ((design.firings, design.pe_labels[0]),
                            (design.max_occupancy, design.chan_labels[0]),
                            (design.channel_sends, design.chan_labels[0]), (design.sweeps, 0)):
