@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification or equivalence failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager, suppress
 
@@ -27,7 +28,6 @@ from spatialqr.numeric import (
 )
 from spatialqr.simulator import (
     SimConfig,
-    SimulationError,
     folded_unroll,
     report_to_json,
     run,
@@ -55,23 +55,31 @@ def _load_augmented(matrix_path: str, rhs_path: str | None) -> AugmentedMatrix:
 
 
 @contextmanager
-def _writing(path: str):
-    """Report a failure to write ``path`` as a usage error naming it."""
+def _writing(path: str, stream=None):
+    """Report a failure to write ``path`` as a usage error naming it.  A
+    standard ``stream`` that fails is pointed at the null device, so the
+    interpreter's last flush of what it still buffers cannot fail at exit
+    and turn the exit code into 120."""
     try:
         yield
     except OSError as exc:
+        if stream is not None:
+            with suppress(OSError):  # a stream without a descriptor (a capture) keeps it
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stream.fileno())
+                os.close(devnull)
         raise _Usage(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _error(message: object) -> None:
     """Print ``error: message`` on stderr; a stderr that fails changes no exit code."""
-    with suppress(OSError):
+    with suppress(_Usage), _writing("standard error", sys.stderr):
         print(f"error: {message}", file=sys.stderr, flush=True)
 
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
-        with _writing("standard output"):
+        with _writing("standard output", sys.stdout):
             sys.stdout.write(text)
             sys.stdout.flush()
     else:
@@ -133,7 +141,7 @@ def cmd_simulate(args) -> int:
         log_events=args.event_log,
     )
     report = run(spec, cfg, aug)
-    with _writing("standard error"):
+    with _writing("standard error", sys.stderr):
         sys.stderr.writelines(line + "\n" for line in report.events)
         sys.stderr.flush()
     report.events = []
@@ -277,7 +285,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (SimulationError, NonFiniteError, SingularMatrixError) as exc:
+    except (NonFiniteError, SingularMatrixError) as exc:
         _error(exc)
         return EXIT_FAIL
     except OSError as exc:

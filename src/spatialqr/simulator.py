@@ -1,19 +1,22 @@
 """Processing-element array simulator driven by scheduling directives.
 
 Iterations are placed onto PEs according to which loop dims are unrolled,
-values travel through bounded FIFO channels (relay chains included), and a
-deterministic sweep schedule, computed once per design from queue lengths,
-fires each PE's iterations in program order; every input replays it.
-Which result positions the store directives drain is fixed with the schedule;
-a run writes each stored value straight into the result matrix, and the
-report carries occupancy and deadlock diagnostics.
+and value edges become bounded FIFO channels (relay chains included).  The
+channels fix the schedule, not the values: a deterministic sweep schedule,
+computed once per design from queue lengths, fires each PE's iterations in
+program order, and every input replays it.  Values move by producer: each
+firing reads its inputs straight from its producers' outputs, which is what
+its channels would deliver.  Which result positions the store directives
+drain is fixed with the schedule; a run writes each stored value straight
+into the result matrix, and the report carries occupancy and deadlock
+diagnostics.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 from types import MappingProxyType
@@ -30,10 +33,6 @@ class WiringError(ValueError):
 
 class DrainError(ValueError):
     """Store directives name one result position twice."""
-
-
-class SimulationError(RuntimeError):
-    """A run left values behind in its channels."""
 
 
 class PeId(NamedTuple):
@@ -64,6 +63,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if type(self.channel_capacity) is not int or self.channel_capacity < 1:
             raise ValueError(f"channel capacity must be an int >= 1, got {self.channel_capacity!r}")
+        for name in ("relay_enabled", "log_events"):
+            if type(getattr(self, name)) is not bool:
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.unroll is not None:  # a copy, so no caller can change a design's unroll sets
             object.__setattr__(self, "unroll", MappingProxyType(
                 {name: tuple(dims) for name, dims in self.unroll.items()}))
@@ -133,21 +135,23 @@ def place(graph: DataflowGraph, cfg: SimConfig) -> Placement:
 # --- the compiled design ---------------------------------------------------------
 
 class NodeOp(NamedTuple):
-    """One iteration's firing on PE ``pe``, with channels named by their index in a :class:`Design`.
+    """One iteration's firing on PE ``pe``: its inputs named by producer node id.
 
-    ``wire`` guarantees that a firing pops at most one value from, and
-    pushes at most one value into, each channel.  The firing pops every
-    channel in ``pops``, runs the kernel, then pushes.
+    ``pops`` names, by their index in a :class:`Design`, the channels the
+    inputs arrive on: the pair's first, then ``fetches``', in that producer
+    order.  ``wire`` guarantees that each channel delivers its values in
+    the order its consumer pops them, so the k-th pop receives what the
+    k-th producer pushed: an output for a data input, the first two outputs
+    for a pair, or, for a relayed pair, the pair that producer received.
     """
 
     kernel: Callable[..., tuple[float, ...]]
     template: tuple[float | None, ...]  # the kernel's arguments, constants filled in
-    pair: tuple[int, int, int] | None  # (channel, port, port) of the rotation pair
-    fetches: tuple[tuple[int, int], ...]  # (channel, port)
+    pair: tuple[int, int, int, bool] | None  # (producer, port of c, port of s, relayed?)
+    fetches: tuple[tuple[int, int, int], ...]  # (producer, tuple index, port)
     mems: tuple[tuple[int, int, int], ...]  # (row, col, port) of the input
-    pushes: tuple[tuple[int, int], ...]  # (channel, output index, or _CS / _RELAY for a pair)
     stores: tuple[tuple[int, tuple[int, int]], ...]  # (output index, result position)
-    pops: tuple[int, ...]  # the pair channel first, then ``fetches``' channels
+    pops: tuple[int, ...]  # the channels of the pair, then of ``fetches``
     pe: int
 
 
@@ -162,9 +166,10 @@ class Design:
     counters as read-only mappings by PE or channel label, and ``blocked``
     (pe, iteration, channels waiting on empty, channels waiting on full) per
     PE left with work, which is empty unless the design deadlocks.
-    ``drained`` and ``uncovered`` are empty for a deadlock.  :func:`execute`
-    replays the sweeps for any number of matrices of the shape and builds
-    each report afresh.
+    ``drained`` and ``uncovered`` are empty for a deadlock.  The channels
+    fix the schedule and its counters; values move by producer, so
+    :func:`execute` replays the sweeps for any number of matrices of the
+    shape without a queue and builds each report afresh.
     """
 
     graph: DataflowGraph  # as built, before any relay view
@@ -184,7 +189,7 @@ class Design:
     uncovered: tuple[tuple[int, int], ...]
 
 
-# channel tags and pair pushes as ints: tuple index or port >= 0, else one of these
+# channel tags as ints: tuple index or port >= 0, else the pair's, from its producer or a relay
 _CS, _RELAY = -1, -2
 
 
@@ -244,16 +249,18 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
     last_producer: list[int] = []
     faults: dict[int, str] = {}  # channel -> its flow-order fault
     found: dict[tuple[int, int, int, int], int] = {}
-    fetches: list[tuple] = []  # per node: pair, channel fetches, pops
-    pushes: list[list[tuple[int, int]]] = [[] for _ in nodes]
-    for i, (pair, flows) in enumerate(zip(work.pairs, work.data)):
+    ops: list[NodeOp] = []
+    pushes: list[list[int]] = [[] for _ in nodes]  # per node, the channels it pushes
+    for i, (pair, data) in enumerate(zip(work.pairs, work.data)):
         # a flow is (producer node, its tag, our tag): the pair first, then data ports
+        flows = data
         if pair is not None:
             src = pair[0]
             relay = nodes[i].func in relayed and nodes[src].func == nodes[i].func
-            flows = ((src, _RELAY if relay else _CS, _CS), *flows)
+            pair = (*pair, relay)
+            flows = ((src, _RELAY if relay else _CS, _CS), *data)
         dst_pe = node_pe[i]
-        chans, pops = [], []
+        pops = []
         for src, src_tag, dst_tag in flows:
             src_pe = node_pe[src]
             key = (src_pe, src_tag, dst_pe, dst_tag)
@@ -272,11 +279,13 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
                     faults.setdefault(c, "one firing would push twice")
                 last_producer[c] = src
             pops.append(c)
-            pushes[src].append((c, src_tag))
-            if dst_tag != _CS:
-                chans.append((c, dst_tag))
-        fetches.append((None if pair is None else (pops[0], pair[1], pair[2]),
-                        tuple(chans), tuple(pops)))
+            pushes[src].append(c)
+        stored = work.node_stores[i]
+        ops.append(NodeOp(
+            *work.node_kernel[i], pair, data, work.loads[i],
+            tuple([(stored[k], (stored[k + 1], stored[k + 2])) for k in range(0, len(stored), 3)]),
+            tuple(pops), dst_pe,
+        ))
     del found  # free the channel keys before the schedule builds its tables
 
     tags = {_CS: "cs", _RELAY: "relay"}  # any other tag is a tuple index or a port
@@ -287,15 +296,6 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
     if faults:
         c = min(faults)
         raise WiringError(f"channel {labels[c]}: {faults[c]}")
-
-    ops = []
-    for i, (pair, chans, pops) in enumerate(fetches):
-        stored = work.node_stores[i]
-        ops.append(NodeOp(
-            *work.node_kernel[i], pair, chans, work.loads[i], tuple(pushes[i]),
-            tuple([(stored[k], (stored[k + 1], stored[k + 2])) for k in range(0, len(stored), 3)]),
-            pops, node_pe[i],
-        ))
 
     # the schedule: per firing, the firings it waits on and its sweep
     capacity = cfg.channel_capacity
@@ -337,11 +337,10 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
     occupancy = [0] * len(labels)
     pointers = [0] * len(programs)
     for i in fired:
-        _, _, _, _, _, outs, _, ins, pe = ops[i]
-        pointers[pe] += 1
-        for c in ins:
+        pointers[node_pe[i]] += 1
+        for c in ops[i].pops:
             lengths[c] -= 1
-        for c, _ in outs:
+        for c in pushes[i]:
             lengths[c] += 1
             sends[c] += 1
             occupancy[c] = max(occupancy[c], lengths[c])
@@ -351,7 +350,7 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
     blocked = tuple([
         (label, str(graph.nodes[program[k]]),
          tuple([labels[c] for c in ops[program[k]].pops if not lengths[c]]),
-         tuple([labels[c] for c, _ in ops[program[k]].pushes if lengths[c] >= capacity]))
+         tuple([labels[c] for c in pushes[program[k]] if lengths[c] >= capacity]))
         for program, label, k in zip(programs, pe_labels, pointers) if k < len(program)
     ])
     drained, uncovered = ((), ()) if blocked else drain(graph)
@@ -410,10 +409,11 @@ def run(spec: SpatialSpec, cfg: SimConfig, aug: AugmentedMatrix) -> SimReport:
 
 
 def execute(design: Design, aug: AugmentedMatrix) -> SimReport:
-    """Replay ``design``'s sweeps on one input, with fresh queues.
+    """Replay ``design``'s sweeps on one input.
 
-    Each recorded firing pops its channels, runs its kernel, pushes its
-    outputs and writes its stored values into the result; the first
+    Each recorded firing reads its inputs from its producers' recorded
+    outputs and received pairs, as :class:`NodeOp` names them, runs its
+    kernel and writes its stored values into the result; the first
     non-finite kernel output raises :class:`NonFiniteError`.  A deadlocked
     design replays the firings before the deadlock and reports it.
     """
@@ -421,34 +421,30 @@ def execute(design: Design, aug: AugmentedMatrix) -> SimReport:
     m, n = graph.m, graph.n
     if (aug.m, aug.n) != (m, n):
         raise ValueError(f"design is for {m}x{n} inputs, got {aug.m}x{aug.n}")
-    nodes, ops, labels, log_events = graph.nodes, design.ops, design.chan_labels, cfg.log_events
+    nodes, ops, log_events = graph.nodes, design.ops, cfg.log_events
     get = aug.inner.get
     output = Matrix.zeros(m, n + 1)
     put = output.set
-    queues = [deque() for _ in labels]
+    outs: list[tuple[float, ...] | None] = [None] * len(ops)  # per node, its kernel's output
+    received = outs[:]  # per node, the pair it received
     events: list[str] = []
     for step, sweep in enumerate(design.sweeps, 1):
         for node in sweep:
-            kernel, args, pair, fetches, mems, pushes, stores, _, pe = ops[node]
+            kernel, args, pair, fetches, mems, stores, _, pe = ops[node]
             args = list(args)
-            popped = None
             if pair is not None:
-                c, lo, hi = pair
-                popped = queues[c].popleft()
-                args[lo], args[hi] = popped
-            for c, port in fetches:
-                args[port] = queues[c].popleft()
+                src, lo, hi, relayed = pair
+                args[lo], args[hi] = received[node] = received[src] if relayed else outs[src][:2]
+            for src, index, port in fetches:
+                args[port] = outs[src][index]
             for row, col, port in mems:
                 args[port] = get(row, col)
             try:
-                out = kernel(*args)
+                out = outs[node] = kernel(*args)
             except NonFiniteError as exc:
                 raise NonFiniteError(f"{nodes[node]}: {exc}") from None
             if not all(map(math.isfinite, out)):
                 raise NonFiniteError(f"non-finite kernel output at {nodes[node]}")
-            for c, index in pushes:
-                queues[c].append(out[index] if index >= 0 else popped if index == _RELAY
-                                 else (out[0], out[1]))
             for index, (row, col) in stores:
                 put(row, col, out[index])
             if log_events:
@@ -459,17 +455,11 @@ def execute(design: Design, aug: AugmentedMatrix) -> SimReport:
                     f"consumed=[{consumed}] produced=[{produced}]"
                 )
 
-    if design.blocked:
-        output = None
-    else:
-        leftovers = [label for label, q in zip(labels, queues) if q]
-        if leftovers:
-            raise SimulationError(f"values left in channels after completion: {leftovers}")
     blocked = [{"pe": pe, "iteration": iteration, "waiting_on_empty": list(empty),
                 "waiting_on_full": list(full)} for pe, iteration, empty, full in design.blocked]
     return SimReport("deadlock" if blocked else "completed", m, n, cfg.describe(),
                      len(design.sweeps), design.firings.copy(), design.max_occupancy.copy(),
-                     design.channel_sends.copy(), output, list(design.drained),
+                     design.channel_sends.copy(), None if blocked else output, list(design.drained),
                      list(design.uncovered), blocked, events)
 
 

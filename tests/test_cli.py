@@ -1,20 +1,25 @@
 import json
+import os
 import subprocess
 import sys
-from collections import deque
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from spatialqr import cli, simulator
+from spatialqr import cli
 from spatialqr.numeric import (
+    AugmentedMatrix,
     Matrix,
     parse_matrix_text,
     random_matrix,
     write_matrix,
 )
+from spatialqr.simulator import SimReport
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# a child whose standard streams buffer, as they do unless PYTHONUNBUFFERED is set
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 
 @pytest.fixture
@@ -44,6 +49,17 @@ def matmul(a, b):
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def deadlocked_report(spec, cfg, aug):
+    """What ``run`` returns for a design that deadlocks after seven sweeps."""
+    return SimReport(
+        status="deadlock", m=aug.m, n=aug.n, config=cfg.describe(), steps=7,
+        firings={}, max_occupancy={}, channel_sends={}, output=None,
+        drained=[], uncovered=[],
+        blocked=[{"pe": "X(col=1)", "iteration": "X(1, 2)",
+                  "waiting_on_empty": [], "waiting_on_full": []}],
+    )
 
 
 class TestTrace:
@@ -213,18 +229,7 @@ class TestSimulate:
         assert err.count("step=") == 26
 
     def test_deadlock_exit_code(self, matrix4, tmp_path, monkeypatch, capsys):
-        from spatialqr.simulator import SimReport
-
-        def fake_run(spec, cfg, aug):
-            return SimReport(
-                status="deadlock", m=4, n=4, config=cfg.describe(), steps=7,
-                firings={}, max_occupancy={}, channel_sends={}, output=None,
-                drained=[], uncovered=[],
-                blocked=[{"pe": "X(col=1)", "iteration": "X(1, 2)",
-                          "waiting_on_empty": [], "waiting_on_full": []}],
-            )
-
-        monkeypatch.setattr(cli, "run", fake_run)
+        monkeypatch.setattr(cli, "run", deadlocked_report)
         code = run_cli("simulate", matrix4, "--report", tmp_path / "r.json")
         assert code == 3
         assert "deadlock" in capsys.readouterr().err
@@ -242,22 +247,6 @@ class TestSimulate:
         code = run_cli("simulate", matrix4, "--report", tmp_path / "r.json")
         assert code == 1
         assert "differs from reference" in capsys.readouterr().err
-
-    def test_values_left_in_channels_is_one_error_line(self, matrix4, tmp_path,
-                                                       monkeypatch, capsys):
-        made = []
-
-        def preloaded():
-            """The first channel's queue starts with a stray value."""
-            queue = deque([] if made else [0.5])
-            made.append(queue)
-            return queue
-
-        monkeypatch.setattr(simulator, "deque", preloaded)
-        code = run_cli("simulate", matrix4, "--report", tmp_path / "r.json")
-        assert code == 1
-        assert capsys.readouterr().err == ("error: values left in channels after completion: "
-                                           "['X(col=1,row=4).t3->X(col=1,row=3).p0']\n")
 
 
 class TestVerify:
@@ -310,6 +299,19 @@ class TestSelfcheck:
         assert lines[0] == "selfcheck: 1x1 ok"
         assert lines[-1].startswith(
             "selfcheck: 2x1 FAIL full relay=on capacity=1: simulated output differs")
+
+    @pytest.mark.parametrize("name,fake,failure", [
+        ("verify_qr", lambda aug, result, tol: SimpleNamespace(passed=False),
+         "verify_qr fails at tolerance 1e-10"),
+        ("evaluate_graph",
+         lambda graph, aug: AugmentedMatrix(aug.m, aug.n, Matrix.zeros(aug.m, aug.n + 1)),
+         "evaluate_graph differs from the reference"),
+        ("run", deadlocked_report, "full relay=on capacity=1: deadlock after 7 sweeps"),
+    ], ids=["verify-qr", "evaluate-graph", "deadlock"])
+    def test_each_check_names_its_failure(self, monkeypatch, capsys, name, fake, failure):
+        monkeypatch.setattr(cli, name, fake)
+        assert run_cli("selfcheck", "--max-size", "3") == 1
+        assert capsys.readouterr().out == f"selfcheck: 1x1 FAIL {failure}\n"
 
 
 class TestHostileInputs:
@@ -374,7 +376,8 @@ class TestHostileInputs:
         argv = {"trace": ("trace", "3", "3"), "solve": ("solve", matrix4, rhs4)}[command]
         with open("/dev/full", "w") as full:
             done = subprocess.run([sys.executable, "-m", "spatialqr", *map(str, argv)],
-                                  stdout=full, stderr=subprocess.PIPE, check=False)
+                                  stdout=full, stderr=subprocess.PIPE, env=BUFFERED_ENV,
+                                  check=False)
         assert done.returncode == 2
         err = done.stderr.decode().splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot write standard output: ")
@@ -387,7 +390,8 @@ class TestHostileInputs:
         argv = ("simulate", matrix4, "--event-log") if event_log else ("simulate", "missing.txt")
         with open("/dev/full", "w") as full:
             done = subprocess.run([sys.executable, "-m", "spatialqr", *map(str, argv)],
-                                  cwd=tmp_path, stdout=subprocess.PIPE, stderr=full, check=False)
+                                  cwd=tmp_path, stdout=subprocess.PIPE, stderr=full,
+                                  env=BUFFERED_ENV, check=False)
         assert (done.returncode, done.stdout) == (2, b"")
 
     @pytest.mark.parametrize("name,text", [

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from spatialqr.numeric import AugmentedMatrix, random_matrix
-from spatialqr.simulator import SimConfig, report_to_json, run
+from spatialqr.simulator import SimConfig, WiringError, compile_design, report_to_json, run
 from spatialqr.specdsl import (
     A_PRIME,
     COL,
@@ -237,6 +237,18 @@ def test_literal_too_long_to_print_is_a_guard_fault():
     spec = with_case(X, 0, guard=COL.eq(IntLit(10 ** 5000)) & ROW.eq(M))
     assert [(v.rule, v.coords) for v in validate(spec, 4, 3).violations] == [
         ("guard-eval", None), ("guard-gap", (1, 4))]
+
+
+@pytest.mark.parametrize("relay", [True, False])
+def test_rows_rising_break_the_push_order(relay):
+    """With X's rows rising, Y(col=1) feeds X(col=2) its rows in the opposite
+    order from the one X(col=2) pops them in, so no channel can carry them."""
+    spec = with_func(dataclasses.replace(X, bounds=(X.bounds[0], BoundSpec("row", COL + 1, 1, M))))
+    cfg = SimConfig(unroll={"X": ("col",), "Y": ("col",)}, relay_enabled=relay)
+    with pytest.raises(WiringError) as exc:
+        compile_design(spec, cfg, 4, 3)
+    assert str(exc.value) == ("channel Y(col=1).t0->X(col=2).p1: "
+                              "push order does not match pop order")
 
 
 def renamed(e, text):

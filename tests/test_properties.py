@@ -5,11 +5,13 @@ capacity and whether rotation pairs relay, a run that completes drains the
 bits of the reference loop nest and of the graph evaluator.  Any other run
 is a deadlock with blocking diagnostics or a WiringError; nothing else.  The
 recorded schedule is one ready order out of many: any other one, replayed
-through the same design, drains the same bits.
+through the same design, drains the same bits.  Values move by producer; a
+replay that carries them through the channels' queues delivers the same ones.
 """
 
 import dataclasses
 import random
+from collections import deque
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -72,10 +74,24 @@ def test_completed_runs_match_reference_and_graph(sim):
     assert_drains_reference_bits(rep, aug)
 
 
+def producers(op):
+    """The producers ``op`` names, one per channel in ``op.pops``."""
+    return ([op.pair[0]] if op.pair is not None else []) + [p for p, _, _ in op.fetches]
+
+
+def pushes(design):
+    """Per node id, the channels it pushes: each pop's channel, under its producer."""
+    pushed = [[] for _ in design.ops]
+    for op in design.ops:
+        for c, p in zip(op.pops, producers(op)):
+            pushed[p].append(c)
+    return pushed
+
+
 def random_ready_order(design, rnd):
     """Every node id once, each step firing the next node of a PE drawn from
     those whose popped channels all hold a value, with unbounded queues."""
-    ops, programs = design.ops, design.programs
+    ops, programs, pushed = design.ops, design.programs, pushes(design)
     lengths = [0] * len(design.chan_labels)
     pointers = [0] * len(programs)
 
@@ -95,9 +111,9 @@ def random_ready_order(design, rnd):
         order.append(node)
         for c in ops[node].pops:
             lengths[c] -= 1
-        for c, _ in ops[node].pushes:
+        for c in pushed[node]:
             lengths[c] += 1
-        for woken in {pe, *[design.chan_dst[c] for c, _ in ops[node].pushes]}:
+        for woken in {pe, *[design.chan_dst[c] for c in pushed[node]]}:
             if woken not in candidates and ready(woken):
                 candidates.append(woken)
     return tuple(order)
@@ -127,6 +143,7 @@ def scan(design):
     fires its next node if every channel it pops holds a value and every
     channel it pushes has room or is also popped, until one fires nothing."""
     ops, programs, capacity = design.ops, design.programs, design.cfg.channel_capacity
+    pushed = pushes(design)
     lengths = [0] * len(design.chan_labels)
     pointers = [0] * len(programs)
     sweeps = []
@@ -135,10 +152,10 @@ def scan(design):
         for pe, program in enumerate(programs):
             node = program[pointers[pe]] if pointers[pe] < len(program) else None
             if node is not None and all(lengths[c] for c in ops[node].pops) and all(
-                    lengths[c] < capacity or c in ops[node].pops for c, _ in ops[node].pushes):
+                    lengths[c] < capacity or c in ops[node].pops for c in pushed[node]):
                 for c in ops[node].pops:
                     lengths[c] -= 1
-                for c, _ in ops[node].pushes:
+                for c in pushed[node]:
                     lengths[c] += 1
                 pointers[pe] += 1
                 sweeps[-1] += (node,)
@@ -160,7 +177,7 @@ def test_recorded_schedule_keeps_its_invariants(sim):
     except WiringError:
         return
     assert scan(design) == design.sweeps
-    labels, capacity = design.chan_labels, cfg.channel_capacity
+    labels, capacity, pushed = design.chan_labels, cfg.channel_capacity, pushes(design)
     lengths = [0] * len(labels)
     sends = [0] * len(labels)
     peak = [0] * len(labels)
@@ -174,7 +191,7 @@ def test_recorded_schedule_keeps_its_invariants(sim):
             for c in design.ops[node].pops:
                 assert lengths[c] > 0, labels[c]
                 lengths[c] -= 1
-            for c, _ in design.ops[node].pushes:
+            for c in pushed[node]:
                 lengths[c] += 1
                 sends[c] += 1
                 peak[c] = max(peak[c], lengths[c])
@@ -191,3 +208,30 @@ def test_recorded_schedule_keeps_its_invariants(sim):
     assert list(design.drained) == stored
     upper = [(i, j) for i in range(1, m + 1) for j in range(i, n + 2)]
     assert list(design.uncovered) == [p for p in upper if p not in stored]
+
+
+@settings(max_examples=100, deadline=None)
+@given(simulations())
+@example(DEADLOCK)
+def test_queues_deliver_the_named_producers(sim):
+    """Replayed along ``design.sweeps`` with a FIFO queue of producer ids per
+    channel, every pop finds a value and receives the producer its NodeOp
+    names, so reading values by producer is what the channels deliver; a
+    completed design leaves every queue empty."""
+    m, n, cfg, _ = sim
+    try:
+        design = compile_design(SPEC, cfg, m, n)
+    except WiringError:
+        return
+    labels, pushed = design.chan_labels, pushes(design)
+    queues = [deque() for _ in labels]
+    for sweep in design.sweeps:
+        for node in sweep:
+            op = design.ops[node]
+            for c, producer in zip(op.pops, producers(op), strict=True):
+                assert queues[c], labels[c]
+                assert queues[c].popleft() == producer, labels[c]
+            for c in pushed[node]:
+                queues[c].append(node)
+    if not design.blocked:
+        assert [labels[c] for c, q in enumerate(queues) if q] == []

@@ -91,7 +91,7 @@ def test_schedule_does_not_depend_on_the_data():
     """Everything but the output values is fixed by the spec, configuration and shape.
 
     One design per configuration executes both seeded inputs, and each
-    execution reports exactly what a fresh ``run()`` does, so no queue or
+    execution reports exactly what a fresh ``run()`` does, so no value or
     counter state leaks from one execution to the next.
     """
     for m in range(1, 7):

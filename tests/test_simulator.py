@@ -1,6 +1,5 @@
 import dataclasses
 import json
-from collections import deque
 from pathlib import Path
 from types import MappingProxyType
 
@@ -17,7 +16,6 @@ from spatialqr import simulator
 from spatialqr.simulator import (
     DrainError,
     SimConfig,
-    SimulationError,
     WiringError,
     compile_design,
     drain,
@@ -253,6 +251,12 @@ class TestRunEquivalence:
         with pytest.raises(ValueError, match="channel capacity must be an int"):
             SimConfig(channel_capacity=capacity)
 
+    @pytest.mark.parametrize("field", ["relay_enabled", "log_events"])
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_non_bool_switch_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a bool, got {value!r}$"):
+            SimConfig(**{field: value})
+
     def test_invalid_spec_rejected(self):
         import dataclasses
 
@@ -437,17 +441,3 @@ class TestDesignReuse:
                 entry[2].append("stray")
         assert report_to_json(execute(design, aug)) == expected
 
-
-class TestSimulationErrors:
-    def test_values_left_in_channels(self, monkeypatch):
-        made = []
-
-        def preloaded():
-            """The first channel's queue starts with a stray value."""
-            queue = deque([] if made else [0.5])
-            made.append(queue)
-            return queue
-
-        monkeypatch.setattr(simulator, "deque", preloaded)
-        with pytest.raises(SimulationError, match="values left in channels"):
-            run(SPEC, config("full", capacity=8), make_aug(4, 4))
