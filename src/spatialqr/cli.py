@@ -134,17 +134,10 @@ def cmd_simulate(args) -> int:
     spec = builtin_qr_spec()
     aug = _load_augmented(args.matrix, args.rhs)
     unroll = spec_unroll(spec) if args.unroll == "full" else folded_unroll(spec)
-    cfg = SimConfig(
-        unroll=unroll,
-        channel_capacity=args.capacity,
-        relay_enabled=args.relay,
-        log_events=args.event_log,
-    )
-    report = run(spec, cfg, aug)
+    cfg = SimConfig(unroll=unroll, channel_capacity=args.capacity, relay_enabled=args.relay)
     with _writing("standard error", sys.stderr):
-        sys.stderr.writelines(line + "\n" for line in report.events)
+        report = run(spec, cfg, aug, on_event=sys.stderr.write if args.event_log else None)
         sys.stderr.flush()
-    report.events = []
     _write_text(args.report, report_to_json(report))
     if not report.completed:
         blocked = ", ".join(b["pe"] for b in report.blocked)
@@ -220,8 +213,20 @@ class _Usage(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help, usage and errors are written through
+    :func:`_writing`, so a standard stream that fails is a usage error."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            file = file or sys.stderr
+            with _writing("standard output" if file is sys.stdout else "standard error", file):
+                file.write(message)
+                file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spatialqr",
         description="Givens-rotation QR as a spatial dataflow program with a "
                     "processing-element array simulator.",
@@ -282,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (NonFiniteError, SingularMatrixError) as exc:
         _error(exc)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
@@ -35,17 +35,6 @@ class DrainError(ValueError):
     """Store directives name one result position twice."""
 
 
-class PeId(NamedTuple):
-    """One processing element: a function plus its unrolled-dim coordinates."""
-
-    func: str
-    fixed: tuple[tuple[str, int], ...]
-
-    def label(self) -> str:
-        inside = ",".join([f"{d}={v}" for d, v in self.fixed])
-        return f"{self.func}({inside})"
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Placement and channel knobs for one simulation run.
@@ -58,14 +47,12 @@ class SimConfig:
     unroll: Mapping[str, tuple[str, ...]] | None = None
     channel_capacity: int = 2
     relay_enabled: bool = True
-    log_events: bool = False
 
     def __post_init__(self) -> None:
         if type(self.channel_capacity) is not int or self.channel_capacity < 1:
             raise ValueError(f"channel capacity must be an int >= 1, got {self.channel_capacity!r}")
-        for name in ("relay_enabled", "log_events"):
-            if type(getattr(self, name)) is not bool:
-                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if type(self.relay_enabled) is not bool:
+            raise ValueError(f"relay_enabled must be a bool, got {self.relay_enabled!r}")
         if self.unroll is not None:  # a copy, so no caller can change a design's unroll sets
             object.__setattr__(self, "unroll", MappingProxyType(
                 {name: tuple(dims) for name, dims in self.unroll.items()}))
@@ -92,16 +79,13 @@ def folded_unroll(spec: SpatialSpec, drop: tuple[str, ...] = ("row",)) -> dict[s
     }
 
 
-@dataclass
-class Placement:
-    """The PE of every node of a graph."""
+def place(graph: DataflowGraph, cfg: SimConfig) -> tuple[tuple[str, ...], list[int]]:
+    """Map each iteration to the PE fixed at its unrolled-dim values.
 
-    pes: list[PeId]  # sorted; a PE's index here is its scheduling priority
-    node_pe: list[int]  # per node id, the index of its PE in ``pes``
-
-
-def place(graph: DataflowGraph, cfg: SimConfig) -> Placement:
-    """Map each iteration to the PE fixed at its unrolled-dim values."""
+    Returns the PE labels, such as ``X(col=1)``, sorted by function and then
+    unrolled values, so a PE's index there is its scheduling priority; and
+    per node id, the index of its PE.
+    """
     spec = graph.spec
     unroll = cfg.unroll if cfg.unroll is not None else spec_unroll(spec)
     unknown = set(unroll) - {f.name for f in spec.funcs}
@@ -128,8 +112,11 @@ def place(graph: DataflowGraph, cfg: SimConfig) -> Placement:
     for r, key in enumerate(order):
         rank[found[key]] = r
     names = {f.name: tuple([f.dims[i] for i in kept[f.name]]) for f in spec.funcs}
-    pes = [PeId(func, tuple(zip(names[func], values))) for func, values in order]
-    return Placement(pes, [rank[p] for p in node_pe])
+    pe_labels = tuple([
+        func + "(" + ",".join([f"{d}={v}" for d, v in zip(names[func], values)]) + ")"
+        for func, values in order
+    ])
+    return pe_labels, [rank[p] for p in node_pe]
 
 
 # --- the compiled design ---------------------------------------------------------
@@ -162,7 +149,7 @@ class Design:
     Channels are ints; channel ``c`` runs from PE ``chan_src[c]`` to PE
     ``chan_dst[c]`` and is named ``chan_labels[c]`` in reports and errors.
     ``sweeps`` holds, per sweep, the node ids it fires in order.  The other
-    fields are every report field but the output and the events, immutable:
+    fields are every report field but the output, immutable:
     counters as read-only mappings by PE or channel label, and ``blocked``
     (pe, iteration, channels waiting on empty, channels waiting on full) per
     PE left with work, which is empty unless the design deadlocks.
@@ -199,7 +186,8 @@ def compile_design(spec: SpatialSpec, cfg: SimConfig, m: int, n: int) -> Design:
     return wire(graph, place(graph, cfg), cfg)
 
 
-def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
+def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
+         cfg: SimConfig) -> Design:
     """Turn value edges into bounded channels between placed PEs.
 
     With relaying enabled, rotation pairs are first remapped onto hop-by-hop
@@ -233,8 +221,7 @@ def wire(graph: DataflowGraph, placement: Placement, cfg: SimConfig) -> Design:
     """
     work = relay_view(graph) if cfg.relay_enabled else graph
     nodes, relayed = work.nodes, work.relayed
-    node_pe = placement.node_pe
-    pe_labels = tuple([pe.label() for pe in placement.pes])
+    pe_labels, node_pe = placement
 
     programs: list[list[int]] = [[] for _ in pe_labels]
     for i, pe in enumerate(node_pe):
@@ -393,7 +380,6 @@ class SimReport:
     drained: list[tuple[int, int]]
     uncovered: list[tuple[int, int]]
     blocked: list[dict]
-    events: list[str] = field(default_factory=list)
 
     @property
     def completed(self) -> bool:
@@ -403,12 +389,15 @@ class SimReport:
         return sum(self.firings.values())
 
 
-def run(spec: SpatialSpec, cfg: SimConfig, aug: AugmentedMatrix) -> SimReport:
-    """Simulate the spec on the given input until completion or deadlock."""
-    return execute(compile_design(spec, cfg, aug.m, aug.n), aug)
+def run(spec: SpatialSpec, cfg: SimConfig, aug: AugmentedMatrix,
+        on_event: Callable[[str], object] | None = None) -> SimReport:
+    """Simulate the spec on the given input until completion or deadlock;
+    ``on_event`` is as for :func:`execute`."""
+    return execute(compile_design(spec, cfg, aug.m, aug.n), aug, on_event)
 
 
-def execute(design: Design, aug: AugmentedMatrix) -> SimReport:
+def execute(design: Design, aug: AugmentedMatrix,
+            on_event: Callable[[str], object] | None = None) -> SimReport:
     """Replay ``design``'s sweeps on one input.
 
     Each recorded firing reads its inputs from its producers' recorded
@@ -416,18 +405,20 @@ def execute(design: Design, aug: AugmentedMatrix) -> SimReport:
     kernel and writes its stored values into the result; the first
     non-finite kernel output raises :class:`NonFiniteError`.  A deadlocked
     design replays the firings before the deadlock and reports it.
+    ``on_event``, if given, receives one newline-terminated line per firing
+    as it happens (sweep, PE, iteration, arguments and outputs), so the
+    lines of the firings before a failure are already out.
     """
     graph, cfg = design.graph, design.cfg
     m, n = graph.m, graph.n
     if (aug.m, aug.n) != (m, n):
         raise ValueError(f"design is for {m}x{n} inputs, got {aug.m}x{aug.n}")
-    nodes, ops, log_events = graph.nodes, design.ops, cfg.log_events
+    nodes, ops = graph.nodes, design.ops
     get = aug.inner.get
     output = Matrix.zeros(m, n + 1)
     put = output.set
     outs: list[tuple[float, ...] | None] = [None] * len(ops)  # per node, its kernel's output
     received = outs[:]  # per node, the pair it received
-    events: list[str] = []
     for step, sweep in enumerate(design.sweeps, 1):
         for node in sweep:
             kernel, args, pair, fetches, mems, stores, _, pe = ops[node]
@@ -447,24 +438,22 @@ def execute(design: Design, aug: AugmentedMatrix) -> SimReport:
                 raise NonFiniteError(f"non-finite kernel output at {nodes[node]}")
             for index, (row, col) in stores:
                 put(row, col, out[index])
-            if log_events:
+            if on_event is not None:
                 consumed = ",".join(repr(v) for v in args)
                 produced = ",".join(repr(v) for v in out)
-                events.append(
-                    f"step={step} pe={design.pe_labels[pe]} iter={nodes[node]} "
-                    f"consumed=[{consumed}] produced=[{produced}]"
-                )
+                on_event(f"step={step} pe={design.pe_labels[pe]} iter={nodes[node]} "
+                         f"consumed=[{consumed}] produced=[{produced}]\n")
 
     blocked = [{"pe": pe, "iteration": iteration, "waiting_on_empty": list(empty),
                 "waiting_on_full": list(full)} for pe, iteration, empty, full in design.blocked]
     return SimReport("deadlock" if blocked else "completed", m, n, cfg.describe(),
                      len(design.sweeps), design.firings.copy(), design.max_occupancy.copy(),
                      design.channel_sends.copy(), None if blocked else output, list(design.drained),
-                     list(design.uncovered), blocked, events)
+                     list(design.uncovered), blocked)
 
 
 def report_to_json(report: SimReport) -> str:
-    obj = {
+    return json.dumps({
         "schema": 1,
         "status": report.status,
         "m": report.m,
@@ -481,7 +470,4 @@ def report_to_json(report: SimReport) -> str:
         "drained": [list(p) for p in report.drained],
         "uncovered": [list(p) for p in report.uncovered],
         "blocked": report.blocked,
-    }
-    if report.events:
-        obj["events"] = report.events
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    }, indent=2, sort_keys=True) + "\n"

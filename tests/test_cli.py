@@ -51,7 +51,7 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
-def deadlocked_report(spec, cfg, aug):
+def deadlocked_report(spec, cfg, aug, on_event=None):
     """What ``run`` returns for a design that deadlocks after seven sweeps."""
     return SimReport(
         status="deadlock", m=aug.m, n=aug.n, config=cfg.describe(), steps=7,
@@ -228,6 +228,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.count("step=") == 26
 
+    def test_event_log_keeps_the_firings_before_a_non_finite_output(self, tmp_path, capsys):
+        """The log is streamed, so the firings that ran precede the error line."""
+        bad = tmp_path / "bad.txt"
+        bad.write_text("3 3\n1.0 2.0 3.0\n4.0 5.0 6.0\n7.0 8.0 nan\n")
+        assert run_cli("simulate", bad, "--report", tmp_path / "r.json", "--event-log") == 1
+        *events, last = capsys.readouterr().err.splitlines()
+        assert events and all(line.startswith("step=") for line in events)
+        assert last.startswith("error: ") and "non-finite" in last
+
     def test_deadlock_exit_code(self, matrix4, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run", deadlocked_report)
         code = run_cli("simulate", matrix4, "--report", tmp_path / "r.json")
@@ -237,8 +246,8 @@ class TestSimulate:
     def test_mismatch_exit_code(self, matrix4, tmp_path, monkeypatch, capsys):
         real_run = cli.run
 
-        def tampered(spec, cfg, aug):
-            report = real_run(spec, cfg, aug)
+        def tampered(spec, cfg, aug, on_event=None):
+            report = real_run(spec, cfg, aug, on_event)
             i, j = report.drained[0]
             report.output.set(i, j, report.output.get(i, j) + 1.0)
             return report
@@ -286,8 +295,8 @@ class TestSelfcheck:
     def test_tampered_report_names_shape_and_configuration(self, monkeypatch, capsys):
         real_run = cli.run
 
-        def tampered(spec, cfg, aug):
-            report = real_run(spec, cfg, aug)
+        def tampered(spec, cfg, aug, on_event=None):
+            report = real_run(spec, cfg, aug, on_event)
             if report.drained:
                 i, j = report.drained[0]
                 report.output.set(i, j, report.output.get(i, j) + 1.0)
@@ -394,12 +403,37 @@ class TestHostileInputs:
                                   env=BUFFERED_ENV, check=False)
         assert (done.returncode, done.stdout) == (2, b"")
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("full", ["stdout", "stderr"])
+    def test_full_stream_under_argparse_is_a_usage_error(self, full):
+        """Help and usage text that argparse writes go through the same guard."""
+        argv = ("--help",) if full == "stdout" else ("trace", "0", "4")
+        with open("/dev/full", "w") as sink:
+            streams = ({"stdout": sink, "stderr": subprocess.PIPE} if full == "stdout"
+                       else {"stdout": subprocess.PIPE, "stderr": sink})
+            done = subprocess.run([sys.executable, "-m", "spatialqr", *argv], **streams,
+                                  env=BUFFERED_ENV, check=False)
+        assert done.returncode == 2
+        if full == "stdout":
+            err = done.stderr.decode().splitlines()
+            assert len(err) == 1 and err[0].startswith("error: cannot write standard output: ")
+        else:
+            assert done.stdout == b""
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--help")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: spatialqr")
+
     @pytest.mark.parametrize("name,text", [
         ("empty.txt", ""),
+        ("empty.csv", ""),
         ("ragged.txt", "2 2\n1.0 2.0\n3.0\n"),
         ("ragged.csv", "1.0,2.0\n3.0\n"),
         ("zero.txt", "0 0\n"),
-    ], ids=["empty", "ragged-txt", "ragged-csv", "zero-header"])
+        ("short.txt", "2 2\n1.0 2.0\n"),
+    ], ids=["empty", "empty-csv", "ragged-txt", "ragged-csv", "zero-header", "missing-row"])
     def test_verify_file_shape(self, tmp_path, capsys, name, text):
         matrix = tmp_path / name
         matrix.write_text(text)

@@ -299,9 +299,14 @@ def test_code_named_dim_is_a_slot(how):
     source, _ = _walker_source(spec, spec.funcs[0])
     assert CODE not in source and "col" not in source
     aug = AugmentedMatrix.from_parts(random_matrix(4, 3, 9), [1.0, 2.0, 3.0, 4.0])
-    cfg = SimConfig(log_events=True)
-    got = report_to_json(run(spec, cfg, aug)).replace(CODE, "col")
-    assert got == report_to_json(run(SPEC, cfg, aug))
+
+    def event_lines_and_report(spec):
+        lines = []
+        report = run(spec, SimConfig(), aug, lines.append)
+        return [*lines, report_to_json(report)]
+
+    got = event_lines_and_report(spec)
+    assert [text.replace(CODE, "col") for text in got] == event_lines_and_report(SPEC)
 
 
 def mutated_expr(e, rnd):

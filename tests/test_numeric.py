@@ -19,8 +19,10 @@ from spatialqr.numeric import (
     parse_matrix_text,
     qr_givens_reference,
     random_matrix,
+    read_vector,
     solve,
     verify_qr,
+    write_matrix,
 )
 
 finite = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
@@ -258,6 +260,28 @@ class TestMatrixIo:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             parse_matrix_text("junk\n1 2\n")
+
+    @pytest.mark.parametrize("rows,cols", [(1, 3), (3, 1)], ids=["row", "column"])
+    def test_read_vector_takes_one_row_or_column(self, tmp_path, rows, cols):
+        path = tmp_path / "v.txt"
+        write_matrix(str(path), Matrix(rows, cols, [1.0, 2.0, 3.0]))
+        assert read_vector(str(path)) == [1.0, 2.0, 3.0]
+
+    def test_read_vector_rejects_a_matrix(self, tmp_path):
+        path = tmp_path / "v.txt"
+        write_matrix(str(path), Matrix.identity(2))
+        with pytest.raises(DimensionError, match="expected a vector, got 2x2"):
+            read_vector(str(path))
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: Matrix(2, 2, [1.0]), "matrix 2x2 needs 4 values, got 1"),
+        (lambda: AugmentedMatrix(2, 2, Matrix.zeros(2, 2)), "must be 2x3, got 2x2"),
+        (lambda: back_substitute(Matrix.zeros(2, 3), [1.0, 1.0]), "square matrix, got 2x3"),
+        (lambda: back_substitute(Matrix.identity(2), [1.0]), "rhs length 1 != size 2"),
+    ], ids=["data-length", "augmented-shape", "non-square-r", "rhs-length"])
+    def test_shape_errors(self, make, message):
+        with pytest.raises(DimensionError, match=message):
+            make()
 
     def test_one_based_access(self):
         m = Matrix.from_rows([[1.0, 2.0], [3.0, 4.0]])

@@ -1,7 +1,7 @@
 """Report bytes pinned over a grid of small configurations.
 
 Each entry is the run's status and the sha256 of ``report_to_json(run(...))``
-with the event log on, so any change to firing order, sweep counts,
+with the streamed event lines added under ``"events"``, so any change to firing order, sweep counts,
 occupancy, deadlock diagnostics or drained values shows up as a changed
 digest.  A configuration that raises records the exception type and message
 instead.
@@ -45,13 +45,17 @@ def outcome(m, n, unroll, relay, capacity):
     aug = AugmentedMatrix.from_parts(
         random_matrix(m, n, 100 * m + n), [float(i) for i in range(1, m + 1)]
     )
-    cfg = SimConfig(unroll=UNROLLS[unroll], channel_capacity=capacity,
-                    relay_enabled=relay, log_events=True)
+    cfg = SimConfig(unroll=UNROLLS[unroll], channel_capacity=capacity, relay_enabled=relay)
+    lines = []
     try:
-        report = run(SPEC, cfg, aug)
+        report = run(SPEC, cfg, aug, lines.append)
     except Exception as exc:  # the failure itself is what gets pinned
         return f"raises {type(exc).__name__}: {exc}"
-    digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+    obj = json.loads(report_to_json(report))
+    if lines:
+        obj["events"] = [line.rstrip("\n") for line in lines]
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
     return f"{report.status} {digest}"
 
 

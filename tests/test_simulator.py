@@ -77,26 +77,26 @@ def y_count(m, n):
 
 class TestPlacement:
     def test_full_unroll_one_iteration_per_pe(self):
-        placement = place(build_graph(SPEC, 4, 4), config("full"))
-        pes = set(placement.pes)
-        assert len(pes) == 26
-        assert sum(1 for pe in pes if pe.func == "X") == 6
-        assert sum(1 for pe in pes if pe.func == "Y") == 20
+        pe_labels, node_pe = place(build_graph(SPEC, 4, 4), config("full"))
+        assert len(set(pe_labels)) == len(pe_labels) == 26
+        assert sorted(node_pe) == list(range(26))
+        assert sum(1 for label in pe_labels if label.startswith("X(")) == 6
+        assert sum(1 for label in pe_labels if label.startswith("Y(")) == 20
+        assert pe_labels[0] == "X(col=1,row=2)"
 
     def test_row_folded_counts(self):
-        placement = place(build_graph(SPEC, 4, 4), config("folded"))
-        pes = set(placement.pes)
-        x_pes = sorted(pe.fixed for pe in pes if pe.func == "X")
-        y_pes = sorted(pe.fixed for pe in pes if pe.func == "Y")
-        assert x_pes == [(("col", 1),), (("col", 2),), (("col", 3),)]
-        assert len(y_pes) == 9
+        pe_labels, _ = place(build_graph(SPEC, 4, 4), config("folded"))
+        assert pe_labels[:3] == ("X(col=1)", "X(col=2)", "X(col=3)")
+        assert len(pe_labels) == 12
+        assert all(label.startswith("Y(") for label in pe_labels[3:])
 
     def test_fold_preserves_program_order(self):
         cfg = config("folded")
         g = build_graph(SPEC, 4, 4)
-        placement = place(g, cfg)
-        pe = placement.node_pe[g.ids["X"][(1, 3)]]
-        order = [g.nodes[i] for i, p in enumerate(placement.node_pe) if p == pe]
+        pe_labels, node_pe = place(g, cfg)
+        pe = node_pe[g.ids["X"][(1, 3)]]
+        assert pe_labels[pe] == "X(col=1)"
+        order = [g.nodes[i] for i, p in enumerate(node_pe) if p == pe]
         assert order == [IterNode("X", (1, 4)), IterNode("X", (1, 3)), IterNode("X", (1, 2))]
 
     def test_unknown_unroll_dim_rejected(self):
@@ -251,11 +251,16 @@ class TestRunEquivalence:
         with pytest.raises(ValueError, match="channel capacity must be an int"):
             SimConfig(channel_capacity=capacity)
 
-    @pytest.mark.parametrize("field", ["relay_enabled", "log_events"])
+    @pytest.mark.parametrize("field", ["relay_enabled"])
     @pytest.mark.parametrize("value", ["no", 1, None])
     def test_non_bool_switch_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be a bool, got {value!r}$"):
             SimConfig(**{field: value})
+
+    def test_every_config_field_describes_the_design(self):
+        """The config holds only what the report echoes: no switch outside the design."""
+        cfg = config("folded")
+        assert [f.name for f in dataclasses.fields(cfg)] == list(cfg.describe())
 
     def test_invalid_spec_rejected(self):
         import dataclasses
@@ -267,6 +272,34 @@ class TestRunEquivalence:
         )
         with pytest.raises(ValueError, match="guard-gap"):
             run(spec, config("full"), make_aug(4, 4))
+
+
+class TestEventStream:
+    def test_one_line_per_firing_in_replay_order(self):
+        design = compile_design(SPEC, config("folded", capacity=1), 4, 3)
+        lines = []
+        report = execute(design, make_aug(4, 3), lines.append)
+        assert len(lines) == report.total_firings() == sum(map(len, design.sweeps))
+        fired = [str(design.graph.nodes[i]) for sweep in design.sweeps for i in sweep]
+        assert all(f" iter={it} consumed=" in line for line, it in zip(lines, fired))
+        assert all(line.endswith("]\n") and line.count("\n") == 1 for line in lines)
+        assert lines[-1].startswith(f"step={report.steps} ")
+
+    def test_nothing_is_buffered(self):
+        """A sink that fails on its first line stops the run after one firing,
+        before the later firing whose output is non-finite."""
+        design = compile_design(SPEC, config("full"), 4, 4)
+        aug = make_aug(4, 4)
+        aug.inner.set(4, 4, float("nan"))
+        lines = []
+
+        def sink(line):
+            lines.append(line)
+            raise OSError("sink is full")
+
+        with pytest.raises(OSError, match="sink is full"):
+            execute(design, aug, sink)
+        assert len(lines) == 1 and lines[0].startswith("step=1 ")
 
 
 class TestDrain:
