@@ -88,6 +88,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_decompose(args) -> int:
+    if args.q_output and not args.accumulate_q:
+        raise _Usage("--q-output needs --accumulate-q")
     aug = _load_augmented(args.matrix, args.rhs)
     require_finite(*aug.inner.data)
     result = qr_givens_reference(aug, accumulate_q=args.accumulate_q)
@@ -98,8 +100,6 @@ def cmd_decompose(args) -> int:
     with _writing(args.output):
         write_matrix(args.output, out)
     if args.q_output:
-        if result.q is None:
-            raise _Usage("--q-output needs --accumulate-q")
         with _writing(args.q_output):
             write_matrix(args.q_output, result.q)
     return EXIT_OK

@@ -4,7 +4,7 @@ Every loop iteration of a spatial function becomes a node.  The arguments
 of its firing recurrence case become its rotation pair (the c and s it reads
 from one eliminating iteration), its data edges from producing iterations and
 its memory loads.  Nodes are numbered in walk order, and every per-node table
-is a list indexed by that node id.  The module also carries a pull-based
+is a tuple indexed by that node id.  The module also carries a pull-based
 evaluator over the topological order, used as an independent oracle against
 both the imperative reference and the processing-element simulator.
 """
@@ -15,7 +15,8 @@ import dataclasses
 import heapq
 import json
 from dataclasses import dataclass
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from spatialqr import specdsl
 from spatialqr.numeric import AugmentedMatrix
@@ -48,29 +49,30 @@ class IterNode:
         return f"{self.func}{self.coords}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataflowGraph:
     """Nodes in walk order; a node's id is its index in ``nodes`` and in every table.
 
     A node's inputs are its rotation pair, its data edges and its memory
     loads.  ``relayed`` names the functions whose pairs :func:`relay_view`
-    has remapped to relay neighbours.
+    has remapped to relay neighbours.  The graph is immutable: its tables
+    are tuples and ``ids`` is read-only.
     """
 
     spec: SpatialSpec
     m: int
     n: int
-    nodes: list[IterNode]
-    node_case: list[specdsl.RecurrenceCase]
+    nodes: tuple[IterNode, ...]
+    node_case: tuple[specdsl.RecurrenceCase, ...]
     # per node, its case's kernel and argument template, constants filled in
-    node_kernel: list[tuple[Callable[..., tuple[float, ...]], tuple[float | None, ...]]]
-    node_cells: list[tuple[int, ...]]  # flat (tuple index, row, col) triples
-    node_stores: list[tuple[int, ...]]  # likewise; empty for nodes that store nothing
-    pairs: list[tuple[int, int, int] | None]  # (producer, port of c, port of s)
-    data: list[tuple[tuple[int, int, int], ...]]  # (producer, tuple index, port)
-    loads: list[tuple[tuple[int, int, int], ...]]  # (row, col, port) of the input
-    topo_order: list[int]
-    ids: dict[str, dict[tuple[int, ...], int]]  # node id per function name and coordinates
+    node_kernel: tuple[tuple[Callable[..., tuple[float, ...]], tuple[float | None, ...]], ...]
+    node_cells: tuple[tuple[int, ...], ...]  # flat (tuple index, row, col) triples
+    node_stores: tuple[tuple[int, ...], ...]  # likewise; empty for nodes that store nothing
+    pairs: tuple[tuple[int, int, int] | None, ...]  # (producer, port of c, port of s)
+    data: tuple[tuple[tuple[int, int, int], ...], ...]  # (producer, tuple index, port)
+    loads: tuple[tuple[tuple[int, int, int], ...], ...]  # (row, col, port) of the input
+    topo_order: tuple[int, ...]
+    ids: Mapping[str, Mapping[tuple[int, ...], int]]  # node id per function name and coordinates
     relayed: frozenset[str] = frozenset()
 
     @property
@@ -138,15 +140,15 @@ def build_graph(spec: SpatialSpec, m: int, n: int) -> DataflowGraph:
         loads.append(tuple([(*sources[port], port) for port in memory]))
 
     graph = DataflowGraph(
-        spec, m, n, [IterNode(f.func, f.coords) for f in firings],
-        node_case=[f.case for f in firings],
-        node_kernel=kernels,
-        node_cells=[f.cells for f in firings],
-        node_stores=[f.stores for f in firings],
-        pairs=pairs, data=data, loads=loads, topo_order=[], ids=ids,
+        spec, m, n, tuple([IterNode(f.func, f.coords) for f in firings]),
+        node_case=tuple([f.case for f in firings]),
+        node_kernel=tuple(kernels),
+        node_cells=tuple([f.cells for f in firings]),
+        node_stores=tuple([f.stores for f in firings]),
+        pairs=tuple(pairs), data=tuple(data), loads=tuple(loads), topo_order=(),
+        ids=MappingProxyType({name: MappingProxyType(of) for name, of in ids.items()}),
     )
-    graph.topo_order = _topo_sort(graph)
-    return graph
+    return dataclasses.replace(graph, topo_order=_topo_sort(graph))
 
 
 def _case_plan(spec: SpatialSpec, case: specdsl.RecurrenceCase,
@@ -164,7 +166,7 @@ def _case_plan(spec: SpatialSpec, case: specdsl.RecurrenceCase,
     return pair, calls, memory, (KERNELS[case.kernel][0], template)
 
 
-def _topo_sort(graph: DataflowGraph) -> list[int]:
+def _topo_sort(graph: DataflowGraph) -> tuple[int, ...]:
     """Kahn's order, always taking the smallest ready node id."""
     indeg = [0] * len(graph.nodes)
     succs: list[list[int]] = [[] for _ in indeg]
@@ -185,7 +187,7 @@ def _topo_sort(graph: DataflowGraph) -> list[int]:
                 heapq.heappush(ready, j)
     if len(order) != len(indeg):
         raise CycleError(_find_cycle(graph, indeg))
-    return order
+    return tuple(order)
 
 
 def _find_cycle(graph: DataflowGraph, indeg: list[int]) -> list[IterNode]:
@@ -229,12 +231,12 @@ def relay_view(graph: DataflowGraph) -> DataflowGraph:
                 pairs[i] = (prev, *pairs[i][1:])
                 remapped.append(i)
 
-    view = dataclasses.replace(graph, pairs=pairs, relayed=frozenset(relays))
+    view = dataclasses.replace(graph, pairs=tuple(pairs), relayed=frozenset(relays))
     position = [0] * len(pairs)
     for k, i in enumerate(graph.topo_order):
         position[i] = k
     if any(position[pairs[i][0]] > position[i] for i in remapped):
-        view.topo_order = _topo_sort(view)
+        view = dataclasses.replace(view, topo_order=_topo_sort(view))
     nodes, read = graph.nodes, graph.pairs
     for i in remapped:
         prev = pairs[i][0]
@@ -251,14 +253,15 @@ def evaluate_graph(graph: DataflowGraph, aug: AugmentedMatrix) -> AugmentedMatri
 
     Memory arguments read the immutable initial snapshot; producer arguments
     read the recorded output tuples, and a pair reads the rotation its
-    producer made or, in a :func:`relay_view`, applied.  The returned matrix
+    producer holds: the pair it read if its function is relayed, which a
+    :func:`relay_view` passes on, else its own output.  The returned matrix
     carries each cell's final value, which is schedule-independent because
     dependences totally order every cell's updates.
     """
     get = aug.inner.get
     result = aug.inner.copy()
     values: list[tuple[float, ...] | None] = [None] * len(graph.nodes)
-    rotations = values[:]  # per node, the pair it applies, or its own output
+    rotations = values[:]  # per node, the rotation it holds
 
     for i in graph.topo_order:
         kernel, template = graph.node_kernel[i]
@@ -271,7 +274,7 @@ def evaluate_graph(graph: DataflowGraph, aug: AugmentedMatrix) -> AugmentedMatri
         for row, col, port in graph.loads[i]:
             args[port] = get(row, col)
         out = values[i] = kernel(*args)
-        rotations[i] = out if pair is None else rotations[pair[0]]
+        rotations[i] = rotations[pair[0]] if graph.nodes[i].func in graph.relayed else out
         cells = graph.node_cells[i]
         for k in range(0, len(cells), 3):
             result.set(cells[k + 1], cells[k + 2], out[cells[k]])

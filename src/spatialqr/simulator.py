@@ -5,11 +5,11 @@ and value edges become bounded FIFO channels (relay chains included).  The
 channels fix the schedule, not the values: a deterministic sweep schedule,
 computed once per design from queue lengths, fires each PE's iterations in
 program order, and every input replays it.  Values move by producer: each
-firing reads its inputs straight from its producers' outputs, which is what
-its channels would deliver.  Which result positions the store directives
-drain is fixed with the schedule; a run writes each stored value straight
-into the result matrix, and the report carries occupancy and deadlock
-diagnostics.
+firing reads its inputs from the graph's own tables, its producers'
+outputs and held rotations, which is what its channels would deliver.
+Which result positions the store directives drain is fixed with the
+schedule; a run writes each stored value straight into the result matrix,
+and the report carries occupancy and deadlock diagnostics.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import groupby
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable
 
 from spatialqr.dataflow import DataflowGraph, build_graph, relay_view
 from spatialqr.numeric import AugmentedMatrix, Matrix, NonFiniteError
@@ -54,8 +55,17 @@ class SimConfig:
         if type(self.relay_enabled) is not bool:
             raise ValueError(f"relay_enabled must be a bool, got {self.relay_enabled!r}")
         if self.unroll is not None:  # a copy, so no caller can change a design's unroll sets
-            object.__setattr__(self, "unroll", MappingProxyType(
-                {name: tuple(dims) for name, dims in self.unroll.items()}))
+            unroll = self.unroll
+            if isinstance(unroll, Mapping) and all(
+                    isinstance(dims, Iterable) and not isinstance(dims, str)
+                    for dims in unroll.values()):
+                unroll = {name: tuple(dims) for name, dims in unroll.items()}
+            if unroll is self.unroll or not all(
+                    isinstance(name, str) and all(isinstance(d, str) for d in dims)
+                    for name, dims in unroll.items()):
+                raise ValueError(f"unroll must map function names to tuples of dim names, "
+                                 f"got {self.unroll!r}")
+            object.__setattr__(self, "unroll", MappingProxyType(unroll))
 
     def describe(self) -> dict:
         return {
@@ -121,35 +131,16 @@ def place(graph: DataflowGraph, cfg: SimConfig) -> tuple[tuple[str, ...], list[i
 
 # --- the compiled design ---------------------------------------------------------
 
-class NodeOp(NamedTuple):
-    """One iteration's firing on PE ``pe``: its inputs named by producer node id.
-
-    ``pops`` names, by their index in a :class:`Design`, the channels the
-    inputs arrive on: the pair's first, then ``fetches``', in that producer
-    order.  ``wire`` guarantees that each channel delivers its values in
-    the order its consumer pops them, so the k-th pop receives what the
-    k-th producer pushed: an output for a data input, the first two outputs
-    for a pair, or, for a relayed pair, the pair that producer received.
-    """
-
-    kernel: Callable[..., tuple[float, ...]]
-    template: tuple[float | None, ...]  # the kernel's arguments, constants filled in
-    pair: tuple[int, int, int, bool] | None  # (producer, port of c, port of s, relayed?)
-    fetches: tuple[tuple[int, int, int], ...]  # (producer, tuple index, port)
-    mems: tuple[tuple[int, int, int], ...]  # (row, col, port) of the input
-    stores: tuple[tuple[int, tuple[int, int]], ...]  # (output index, result position)
-    pops: tuple[int, ...]  # the channels of the pair, then of ``fetches``
-    pe: int
-
-
 @dataclass(frozen=True)
 class Design:
     """A spec placed, wired and scheduled at one shape: everything a run fixes before the data.
 
-    Channels are ints; channel ``c`` runs from PE ``chan_src[c]`` to PE
-    ``chan_dst[c]`` and is named ``chan_labels[c]`` in reports and errors.
-    ``sweeps`` holds, per sweep, the node ids it fires in order.  The other
-    fields are every report field but the output, immutable:
+    It is immutable all the way down, and its ``graph`` is the program each
+    node fires.  Channels are ints; channel ``c`` runs from PE
+    ``chan_src[c]`` to PE ``chan_dst[c]`` and is named ``chan_labels[c]``.
+    Node ``i`` pops ``pops[i]``, one channel per ``graph.producers(i)``, on
+    PE ``node_pe[i]``.  ``sweeps`` holds, per sweep, the node ids it fires
+    in order.  The other fields are every report field but the output:
     counters as read-only mappings by PE or channel label, and ``blocked``
     (pe, iteration, channels waiting on empty, channels waiting on full) per
     PE left with work, which is empty unless the design deadlocks.
@@ -159,13 +150,14 @@ class Design:
     shape without a queue and builds each report afresh.
     """
 
-    graph: DataflowGraph  # as built, before any relay view
+    graph: DataflowGraph  # its relay view when relay is enabled
     cfg: SimConfig
     pe_labels: tuple[str, ...]  # per PE index, which is also its scheduling priority
     chan_src: tuple[int, ...]
     chan_dst: tuple[int, ...]
     chan_labels: tuple[str, ...]
-    ops: tuple[NodeOp, ...]  # per node id
+    pops: tuple[tuple[int, ...], ...]  # per node id
+    node_pe: tuple[int, ...]  # per node id
     programs: tuple[tuple[int, ...], ...]  # per PE index, its node ids in program order
     sweeps: tuple[tuple[int, ...], ...]
     firings: Mapping[str, int]
@@ -191,8 +183,9 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
     """Turn value edges into bounded channels between placed PEs.
 
     With relaying enabled, rotation pairs are first remapped onto hop-by-hop
-    chains along each relay directive's vector (:func:`relay_view`); only the
-    chain head still receives the pair straight from its producer.  Edges between
+    chains along each relay directive's vector (:func:`relay_view`), and the
+    design runs that view; only the chain head still receives the pair
+    straight from its producer.  Edges between
     iterations folded onto one PE still go through a channel of the same
     capacity, so folding is purely a re-placement.  A channel is the int
     key (producer PE, tag, consumer PE, tag), numbered in order of first
@@ -236,16 +229,15 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
     last_producer: list[int] = []
     faults: dict[int, str] = {}  # channel -> its flow-order fault
     found: dict[tuple[int, int, int, int], int] = {}
-    ops: list[NodeOp] = []
+    node_pops: list[tuple[int, ...]] = []
     pushes: list[list[int]] = [[] for _ in nodes]  # per node, the channels it pushes
     for i, (pair, data) in enumerate(zip(work.pairs, work.data)):
-        # a flow is (producer node, its tag, our tag): the pair first, then data ports
+        # a flow is (producer node, its tag, our tag): the pair first, then data ports;
+        # a producer in a relayed function passes on the pair it read
         flows = data
         if pair is not None:
             src = pair[0]
-            relay = nodes[i].func in relayed and nodes[src].func == nodes[i].func
-            pair = (*pair, relay)
-            flows = ((src, _RELAY if relay else _CS, _CS), *data)
+            flows = ((src, _RELAY if nodes[src].func in relayed else _CS, _CS), *data)
         dst_pe = node_pe[i]
         pops = []
         for src, src_tag, dst_tag in flows:
@@ -267,12 +259,7 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
                 last_producer[c] = src
             pops.append(c)
             pushes[src].append(c)
-        stored = work.node_stores[i]
-        ops.append(NodeOp(
-            *work.node_kernel[i], pair, data, work.loads[i],
-            tuple([(stored[k], (stored[k + 1], stored[k + 2])) for k in range(0, len(stored), 3)]),
-            tuple(pops), dst_pe,
-        ))
+        node_pops.append(tuple(pops))
     del found  # free the channel keys before the schedule builds its tables
 
     tags = {_CS: "cs", _RELAY: "relay"}  # any other tag is a tuple index or a port
@@ -293,10 +280,10 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
             after[a].append(b)
             waits[b] += 1
     poppers: list[list[int]] = [[] for _ in labels]  # per channel, its consumers in pop order
-    for i, op in enumerate(ops):
-        for c, a in zip(op.pops, work.producers(i)):
+    for i, pops in enumerate(node_pops):
+        for c, a in zip(pops, work.producers(i)):
             seen = poppers[c]
-            if len(seen) >= capacity and c not in ops[a].pops:
+            if len(seen) >= capacity and c not in node_pops[a]:
                 after[seen[-capacity]].append(a)  # a's push needs the pop capacity flows earlier
                 waits[a] += 1
             seen.append(i)
@@ -325,7 +312,7 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
     pointers = [0] * len(programs)
     for i in fired:
         pointers[node_pe[i]] += 1
-        for c in ops[i].pops:
+        for c in node_pops[i]:
             lengths[c] -= 1
         for c in pushes[i]:
             lengths[c] += 1
@@ -335,14 +322,14 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
     if len(fired) < len(nodes):
         sweeps.append(())  # the deadlock: a sweep that fires nothing
     blocked = tuple([
-        (label, str(graph.nodes[program[k]]),
-         tuple([labels[c] for c in ops[program[k]].pops if not lengths[c]]),
+        (label, str(nodes[program[k]]),
+         tuple([labels[c] for c in node_pops[program[k]] if not lengths[c]]),
          tuple([labels[c] for c in pushes[program[k]] if lengths[c] >= capacity]))
         for program, label, k in zip(programs, pe_labels, pointers) if k < len(program)
     ])
-    drained, uncovered = ((), ()) if blocked else drain(graph)
-    return Design(graph, cfg, pe_labels, tuple(chan_src), tuple(chan_dst), labels, tuple(ops),
-                  tuple(map(tuple, programs)), tuple(sweeps),
+    drained, uncovered = ((), ()) if blocked else drain(work)
+    return Design(work, cfg, pe_labels, tuple(chan_src), tuple(chan_dst), labels,
+                  tuple(node_pops), tuple(node_pe), tuple(map(tuple, programs)), tuple(sweeps),
                   MappingProxyType(dict(zip(pe_labels, pointers))),
                   MappingProxyType(dict(zip(labels, occupancy))),
                   MappingProxyType(dict(zip(labels, sends))), blocked, drained, uncovered)
@@ -400,35 +387,38 @@ def execute(design: Design, aug: AugmentedMatrix,
             on_event: Callable[[str], object] | None = None) -> SimReport:
     """Replay ``design``'s sweeps on one input.
 
-    Each recorded firing reads its inputs from its producers' recorded
-    outputs and received pairs, as :class:`NodeOp` names them, runs its
-    kernel and writes its stored values into the result; the first
-    non-finite kernel output raises :class:`NonFiniteError`.  A deadlocked
-    design replays the firings before the deadlock and reports it.
-    ``on_event``, if given, receives one newline-terminated line per firing
-    as it happens (sweep, PE, iteration, arguments and outputs), so the
-    lines of the firings before a failure are already out.
+    Each recorded firing reads its inputs as ``design.graph``'s tables name
+    them: a pair from the rotation its producer holds, a data input from
+    its producer's output and a load from the input.  It runs its kernel
+    and writes its stored values into the result; the first non-finite
+    kernel output raises :class:`NonFiniteError`.  A deadlocked design
+    replays the firings before the deadlock and reports it.  ``on_event``,
+    if given, receives one newline-terminated line per firing as it happens
+    (sweep, PE, iteration, arguments and outputs), so the lines of the
+    firings before a failure are already out.
     """
     graph, cfg = design.graph, design.cfg
     m, n = graph.m, graph.n
     if (aug.m, aug.n) != (m, n):
         raise ValueError(f"design is for {m}x{n} inputs, got {aug.m}x{aug.n}")
-    nodes, ops = graph.nodes, design.ops
+    nodes, relayed, kernels = graph.nodes, graph.relayed, graph.node_kernel
+    pairs, data, loads, node_stores = graph.pairs, graph.data, graph.loads, graph.node_stores
     get = aug.inner.get
     output = Matrix.zeros(m, n + 1)
     put = output.set
-    outs: list[tuple[float, ...] | None] = [None] * len(ops)  # per node, its kernel's output
-    received = outs[:]  # per node, the pair it received
+    outs: list[tuple[float, ...] | None] = [None] * len(nodes)  # per node, its kernel's output
+    rotations = outs[:]  # per node, the rotation it holds, as in evaluate_graph
     for step, sweep in enumerate(design.sweeps, 1):
         for node in sweep:
-            kernel, args, pair, fetches, mems, stores, _, pe = ops[node]
+            kernel, args = kernels[node]
             args = list(args)
+            pair = pairs[node]
             if pair is not None:
-                src, lo, hi, relayed = pair
-                args[lo], args[hi] = received[node] = received[src] if relayed else outs[src][:2]
-            for src, index, port in fetches:
+                src, lo, hi = pair
+                args[lo], args[hi] = rotations[src][:2]
+            for src, index, port in data[node]:
                 args[port] = outs[src][index]
-            for row, col, port in mems:
+            for row, col, port in loads[node]:
                 args[port] = get(row, col)
             try:
                 out = outs[node] = kernel(*args)
@@ -436,13 +426,15 @@ def execute(design: Design, aug: AugmentedMatrix,
                 raise NonFiniteError(f"{nodes[node]}: {exc}") from None
             if not all(map(math.isfinite, out)):
                 raise NonFiniteError(f"non-finite kernel output at {nodes[node]}")
-            for index, (row, col) in stores:
-                put(row, col, out[index])
+            rotations[node] = rotations[pair[0]] if nodes[node].func in relayed else out
+            stored = node_stores[node]
+            for k in range(0, len(stored), 3):
+                put(stored[k + 1], stored[k + 2], out[stored[k]])
             if on_event is not None:
                 consumed = ",".join(repr(v) for v in args)
                 produced = ",".join(repr(v) for v in out)
-                on_event(f"step={step} pe={design.pe_labels[pe]} iter={nodes[node]} "
-                         f"consumed=[{consumed}] produced=[{produced}]\n")
+                on_event(f"step={step} pe={design.pe_labels[design.node_pe[node]]} "
+                         f"iter={nodes[node]} consumed=[{consumed}] produced=[{produced}]\n")
 
     blocked = [{"pe": pe, "iteration": iteration, "waiting_on_empty": list(empty),
                 "waiting_on_full": list(full)} for pe, iteration, empty, full in design.blocked]

@@ -151,7 +151,8 @@ class TestDecompose:
         code = run_cli("decompose", matrix4, "--output", tmp_path / "r.txt",
                        "--q-output", tmp_path / "q.txt")
         assert code == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err == "error: --q-output needs --accumulate-q\n"
+        assert not (tmp_path / "r.txt").exists() and not (tmp_path / "q.txt").exists()
 
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code = run_cli("decompose", tmp_path / "nope.txt", "--output", tmp_path / "r.txt")

@@ -74,16 +74,11 @@ def test_completed_runs_match_reference_and_graph(sim):
     assert_drains_reference_bits(rep, aug)
 
 
-def producers(op):
-    """The producers ``op`` names, one per channel in ``op.pops``."""
-    return ([op.pair[0]] if op.pair is not None else []) + [p for p, _, _ in op.fetches]
-
-
 def pushes(design):
     """Per node id, the channels it pushes: each pop's channel, under its producer."""
-    pushed = [[] for _ in design.ops]
-    for op in design.ops:
-        for c, p in zip(op.pops, producers(op)):
+    pushed = [[] for _ in design.pops]
+    for i, pops in enumerate(design.pops):
+        for c, p in zip(pops, design.graph.producers(i)):
             pushed[p].append(c)
     return pushed
 
@@ -91,13 +86,13 @@ def pushes(design):
 def random_ready_order(design, rnd):
     """Every node id once, each step firing the next node of a PE drawn from
     those whose popped channels all hold a value, with unbounded queues."""
-    ops, programs, pushed = design.ops, design.programs, pushes(design)
+    pops, programs, pushed = design.pops, design.programs, pushes(design)
     lengths = [0] * len(design.chan_labels)
     pointers = [0] * len(programs)
 
     def ready(pe):
         k = pointers[pe]
-        return k < len(programs[pe]) and all(lengths[c] for c in ops[programs[pe][k]].pops)
+        return k < len(programs[pe]) and all(lengths[c] for c in pops[programs[pe][k]])
 
     candidates = [pe for pe in range(len(programs)) if ready(pe)]
     order = []
@@ -109,7 +104,7 @@ def random_ready_order(design, rnd):
         node = programs[pe][pointers[pe]]
         pointers[pe] += 1
         order.append(node)
-        for c in ops[node].pops:
+        for c in pops[node]:
             lengths[c] -= 1
         for c in pushed[node]:
             lengths[c] += 1
@@ -129,7 +124,7 @@ def test_any_ready_order_drains_the_same_bits(sim):
     except WiringError:
         return
     order = random_ready_order(design, random.Random(seed))
-    assert sorted(order) == list(range(len(design.ops)))  # the graph is acyclic
+    assert sorted(order) == list(range(len(design.pops)))  # the graph is acyclic
     drained, uncovered = drain(design.graph)
     completed = dataclasses.replace(design, sweeps=(order,), blocked=(), drained=drained,
                                     uncovered=uncovered)
@@ -142,18 +137,18 @@ def scan(design):
     """The sweeps by their definition: each visits every PE in index order and
     fires its next node if every channel it pops holds a value and every
     channel it pushes has room or is also popped, until one fires nothing."""
-    ops, programs, capacity = design.ops, design.programs, design.cfg.channel_capacity
+    pops, programs, capacity = design.pops, design.programs, design.cfg.channel_capacity
     pushed = pushes(design)
     lengths = [0] * len(design.chan_labels)
     pointers = [0] * len(programs)
     sweeps = []
-    while sum(pointers) < len(ops) and (not sweeps or sweeps[-1]):
+    while sum(pointers) < len(pops) and (not sweeps or sweeps[-1]):
         sweeps.append(())
         for pe, program in enumerate(programs):
             node = program[pointers[pe]] if pointers[pe] < len(program) else None
-            if node is not None and all(lengths[c] for c in ops[node].pops) and all(
-                    lengths[c] < capacity or c in ops[node].pops for c in pushed[node]):
-                for c in ops[node].pops:
+            if node is not None and all(lengths[c] for c in pops[node]) and all(
+                    lengths[c] < capacity or c in pops[node] for c in pushed[node]):
+                for c in pops[node]:
                     lengths[c] -= 1
                 for c in pushed[node]:
                     lengths[c] += 1
@@ -183,12 +178,12 @@ def test_recorded_schedule_keeps_its_invariants(sim):
     peak = [0] * len(labels)
     fired = [0] * len(design.programs)
     for sweep in design.sweeps:
-        pes = [design.ops[node].pe for node in sweep]
+        pes = [design.node_pe[node] for node in sweep]
         assert pes == sorted(set(pes))
         for node, pe in zip(sweep, pes):
             assert design.programs[pe][fired[pe]] == node
             fired[pe] += 1
-            for c in design.ops[node].pops:
+            for c in design.pops[node]:
                 assert lengths[c] > 0, labels[c]
                 lengths[c] -= 1
             for c in pushed[node]:
@@ -202,7 +197,7 @@ def test_recorded_schedule_keeps_its_invariants(sim):
     if design.blocked:
         assert design.sweeps[-1] == () and design.drained == design.uncovered == ()
         return
-    assert sum(fired) == len(design.ops)
+    assert sum(fired) == len(design.pops)
     stored = sorted((cells[k + 1], cells[k + 2]) for cells in design.graph.node_stores
                     for k in range(0, len(cells), 3))
     assert list(design.drained) == stored
@@ -215,9 +210,9 @@ def test_recorded_schedule_keeps_its_invariants(sim):
 @example(DEADLOCK)
 def test_queues_deliver_the_named_producers(sim):
     """Replayed along ``design.sweeps`` with a FIFO queue of producer ids per
-    channel, every pop finds a value and receives the producer its NodeOp
-    names, so reading values by producer is what the channels deliver; a
-    completed design leaves every queue empty."""
+    channel, every pop finds a value and receives the producer the design's
+    graph names, so reading values by producer is what the channels deliver;
+    a completed design leaves every queue empty."""
     m, n, cfg, _ = sim
     try:
         design = compile_design(SPEC, cfg, m, n)
@@ -227,8 +222,8 @@ def test_queues_deliver_the_named_producers(sim):
     queues = [deque() for _ in labels]
     for sweep in design.sweeps:
         for node in sweep:
-            op = design.ops[node]
-            for c, producer in zip(op.pops, producers(op), strict=True):
+            producers = design.graph.producers(node)
+            for c, producer in zip(design.pops[node], producers, strict=True):
                 assert queues[c], labels[c]
                 assert queues[c].popleft() == producer, labels[c]
             for c in pushed[node]:

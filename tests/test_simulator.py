@@ -5,7 +5,7 @@ from types import MappingProxyType
 
 import pytest
 
-from spatialqr.dataflow import IterNode, build_graph, evaluate_graph
+from spatialqr.dataflow import IterNode, build_graph, evaluate_graph, relay_view
 from spatialqr.numeric import (
     AugmentedMatrix,
     NonFiniteError,
@@ -35,6 +35,7 @@ from spatialqr.specdsl import (
     FuncSpec,
     IntLit,
     MemoryRef,
+    ROW,
     Name,
     RecurrenceCase,
     SpatialSpec,
@@ -57,7 +58,11 @@ def config(mode="full", capacity=2, relay=True, **kw):
 
 
 def assert_immutable(value):
-    """Fail on any list, dict, set or mutable object reachable from ``value``."""
+    """Fail on any list, dict, set or mutable object reachable from ``value``,
+    through the fields of the frozen dataclasses it holds."""
+    if dataclasses.is_dataclass(value):
+        assert type(value).__dataclass_params__.frozen, type(value).__name__
+        value = tuple([getattr(value, f.name) for f in dataclasses.fields(value)])
     if isinstance(value, MappingProxyType):
         value = tuple(value.items())
     if isinstance(value, tuple):
@@ -153,9 +158,10 @@ class TestWiring:
         g = build_graph(SPEC, 4, 4)
         cfg = config("full")
         design = wire(g, place(g, cfg), cfg)
-        op = design.ops[g.ids["X"][(1, 4)]]
-        assert {(row, col) for row, col, _ in op.mems} == {(4, 1), (3, 1)}
-        assert op.pair is None and op.fetches == () and op.pops == ()
+        i = g.ids["X"][(1, 4)]
+        assert {(row, col) for row, col, _ in design.graph.loads[i]} == {(4, 1), (3, 1)}
+        assert design.graph.pairs[i] is None and design.graph.data[i] == ()
+        assert design.pops[i] == ()
 
 
 class TestRunEquivalence:
@@ -177,6 +183,27 @@ class TestRunEquivalence:
         assert via_graph.inner.data == ref.inner.data
         for i, j in rep.drained:
             assert rep.output.get(i, j) == ref.inner.get(i, j)
+
+    @pytest.mark.parametrize("relay", [True, False])
+    def test_a_pair_read_from_an_eliminator_that_reads_one_is_its_output(self, relay):
+        """X(1, row) eliminates on the pair of X(1, row+1), and Y(1, row, k)
+        reads X(1, row)'s pair: it gets X(1, row)'s own c and s, in the
+        simulator and in the graph evaluator alike."""
+        x = SPEC.func("X")
+        b = dataclasses.replace(x.cases[1], args=(CallRef("X", (IntLit(1), ROW + 1), 0),
+                                                  CallRef("X", (IntLit(1), ROW + 1), 1)))
+        x = dataclasses.replace(x, cases=(x.cases[0], b, *x.cases[2:]))
+        spec = dataclasses.replace(SPEC, funcs=(x, *SPEC.funcs[1:]))
+        aug = make_aug(4, 3, 1)
+        lines = []
+        rep = execute(compile_design(spec, config("full", relay=relay), 4, 3), aug, lines.append)
+        fields = {line.split(" iter=")[1].split(" consumed=")[0]: line for line in lines}
+        c_s = fields["X(1, 3)"].split("produced=[")[1].split(",")[:2]
+        assert fields["Y(1, 3, 2)"].split("consumed=[")[1].split(",")[:2] == c_s
+        graph = build_graph(spec, 4, 3)
+        for values in (evaluate_graph(graph, aug), evaluate_graph(relay_view(graph), aug)):
+            assert [rep.output.get(*p) for p in rep.drained] == \
+                [values.inner.get(*p) for p in rep.drained]
 
     def test_exactly_once_firing(self):
         rep = run(SPEC, config("folded"), make_aug(6, 4))
@@ -250,6 +277,14 @@ class TestRunEquivalence:
     def test_non_int_capacity_rejected(self, capacity):
         with pytest.raises(ValueError, match="channel capacity must be an int"):
             SimConfig(channel_capacity=capacity)
+
+    @pytest.mark.parametrize("unroll", [
+        {"X": "row"}, [("X", ())], 5, {"X": None}, {1: ()}, {"X": ("col", 1)},
+    ])
+    def test_malformed_unroll_rejected(self, unroll):
+        with pytest.raises(ValueError, match="^unroll must map function names to tuples of dim "
+                                             "names, got "):
+            SimConfig(unroll=unroll)
 
     @pytest.mark.parametrize("field", ["relay_enabled"])
     @pytest.mark.parametrize("value", ["no", 1, None])
@@ -326,7 +361,8 @@ class TestDrain:
         design = compile_design(SPEC, cfg, 4, 4)
 
         def stores_of(node):
-            return list(design.ops[g.ids[node.func][node.coords]].stores)
+            s = design.graph.node_stores[g.ids[node.func][node.coords]]
+            return [(s[k], (s[k + 1], s[k + 2])) for k in range(0, len(s), 3)]
 
         assert stores_of(IterNode("X", (1, 2))) == [(3, (1, 1))]
         assert stores_of(IterNode("Y", (3, 4, 4))) == [(1, (3, 4)), (0, (4, 4))]
@@ -442,14 +478,19 @@ class TestDesignReuse:
         first.blocked.append({"pe": "stray"})
         assert report_to_json(execute(design, aug)) == expected
 
+    def test_input_of_another_shape_rejected(self):
+        design = compile_design(SPEC, config("full"), 4, 3)
+        with pytest.raises(ValueError, match="^design is for 4x3 inputs, got 4x4$"):
+            execute(design, make_aug(4, 4))
+
     @pytest.mark.parametrize("spec, cfg, shape", [
         (SPEC, config("full"), (4, 4)),
         (chain_spec(), SimConfig(unroll={"F": ()}), (2, 2)),  # deadlocks
     ])
     def test_design_holds_no_mutable_state(self, spec, cfg, shape):
-        """Past its graph, which it was built from, a design is immutable all
-        the way down, so no caller can change a later report; its configuration
-        keeps its own read-only copy of the unroll sets it was given."""
+        """A design, its graph included, is immutable all the way down, so
+        no caller can change a later report; its configuration keeps its own
+        read-only copy of the unroll sets it was given."""
         unroll = dict(cfg.unroll)
         design = compile_design(spec, dataclasses.replace(cfg, unroll=unroll), *shape)
         aug = make_aug(*shape)
@@ -461,9 +502,7 @@ class TestDesignReuse:
         for f in dataclasses.fields(design):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(design, f.name, None)
-            if f.name not in ("graph", "cfg"):
-                assert_immutable(getattr(design, f.name))
-        assert_immutable(design.cfg.unroll)
+        assert_immutable(design)
         for table, key in ((design.firings, design.pe_labels[0]),
                            (design.max_occupancy, design.chan_labels[0]),
                            (design.channel_sends, design.chan_labels[0]), (design.sweeps, 0)):

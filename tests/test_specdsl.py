@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from spatialqr import numeric, specdsl
+from spatialqr.dataflow import build_graph, graph_to_json
 from spatialqr.numeric import AugmentedMatrix, random_matrix
 from spatialqr.simulator import SimConfig, run
 from spatialqr.specdsl import (
@@ -17,6 +18,7 @@ from spatialqr.specdsl import (
     K,
     M,
     ROW,
+    BinOp,
     BoundSpec,
     CallRef,
     ConstRef,
@@ -363,6 +365,38 @@ class TestJsonRoundTrip:
         spec = spec_from_json(spec_to_json(builtin_qr_spec()))
         assert spec == builtin_qr_spec()
         assert validate(spec, 5, 3).ok
+
+    def test_every_comparison_product_and_constant_survives(self):
+        """The built-in spec rewritten with ``le``, ``lt``, ``*`` and a
+        constant argument, which it does not use itself, round-trips through
+        JSON and still lowers to the built-in spec's graph."""
+        def rewrite(expr):
+            if expr == COL.eq(1):
+                return COL.le(1)
+            if expr == ROW.ne(M):
+                return ROW.lt(M)
+            if isinstance(expr, BinOp):
+                return BinOp(expr.op, rewrite(expr.lhs), rewrite(expr.rhs))
+            return expr
+
+        builtin = builtin_qr_spec()
+        x, y = builtin.funcs
+        a, b, *rest = x.cases
+        assert b.args[0] == CallRef("X", (IntLit(1), ROW + 1), 3)
+        b = dataclasses.replace(b, args=(CallRef("X", (IntLit(1), ROW * 1 + 1), 3), b.args[1]))
+        never = RecurrenceCase("never", COL.lt(1), "eliminate", (ConstRef(0.5), ConstRef(2.0)))
+        funcs = (dataclasses.replace(x, cases=(a, b, *rest, never)), y)
+        spec = dataclasses.replace(builtin, funcs=tuple(
+            dataclasses.replace(f, cases=tuple(dataclasses.replace(c, guard=rewrite(c.guard))
+                                               for c in f.cases))
+            for f in funcs))
+        text = spec_to_json(spec)
+        assert all(f'"op": "{op}"' in text for op in ("<=", "<", "*"))
+        assert '"const": 0.5' in text
+        assert spec_from_json(text) == spec
+        for m, n in ((1, 1), (4, 4), (5, 3), (6, 6)):
+            assert graph_to_json(build_graph(spec, m, n)) == \
+                graph_to_json(build_graph(builtin, m, n))
 
     def test_rejects_unknown_schema(self):
         with pytest.raises(ValueError):
