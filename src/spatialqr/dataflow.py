@@ -104,6 +104,13 @@ class DataflowGraph:
         pair = self.pairs[i]
         return ([pair[0]] if pair is not None else []) + [e[0] for e in self.data[i]]
 
+    def relay_hops(self) -> frozenset[int]:
+        """The nodes that read their pair one hop along a relay chain, from a node
+        of their own relayed function, which passes on the pair it read."""
+        nodes, relayed = self.nodes, self.relayed
+        return frozenset([i for i, pair in enumerate(self.pairs) if pair is not None
+                          and nodes[i].func in relayed and nodes[pair[0]].func == nodes[i].func])
+
 
 def build_graph(spec: SpatialSpec, m: int, n: int) -> DataflowGraph:
     """One node per iteration, with its rotation pair, data edges and memory loads.
@@ -252,29 +259,30 @@ def evaluate_graph(graph: DataflowGraph, aug: AugmentedMatrix) -> AugmentedMatri
     """Fire every node once in topological order and replay cell writes.
 
     Memory arguments read the immutable initial snapshot; producer arguments
-    read the recorded output tuples, and a pair reads the rotation its
-    producer holds: the pair it read if its function is relayed, which a
-    :func:`relay_view` passes on, else its own output.  The returned matrix
-    carries each cell's final value, which is schedule-independent because
-    dependences totally order every cell's updates.
+    read the recorded output tuples, and a pair reads its producer's c and
+    s, or on a relay hop (:meth:`DataflowGraph.relay_hops`) the pair its
+    producer read.  The returned matrix carries each cell's final value,
+    which is schedule-independent because dependences totally order every
+    cell's updates.
     """
     get = aug.inner.get
     result = aug.inner.copy()
     values: list[tuple[float, ...] | None] = [None] * len(graph.nodes)
-    rotations = values[:]  # per node, the rotation it holds
+    rotations = values[:]  # per node, the pair it read
+    hops = graph.relay_hops()
 
     for i in graph.topo_order:
         kernel, template = graph.node_kernel[i]
         args = list(template)
         pair = graph.pairs[i]
         if pair is not None:
-            args[pair[1]], args[pair[2]] = rotations[pair[0]][:2]
+            src, lo, hi = pair
+            args[lo], args[hi] = rotations[i] = rotations[src] if i in hops else values[src][:2]
         for producer, index, port in graph.data[i]:
             args[port] = values[producer][index]
         for row, col, port in graph.loads[i]:
             args[port] = get(row, col)
         out = values[i] = kernel(*args)
-        rotations[i] = rotations[pair[0]] if graph.nodes[i].func in graph.relayed else out
         cells = graph.node_cells[i]
         for k in range(0, len(cells), 3):
             result.set(cells[k + 1], cells[k + 2], out[cells[k]])

@@ -5,11 +5,11 @@ and value edges become bounded FIFO channels (relay chains included).  The
 channels fix the schedule, not the values: a deterministic sweep schedule,
 computed once per design from queue lengths, fires each PE's iterations in
 program order, and every input replays it.  Values move by producer: each
-firing reads its inputs from the graph's own tables, its producers'
-outputs and held rotations, which is what its channels would deliver.
-Which result positions the store directives drain is fixed with the
-schedule; a run writes each stored value straight into the result matrix,
-and the report carries occupancy and deadlock diagnostics.
+firing reads its inputs from the graph's own tables, its producers' outputs
+and, on a relay hop, the pair its producer read, as its channels would
+deliver them.  Which result positions the store directives drain is fixed
+with the schedule; a run writes each stored value straight into the result
+matrix, and the report carries occupancy and deadlock diagnostics.
 """
 
 from __future__ import annotations
@@ -56,13 +56,13 @@ class SimConfig:
             raise ValueError(f"relay_enabled must be a bool, got {self.relay_enabled!r}")
         if self.unroll is not None:  # a copy, so no caller can change a design's unroll sets
             unroll = self.unroll
-            if isinstance(unroll, Mapping) and all(
-                    isinstance(dims, Iterable) and not isinstance(dims, str)
-                    for dims in unroll.values()):
+            ok = isinstance(unroll, Mapping) and all(
+                isinstance(name, str) and isinstance(dims, Iterable) and not isinstance(dims, str)
+                for name, dims in unroll.items())
+            if ok:
                 unroll = {name: tuple(dims) for name, dims in unroll.items()}
-            if unroll is self.unroll or not all(
-                    isinstance(name, str) and all(isinstance(d, str) for d in dims)
-                    for name, dims in unroll.items()):
+                ok = all(isinstance(d, str) for dims in unroll.values() for d in dims)
+            if not ok:
                 raise ValueError(f"unroll must map function names to tuples of dim names, "
                                  f"got {self.unroll!r}")
             object.__setattr__(self, "unroll", MappingProxyType(unroll))
@@ -185,11 +185,10 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
     With relaying enabled, rotation pairs are first remapped onto hop-by-hop
     chains along each relay directive's vector (:func:`relay_view`), and the
     design runs that view; only the chain head still receives the pair
-    straight from its producer.  Edges between
-    iterations folded onto one PE still go through a channel of the same
-    capacity, so folding is purely a re-placement.  A channel is the int
-    key (producer PE, tag, consumer PE, tag), numbered in order of first
-    use, and gets its label once.
+    straight from its producer.  Edges between iterations folded onto one
+    PE still go through a channel of the same capacity, so folding is purely
+    a re-placement.  A channel is the int key (producer PE, tag, consumer
+    PE, tag), numbered in order of first use, and gets its label once.
 
     Every channel must carry its values in the order its consumer pops
     them, one per producer firing.  A PE's program is its nodes in id order,
@@ -213,7 +212,7 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
     fixes the store coverage.
     """
     work = relay_view(graph) if cfg.relay_enabled else graph
-    nodes, relayed = work.nodes, work.relayed
+    nodes, hops = work.nodes, work.relay_hops()
     pe_labels, node_pe = placement
 
     programs: list[list[int]] = [[] for _ in pe_labels]
@@ -232,12 +231,8 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
     node_pops: list[tuple[int, ...]] = []
     pushes: list[list[int]] = [[] for _ in nodes]  # per node, the channels it pushes
     for i, (pair, data) in enumerate(zip(work.pairs, work.data)):
-        # a flow is (producer node, its tag, our tag): the pair first, then data ports;
-        # a producer in a relayed function passes on the pair it read
-        flows = data
-        if pair is not None:
-            src = pair[0]
-            flows = ((src, _RELAY if nodes[src].func in relayed else _CS, _CS), *data)
+        # a flow is (producer node, its tag, our tag): the pair first, then data ports
+        flows = data if pair is None else ((pair[0], _RELAY if i in hops else _CS, _CS), *data)
         dst_pe = node_pe[i]
         pops = []
         for src, src_tag, dst_tag in flows:
@@ -388,10 +383,11 @@ def execute(design: Design, aug: AugmentedMatrix,
     """Replay ``design``'s sweeps on one input.
 
     Each recorded firing reads its inputs as ``design.graph``'s tables name
-    them: a pair from the rotation its producer holds, a data input from
-    its producer's output and a load from the input.  It runs its kernel
-    and writes its stored values into the result; the first non-finite
-    kernel output raises :class:`NonFiniteError`.  A deadlocked design
+    them: a pair from its producer's output, or on a relay hop
+    (:meth:`~spatialqr.dataflow.DataflowGraph.relay_hops`) the pair its
+    producer read; a data input from its producer's output and a load from
+    the input.  It runs its kernel and writes its stored values into the
+    result; the first non-finite kernel output raises :class:`NonFiniteError`.  A deadlocked design
     replays the firings before the deadlock and reports it.  ``on_event``,
     if given, receives one newline-terminated line per firing as it happens
     (sweep, PE, iteration, arguments and outputs), so the lines of the
@@ -401,13 +397,13 @@ def execute(design: Design, aug: AugmentedMatrix,
     m, n = graph.m, graph.n
     if (aug.m, aug.n) != (m, n):
         raise ValueError(f"design is for {m}x{n} inputs, got {aug.m}x{aug.n}")
-    nodes, relayed, kernels = graph.nodes, graph.relayed, graph.node_kernel
+    nodes, kernels, hops = graph.nodes, graph.node_kernel, graph.relay_hops()
     pairs, data, loads, node_stores = graph.pairs, graph.data, graph.loads, graph.node_stores
     get = aug.inner.get
     output = Matrix.zeros(m, n + 1)
     put = output.set
     outs: list[tuple[float, ...] | None] = [None] * len(nodes)  # per node, its kernel's output
-    rotations = outs[:]  # per node, the rotation it holds, as in evaluate_graph
+    rotations = outs[:]  # per node, the pair it read, as in evaluate_graph
     for step, sweep in enumerate(design.sweeps, 1):
         for node in sweep:
             kernel, args = kernels[node]
@@ -415,7 +411,8 @@ def execute(design: Design, aug: AugmentedMatrix,
             pair = pairs[node]
             if pair is not None:
                 src, lo, hi = pair
-                args[lo], args[hi] = rotations[src][:2]
+                args[lo], args[hi] = rotations[node] = \
+                    rotations[src] if node in hops else outs[src][:2]
             for src, index, port in data[node]:
                 args[port] = outs[src][index]
             for row, col, port in loads[node]:
@@ -426,7 +423,6 @@ def execute(design: Design, aug: AugmentedMatrix,
                 raise NonFiniteError(f"{nodes[node]}: {exc}") from None
             if not all(map(math.isfinite, out)):
                 raise NonFiniteError(f"non-finite kernel output at {nodes[node]}")
-            rotations[node] = rotations[pair[0]] if nodes[node].func in relayed else out
             stored = node_stores[node]
             for k in range(0, len(stored), 3):
                 put(stored[k + 1], stored[k + 2], out[stored[k]])

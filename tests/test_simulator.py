@@ -29,7 +29,10 @@ from spatialqr.simulator import (
 )
 from spatialqr.specdsl import (
     A_PRIME,
+    COL,
+    K,
     KERNEL_ELIMINATE,
+    M,
     BoundSpec,
     CallRef,
     FuncSpec,
@@ -38,6 +41,7 @@ from spatialqr.specdsl import (
     ROW,
     Name,
     RecurrenceCase,
+    RelayDirective,
     SpatialSpec,
     StoreDirective,
     UnrollDirective,
@@ -200,6 +204,40 @@ class TestRunEquivalence:
         fields = {line.split(" iter=")[1].split(" consumed=")[0]: line for line in lines}
         c_s = fields["X(1, 3)"].split("produced=[")[1].split(",")[:2]
         assert fields["Y(1, 3, 2)"].split("consumed=[")[1].split(",")[:2] == c_s
+        graph = build_graph(spec, 4, 3)
+        for values in (evaluate_graph(graph, aug), evaluate_graph(relay_view(graph), aug)):
+            assert [rep.output.get(*p) for p in rep.drained] == \
+                [values.inner.get(*p) for p in rep.drained]
+
+    @pytest.mark.parametrize("relay", [True, False])
+    def test_a_pair_read_from_a_relayed_eliminator_is_its_output(self, relay):
+        """G(col, row, k) eliminates on X(col, row)'s pair, swapped, and relays
+        it along k; Y, not relayed, reads G's pair.  Each Y gets its own G's
+        c and s, not the pair that G read, with relay on or off."""
+        y = SPEC.func("Y")
+        g = FuncSpec("G", y.dims, y.bounds, 4, tuple([
+            RecurrenceCase(label, cond, KERNEL_ELIMINATE,
+                           (CallRef("X", (COL, ROW), 1), CallRef("X", (COL, ROW), 0)))
+            for label, cond in (("a", ROW.eq(M)), ("b", ROW.ne(M)))
+        ]), (*[UnrollDirective(d) for d in y.dims], RelayDirective((0, 0, 1))), (None,) * 4)
+        y = dataclasses.replace(y, cases=tuple([
+            dataclasses.replace(case, args=tuple([
+                CallRef("G", (*a.coords, K), a.index) if isinstance(a, CallRef) and a.func == "X"
+                else a for a in case.args]))
+            for case in y.cases
+        ]), directives=tuple([d for d in y.directives if not isinstance(d, RelayDirective)]))
+        spec = dataclasses.replace(SPEC, funcs=(SPEC.func("X"), g, y))
+        aug = make_aug(4, 3, 1)
+        lines = []
+        rep = execute(compile_design(spec, SimConfig(relay_enabled=relay), 4, 3), aug, lines.append)
+        assert rep.completed
+        assert any(".relay->" in label for label in rep.channel_sends) == relay
+        fired = {line.split(" iter=")[1].split(" consumed=")[0]: line for line in lines}
+        ys = [it for it in fired if it.startswith("Y")]
+        assert ys
+        for it in ys:
+            consumed = fired[it].split("consumed=[")[1].split(",")[:2]
+            assert consumed == fired["G" + it[1:]].split("produced=[")[1].split(",")[:2]
         graph = build_graph(spec, 4, 3)
         for values in (evaluate_graph(graph, aug), evaluate_graph(relay_view(graph), aug)):
             assert [rep.output.get(*p) for p in rep.drained] == \

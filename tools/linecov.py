@@ -28,17 +28,6 @@ def executable(code: types.CodeType) -> set[int]:
     return lines
 
 
-def ranges(lines: list[int]) -> str:
-    """``1, 2, 3, 7`` as ``1-3, 7``."""
-    spans: list[list[int]] = []
-    for line in lines:
-        if spans and line == spans[-1][1] + 1:
-            spans[-1][1] = line
-        else:
-            spans.append([line, line])
-    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
-
-
 def main(argv: list[str]) -> int:
     import pytest  # imported untraced, so its own imports cost nothing
 
@@ -64,9 +53,11 @@ def main(argv: list[str]) -> int:
         threading.settrace(None)
     for path, lines in run.items():
         source = Path(path).read_text(encoding="utf-8")
-        missed = sorted(executable(compile(source, path, "exec")) - lines)
+        lines_of = executable(compile(source, path, "exec"))
+        missed = sorted(lines_of - lines)
         name = Path(path).relative_to(ROOT)
-        print(f"{name}: {len(missed)} lines never run" + (f": {ranges(missed)}" if missed else ""))
+        print(f"{name}: {len(missed)} of {len(lines_of)} lines never run"
+              + (": " + " ".join(map(str, missed)) if missed else ""))
     return int(code)
 
 
