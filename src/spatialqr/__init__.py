@@ -4,11 +4,8 @@ from spatialqr.numeric import (
     AugmentedMatrix,
     Matrix,
     QrResult,
-    RotationPair,
     VerificationReport,
-    apply_rotation,
     back_substitute,
-    compute_rotation,
     qr_givens_reference,
     solve,
     verify_qr,
@@ -20,11 +17,8 @@ __all__ = [
     "AugmentedMatrix",
     "Matrix",
     "QrResult",
-    "RotationPair",
     "VerificationReport",
-    "apply_rotation",
     "back_substitute",
-    "compute_rotation",
     "qr_givens_reference",
     "solve",
     "verify_qr",

@@ -21,7 +21,6 @@ from spatialqr.numeric import (
     random_matrix,
     read_matrix,
     read_vector,
-    require_finite,
     solve,
     verify_qr,
     write_matrix,
@@ -91,7 +90,6 @@ def cmd_decompose(args) -> int:
     if args.q_output and not args.accumulate_q:
         raise _Usage("--q-output needs --accumulate-q")
     aug = _load_augmented(args.matrix, args.rhs)
-    require_finite(*aug.inner.data)
     result = qr_givens_reference(aug, accumulate_q=args.accumulate_q)
     if args.rhs:
         out = result.r_aug.inner

@@ -14,12 +14,13 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping
 
 from spatialqr import specdsl
-from spatialqr.numeric import AugmentedMatrix
+from spatialqr.numeric import AugmentedMatrix, NonFiniteError
 from spatialqr.specdsl import (
     A_PRIME,
     KERNEL_ELIMINATE,
@@ -80,20 +81,19 @@ class DataflowGraph:
         """Every value edge as ``(source, sink, port, pattern)``, derived from the tables.
 
         A source is ``(producer, tuple index)`` or ``(input, row, col)``.  A
-        pair gives its c and s edges, a relayed pair one with index None, both
-        with pattern "cs".  Relayed pairs come first, then every other edge in
-        node and port order.
+        pair gives its c and s edges, or on a relay hop (:meth:`relay_hops`)
+        one edge with index None, all with pattern "cs".  Relayed pairs come
+        first, then every other edge in node and port order.
         """
-        edges = [((pair[0], None), i, min(pair[1], pair[2]), "cs")
-                 for i, pair in enumerate(self.pairs)
-                 if pair is not None and self.nodes[i].func in self.relayed]
+        hops = self.relay_hops()
+        edges = [((self.pairs[i][0], None), i, min(self.pairs[i][1:]), "cs") for i in sorted(hops)]
         for i, (pair, case) in enumerate(zip(self.pairs, self.node_case)):
             ins = [None] * len(case.args)  # per port, the edge into it
             for p, index, port in self.data[i]:
                 ins[port] = ((p, index), i, port, case.label)
             for row, col, port in self.loads[i]:
                 ins[port] = ((case.args[port].input, row, col), i, port, case.label)
-            if pair is not None and self.nodes[i].func not in self.relayed:
+            if pair is not None and i not in hops:
                 ins[pair[1]] = ((pair[0], 0), i, pair[1], "cs")
                 ins[pair[2]] = ((pair[0], 1), i, pair[2], "cs")
             edges += filter(None, ins)
@@ -263,7 +263,9 @@ def evaluate_graph(graph: DataflowGraph, aug: AugmentedMatrix) -> AugmentedMatri
     s, or on a relay hop (:meth:`DataflowGraph.relay_hops`) the pair its
     producer read.  The returned matrix carries each cell's final value,
     which is schedule-independent because dependences totally order every
-    cell's updates.
+    cell's updates.  The first non-finite kernel output raises
+    :class:`NonFiniteError` naming its node, as the simulator's ``execute``
+    does.
     """
     get = aug.inner.get
     result = aug.inner.copy()
@@ -283,6 +285,8 @@ def evaluate_graph(graph: DataflowGraph, aug: AugmentedMatrix) -> AugmentedMatri
         for row, col, port in graph.loads[i]:
             args[port] = get(row, col)
         out = values[i] = kernel(*args)
+        if not all(map(math.isfinite, out)):
+            raise NonFiniteError(f"non-finite kernel output at {graph.nodes[i]}")
         cells = graph.node_cells[i]
         for k in range(0, len(cells), 3):
             result.set(cells[k + 1], cells[k + 2], out[cells[k]])
@@ -324,8 +328,10 @@ def emit_trace(graph: DataflowGraph) -> list[TraceEvent]:
     order, which for the built-in spec is the reference loop nest.  The
     (c, s) pair is written by the eliminating node and read by the nodes
     that apply it, and is named by the cell the elimination zeroes; each
-    node's result cells are read and written in place.  A pair edge may come
-    from a relay neighbour, so rotations are followed in topological order.
+    node's result cells are read and written in place.  The rule is keyed
+    on the kernel, not on ``pairs`` and ``relay_hops()``: a node follows the
+    rotation it applies, an eliminating node its own, not the pair it reads.
+    Pairs may come by relay, so rotations are followed in topological order.
     """
     rotation = list(range(len(graph.nodes)))
     for i in graph.topo_order:

@@ -3,8 +3,9 @@
 This is the temporal (imperative) reference: plane-rotation kernels, the
 column-by-column elimination loop over an augmented matrix, verification
 helpers, and the back-substitution solve path.  Everything is pure Python
-floats, deterministic, and bitwise reproducible; the dataflow and simulator
-modules are checked against it element for element.
+floats, deterministic, and bitwise reproducible.  The two kernels are the
+one place the rotation arithmetic is written: the reference loop, the
+dataflow evaluator and the simulator all call them and differ only in order.
 
 Indices are 1-based throughout, matching the usual linear-algebra notation
 for matrix entries.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 
 class NonFiniteError(ValueError):
-    """An input value or kernel result was NaN or infinite."""
+    """A kernel output, and so the result, was NaN or infinite."""
 
 
 class DimensionError(ValueError):
@@ -140,19 +141,11 @@ class AugmentedMatrix:
         return a
 
 
-@dataclass(frozen=True)
-class RotationPair:
-    """The (cosine, sine) parameters of one plane rotation; c^2 + s^2 = 1."""
-
-    c: float
-    s: float
-
-
 @dataclass
 class QrResult:
     r_aug: AugmentedMatrix
     q: Matrix | None
-    rotations: list[tuple[int, int, RotationPair]]
+    rotations: list[tuple[int, int, tuple[float, float]]]  # (col, row, (c, s))
 
 
 @dataclass
@@ -169,54 +162,34 @@ class VerificationReport:
         return self.reconstruction_ok and self.orthogonality_ok and self.triangular_ok
 
 
-def require_finite(*values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise NonFiniteError(f"non-finite value {v!r}")
-
-
 # Below the smallest normal float, r's fixed subnormal spacing would erode
-# the precision of c = x/r; such inputs are rescaled by an exact power of two.
+# the precision of c = top/r; such inputs are rescaled by an exact power of two.
 _TINY = sys.float_info.min
 _SCALE_UP = 2.0 ** 600
 
 
-def compute_rotation(x: float, y: float) -> tuple[RotationPair, float]:
-    """Rotation parameters that annihilate ``y`` against ``x``.
-
-    Returns ``((c, s), r)`` with ``r = sqrt(x^2 + y^2)``, ``c = x/r`` and
-    ``s = y/r``; the degenerate input (0, 0) yields the identity pair (1, 0).
-    Rotating the generating pair maps (x, y) to (r, ~0); the elimination
-    kernel writes the annihilated slot as a literal 0.0 since the computed
-    residue is one-ulp noise.
-    """
-    require_finite(x, y)
-    r = math.hypot(x, y)
-    if r == 0.0:
-        return RotationPair(1.0, 0.0), 0.0
-    if r < _TINY:
-        xs, ys = x * _SCALE_UP, y * _SCALE_UP
-        rs = math.hypot(xs, ys)
-        return RotationPair(xs / rs, ys / rs), rs / _SCALE_UP
-    return RotationPair(x / r, y / r), r
-
-
-def apply_rotation(pair: RotationPair, top: float, bottom: float) -> tuple[float, float]:
-    """Rotate the 2-vector (top, bottom): returns (c*top + s*bottom, c*bottom - s*top)."""
-    require_finite(pair.c, pair.s)
-    return pair.c * top + pair.s * bottom, pair.c * bottom - pair.s * top
-
-
 def kernel_eliminate(bottom: float, top: float) -> tuple[float, float, float, float]:
-    """Elimination kernel: (bottom, top) -> (c, s, zeroed bottom, new top = r)."""
-    pair, r = compute_rotation(top, bottom)
-    return pair.c, pair.s, 0.0, r
+    """Elimination kernel: (bottom, top) -> (c, s, zeroed bottom, new top = r).
+
+    ``r = hypot(top, bottom)``, ``c = top/r`` and ``s = bottom/r``, or (1, 0)
+    for (0, 0).  Rotating (top, bottom) maps it to (r, ~0), and the zeroed slot
+    is a literal 0.0 since the residue is one-ulp noise.  A NaN or infinite
+    input makes r non-finite.
+    """
+    r = math.hypot(top, bottom)
+    if r == 0.0:
+        return 1.0, 0.0, 0.0, 0.0
+    if r < _TINY:
+        top, bottom = top * _SCALE_UP, bottom * _SCALE_UP
+        rs = math.hypot(top, bottom)
+        return top / rs, bottom / rs, 0.0, rs / _SCALE_UP
+    return top / r, bottom / r, 0.0, r
 
 
 def kernel_update(c: float, s: float, bottom: float, top: float) -> tuple[float, float]:
-    """Row-pair update kernel: returns (new bottom, new top) under (c, s)."""
-    new_top, new_bottom = apply_rotation(RotationPair(c, s), top, bottom)
-    return new_bottom, new_top
+    """Row-pair update kernel: returns (new bottom, new top) under (c, s).  A
+    NaN or infinite input makes an output non-finite (``0 * inf`` is NaN)."""
+    return c * bottom - s * top, c * top + s * bottom
 
 
 def qr_givens_reference(a: AugmentedMatrix, accumulate_q: bool = False) -> QrResult:
@@ -226,35 +199,42 @@ def qr_givens_reference(a: AugmentedMatrix, accumulate_q: bool = False) -> QrRes
     columns of the two touched rows are updated with the same rotation.  With
     ``accumulate_q``, the same rotations are applied to an identity so the
     returned ``q`` satisfies a = q . r.
+
+    A non-finite entry of R raises :class:`NonFiniteError`.  That one check
+    suffices: every kernel output reaches R, directly or through a later
+    kernel, and a kernel turns any non-finite input into a non-finite output
+    (``0 * inf`` is NaN).  At m = 1 no kernel runs and it checks the input.
     """
     work = a.copy()
     inner = work.inner
     m, n = work.m, work.n
     qt = Matrix.identity(m) if accumulate_q else None
-    rotations: list[tuple[int, int, RotationPair]] = []
+    rotations: list[tuple[int, int, tuple[float, float]]] = []
 
     for col in range(1, n + 1):
         for row in range(m, col, -1):
-            pair, r = compute_rotation(inner.get(row - 1, col), inner.get(row, col))
-            rotations.append((col, row, pair))
+            c, s, zero, r = kernel_eliminate(inner.get(row, col), inner.get(row - 1, col))
+            rotations.append((col, row, (c, s)))
+            inner.set(row, col, zero)
             inner.set(row - 1, col, r)
-            inner.set(row, col, 0.0)
-            for k in range(col + 1, n + 2):
-                new_top, new_bottom = apply_rotation(
-                    pair, inner.get(row - 1, k), inner.get(row, k)
-                )
-                inner.set(row - 1, k, new_top)
-                inner.set(row, k, new_bottom)
+            _rotate_rows(inner, row, range(col + 1, n + 2), c, s)
             if qt is not None:
-                for k in range(1, m + 1):
-                    new_top, new_bottom = apply_rotation(
-                        pair, qt.get(row - 1, k), qt.get(row, k)
-                    )
-                    qt.set(row - 1, k, new_top)
-                    qt.set(row, k, new_bottom)
+                _rotate_rows(qt, row, range(1, m + 1), c, s)
 
+    for k, v in enumerate(inner.data):
+        if not math.isfinite(v):
+            raise NonFiniteError(f"non-finite value {v!r} in R at "
+                                 f"({k // inner.cols + 1}, {k % inner.cols + 1})")
     q = qt.transpose() if qt is not None else None
     return QrResult(work, q, rotations)
+
+
+def _rotate_rows(mat: Matrix, row: int, cols: range, c: float, s: float) -> None:
+    """Rotate rows ``row - 1`` (top) and ``row`` (bottom) of ``mat`` at ``cols``."""
+    for k in cols:
+        bottom, top = kernel_update(c, s, mat.get(row, k), mat.get(row - 1, k))
+        mat.set(row, k, bottom)
+        mat.set(row - 1, k, top)
 
 
 def _worst(current: float, candidate: float) -> float:
@@ -332,13 +312,12 @@ def back_substitute(r: Matrix, b: list[float]) -> list[float]:
 def solve(a: Matrix, z: list[float]) -> list[float]:
     """Solve a . y = z for square a via QR elimination plus back substitution.
 
-    Raises NonFiniteError for a NaN or infinite entry of ``a`` or ``z``.
+    Raises NonFiniteError for a NaN or infinite entry of ``a`` or ``z``, or
+    one the elimination overflows to, as :func:`qr_givens_reference` does.
     """
     if a.rows != a.cols:
         raise DimensionError(f"solve needs a square matrix, got {a.rows}x{a.cols}")
-    aug = AugmentedMatrix.from_parts(a, z)
-    require_finite(*aug.inner.data)
-    result = qr_givens_reference(aug)
+    result = qr_givens_reference(AugmentedMatrix.from_parts(a, z))
     n = a.cols
     r = Matrix.zeros(n, n)
     for i in range(1, n + 1):

@@ -387,11 +387,12 @@ def execute(design: Design, aug: AugmentedMatrix,
     (:meth:`~spatialqr.dataflow.DataflowGraph.relay_hops`) the pair its
     producer read; a data input from its producer's output and a load from
     the input.  It runs its kernel and writes its stored values into the
-    result; the first non-finite kernel output raises :class:`NonFiniteError`.  A deadlocked design
-    replays the firings before the deadlock and reports it.  ``on_event``,
-    if given, receives one newline-terminated line per firing as it happens
-    (sweep, PE, iteration, arguments and outputs), so the lines of the
-    firings before a failure are already out.
+    result.  The one check, as in ``evaluate_graph``: the first non-finite
+    kernel output raises :class:`NonFiniteError` naming its node.  A
+    deadlocked design replays the firings before the deadlock and reports
+    it.  ``on_event``, if given, receives one newline-terminated line per
+    firing as it happens (sweep, PE, iteration, arguments and outputs), so
+    the lines of the firings before a failure are already out.
     """
     graph, cfg = design.graph, design.cfg
     m, n = graph.m, graph.n
@@ -417,10 +418,7 @@ def execute(design: Design, aug: AugmentedMatrix,
                 args[port] = outs[src][index]
             for row, col, port in loads[node]:
                 args[port] = get(row, col)
-            try:
-                out = outs[node] = kernel(*args)
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"{nodes[node]}: {exc}") from None
+            out = outs[node] = kernel(*args)
             if not all(map(math.isfinite, out)):
                 raise NonFiniteError(f"non-finite kernel output at {nodes[node]}")
             stored = node_stores[node]

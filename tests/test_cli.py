@@ -154,6 +154,15 @@ class TestDecompose:
         assert capsys.readouterr().err == "error: --q-output needs --accumulate-q\n"
         assert not (tmp_path / "r.txt").exists() and not (tmp_path / "q.txt").exists()
 
+    def test_overflow_fails_and_writes_nothing(self, tmp_path, capsys):
+        """Finite entries whose column norm overflows end as for a non-finite input."""
+        matrix, out = tmp_path / "big.txt", tmp_path / "r.txt"
+        matrix.write_text("2 2\n1.5e308 1.0\n1.5e308 1.0\n")
+        assert run_cli("decompose", matrix, "--output", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
+        assert not out.exists()
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code = run_cli("decompose", tmp_path / "nope.txt", "--output", tmp_path / "r.txt")
         assert code == 2
@@ -278,7 +287,9 @@ class TestVerify:
         path = tmp_path / "bad.txt"
         path.write_text("2 2\n1.0 inf\n0.0 1.0\n")
         assert run_cli("verify", path) == 1
-        assert "result FAIL" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "non-finite" in captured.err
 
     def test_nan_pivot_fixture_fails(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

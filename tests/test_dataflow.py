@@ -331,11 +331,13 @@ class TestStats:
 
 class TestRelayView:
     def test_head_keeps_direct_edge(self):
+        """A chain head receives its producer's own c and s, so it is no relay hop."""
         g = relay_view(build_graph(builtin_qr_spec(), 4, 4))
         node = g.ids["Y"][(1, 4, 2)]
+        assert node not in g.relay_hops()
         cs = [source for source, _, pattern in in_edges(g, node) if pattern == "cs"]
-        assert len(cs) == 1
-        assert cs[0] == (g.ids["X"][(1, 4)], None)
+        x = g.ids["X"][(1, 4)]
+        assert cs == [(x, 0), (x, 1)]
 
     def test_interior_takes_neighbour(self):
         g = relay_view(build_graph(builtin_qr_spec(), 4, 4))
@@ -351,10 +353,13 @@ class TestRelayView:
             assert evaluate_graph(relay_view(g), aug).inner.data == expected
 
     def test_update_in_degree_drops_to_three(self):
+        """On a relay hop the pair is one edge; a chain head keeps its c and s edges."""
         g = relay_view(build_graph(builtin_qr_spec(), 4, 4))
+        hops = g.relay_hops()
         for i, node in enumerate(g.nodes):
             if node.func == "Y":
-                assert len(in_edges(g, i)) == 3
+                assert len(in_edges(g, i)) == (3 if i in hops else 4)
+        assert len(hops) == 14  # 20 update nodes, 6 of them chain heads
 
 
 class TestGraphEvaluation:

@@ -7,14 +7,12 @@ from spatialqr.numeric import (
     AugmentedMatrix,
     DimensionError,
     Matrix,
-    NonFiniteError,
-    RotationPair,
     SingularMatrixError,
-    apply_rotation,
     back_substitute,
-    compute_rotation,
     format_matrix_csv,
     format_matrix_text,
+    kernel_eliminate,
+    kernel_update,
     parse_matrix_csv,
     parse_matrix_text,
     qr_givens_reference,
@@ -40,63 +38,90 @@ def aug_from(a: Matrix, z=None) -> AugmentedMatrix:
     return AugmentedMatrix.from_parts(a, z if z is not None else [0.0] * a.rows)
 
 
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def poisoned_args(draw, count):
+    """``count`` floats of any finite size, one of them NaN or infinite."""
+    args = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=count, max_size=count))
+    args[draw(st.integers(0, count - 1))] = draw(non_finite)
+    return args
+
+
 class TestComputeRotation:
+    """``kernel_eliminate(bottom, top)``: the rotation that zeroes bottom against top."""
+
     def test_nothing_to_eliminate(self):
-        pair, r = compute_rotation(1.0, 0.0)
-        assert (pair.c, pair.s, r) == (1.0, 0.0, 1.0)
+        assert kernel_eliminate(0.0, 1.0) == (1.0, 0.0, 0.0, 1.0)
 
     def test_degenerate_zero_input(self):
-        pair, r = compute_rotation(0.0, 0.0)
-        assert (pair.c, pair.s, r) == (1.0, 0.0, 0.0)
+        assert kernel_eliminate(0.0, 0.0) == (1.0, 0.0, 0.0, 0.0)
 
     def test_three_four_five(self):
-        pair, r = compute_rotation(3.0, 4.0)
-        assert (pair.c, pair.s, r) == (0.6, 0.8, 5.0)
-        assert abs(pair.c**2 + pair.s**2 - 1.0) <= 1e-12
-        top, bottom = apply_rotation(pair, 3.0, 4.0)
+        c, s, zero, r = kernel_eliminate(4.0, 3.0)
+        assert (c, s, zero, r) == (0.6, 0.8, 0.0, 5.0)
+        assert abs(c**2 + s**2 - 1.0) <= 1e-12
+        bottom, top = kernel_update(c, s, 4.0, 3.0)
         assert top == r
         # The annihilated slot lands within a ulp of zero, never exactly on it
-        # in general; the elimination path writes the literal 0.0 instead.
+        # in general; the elimination kernel writes the literal 0.0 instead.
         assert abs(bottom) <= 1e-15
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteError):
-            compute_rotation(math.nan, 1.0)
-        with pytest.raises(NonFiniteError):
-            compute_rotation(1.0, math.inf)
+    def test_tiny_input_is_rescaled(self):
+        """Below the smallest normal float, the inputs are scaled up first:
+        the naive quotient would give c = s = 1.0, a pair of norm sqrt(2)."""
+        tiny = 5e-324
+        assert tiny / math.hypot(tiny, tiny) == 1.0
+        c, s, zero, r = kernel_eliminate(tiny, tiny)
+        assert c == s and zero == 0.0 and r > 0.0
+        assert abs(c * c + s * s - 1.0) <= 1e-15
+
+    @given(poisoned_args(2))
+    def test_non_finite_input_gives_non_finite_output(self, args):
+        """So checking kernel outputs alone catches every non-finite input."""
+        assert not all(map(math.isfinite, kernel_eliminate(*args)))
 
     @given(finite, finite)
     def test_unit_norm_and_annihilation(self, x, y):
-        pair, r = compute_rotation(x, y)
+        c, s, zero, r = kernel_eliminate(y, x)
+        assert zero == 0.0
         if r > 0.0:
-            assert abs(pair.c**2 + pair.s**2 - 1.0) <= 1e-12
-            top, bottom = apply_rotation(pair, x, y)
+            assert abs(c**2 + s**2 - 1.0) <= 1e-12
+            bottom, top = kernel_update(c, s, y, x)
             assert abs(top - r) <= 4 * math.ulp(r)
             assert abs(bottom) <= 4 * math.ulp(max(abs(x), abs(y)))
         else:
-            assert (pair.c, pair.s) == (1.0, 0.0)
+            assert (c, s) == (1.0, 0.0)
 
 
 class TestApplyRotation:
+    """``kernel_update(c, s, bottom, top)``: the (new bottom, new top) rotation of a row pair."""
+
     def test_identity(self):
-        assert apply_rotation(RotationPair(1.0, 0.0), 7.0, -2.0) == (7.0, -2.0)
+        assert kernel_update(1.0, 0.0, -2.0, 7.0) == (-2.0, 7.0)
 
     @pytest.mark.parametrize("a,b", [(1.0, 2.0), (-3.5, 0.25), (0.0, -1.0)])
     def test_quarter_turn(self, a, b):
-        assert apply_rotation(RotationPair(0.0, 1.0), a, b) == (b, -a)
+        assert kernel_update(0.0, 1.0, b, a) == (-a, b)
 
     def test_three_four_alignment(self):
-        top, bottom = apply_rotation(RotationPair(0.6, 0.8), 3.0, 4.0)
+        bottom, top = kernel_update(0.6, 0.8, 4.0, 3.0)
         assert top == 5.0
         assert abs(bottom) <= 1e-15
+
+    @given(poisoned_args(4))
+    def test_non_finite_input_gives_non_finite_output(self, args):
+        assert not all(map(math.isfinite, kernel_update(*args)))
 
     @given(finite, finite, st.floats(min_value=-10, max_value=10, allow_nan=False),
            st.floats(min_value=-10, max_value=10, allow_nan=False))
     def test_norm_preserved(self, x, y, a, b):
-        pair, r = compute_rotation(x, y)
+        c, s, _, r = kernel_eliminate(y, x)
         if r == 0.0:
             return
-        top, bottom = apply_rotation(pair, a, b)
+        bottom, top = kernel_update(c, s, b, a)
         before = math.hypot(a, b)
         after = math.hypot(top, bottom)
         assert after == pytest.approx(before, rel=1e-12, abs=1e-300)
@@ -108,7 +133,7 @@ class TestQrReference:
         aug = aug_from(a, [1.0, 2.0, 3.0, 4.0])
         res = qr_givens_reference(aug)
         assert res.r_aug.inner.data == aug.inner.data
-        assert all(p == RotationPair(1.0, 0.0) for _, _, p in res.rotations)
+        assert all(pair == (1.0, 0.0) for _, _, pair in res.rotations)
 
     def test_upper_triangular_input_is_fixed_point(self):
         a = Matrix.from_rows([[2.0, 1.0, 3.0], [0.0, 1.5, -1.0], [0.0, 0.0, 0.5]])

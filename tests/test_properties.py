@@ -7,18 +7,37 @@ is a deadlock with blocking diagnostics or a WiringError; nothing else.  The
 recorded schedule is one ready order out of many: any other one, replayed
 through the same design, drains the same bits.  Values move by producer; a
 replay that carries them through the channels' queues delivers the same ones.
+A NaN, infinite or overflowing input fails all three ways alike.
 """
 
 import dataclasses
+import math
 import random
 from collections import deque
+from contextlib import suppress
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spatialqr.dataflow import build_graph, evaluate_graph
-from spatialqr.numeric import AugmentedMatrix, qr_givens_reference, random_matrix
-from spatialqr.simulator import SimConfig, WiringError, compile_design, drain, execute, run
+from spatialqr.numeric import (
+    AugmentedMatrix,
+    Matrix,
+    NonFiniteError,
+    qr_givens_reference,
+    random_matrix,
+)
+from spatialqr.simulator import (
+    SimConfig,
+    WiringError,
+    compile_design,
+    drain,
+    execute,
+    folded_unroll,
+    run,
+    spec_unroll,
+)
 from spatialqr.specdsl import builtin_qr_spec
 
 SPEC = builtin_qr_spec()
@@ -230,3 +249,64 @@ def test_queues_deliver_the_named_producers(sim):
                 queues[c].append(node)
     if not design.blocked:
         assert [labels[c] for c, q in enumerate(queues) if q] == []
+
+
+# selfcheck's configurations, each of which completes at every shape
+COMPLETING = [SimConfig(unroll=unroll, channel_capacity=capacity, relay_enabled=relay)
+              for unroll in (spec_unroll(SPEC), folded_unroll(SPEC))
+              for relay in (True, False)
+              for capacity in (1, 2, 8)]
+HOSTILE = (math.nan, math.inf, -math.inf, 1.5e308, -1.5e308)
+
+
+def outcome(compute):
+    """None if ``compute`` raises NonFiniteError, else what it returns."""
+    with suppress(NonFiniteError):
+        return compute()
+    return None
+
+
+def paths_raise_alike(aug, cfg):
+    """Whether the reference, the graph evaluator and a completed run all
+    raise NonFiniteError; if none does, they give the same bits."""
+    reference = outcome(lambda: qr_givens_reference(aug).r_aug.inner)
+    graph = outcome(lambda: evaluate_graph(build_graph(SPEC, aug.m, aug.n), aug).inner)
+    report = outcome(lambda: run(SPEC, cfg, aug))
+    assert (reference is None) == (graph is None) == (report is None)
+    if report is None:
+        return True
+    assert report.completed
+    assert graph.data == reference.data
+    assert [report.output.get(i, j) for i, j in report.drained] == \
+        [reference.get(i, j) for i, j in report.drained]
+    return False
+
+
+@st.composite
+def poisoned_inputs(draw):
+    """A seeded input with one entry, rhs column included, replaced by NaN,
+    +-inf or +-1.5e308, and a configuration that completes.  It has two rows
+    or more, so every entry meets a kernel."""
+    m, n = draw(st.integers(2, 5)), draw(st.integers(1, 5))
+    aug = seeded_input(m, n, draw(st.integers(0, 2**16)))
+    aug.inner.set(draw(st.integers(1, m)), draw(st.integers(1, n + 1)),
+                  draw(st.sampled_from(HOSTILE)))
+    return aug, draw(st.sampled_from(COMPLETING))
+
+
+@settings(max_examples=100, deadline=None)
+@given(poisoned_inputs())
+def test_paths_agree_on_failure(case):
+    paths_raise_alike(*case)
+
+
+@pytest.mark.parametrize("rows,rhs", [
+    ([[1.0, 2.0], [3.0, 4.0]], [math.nan, 1.0]),
+    ([[1.0, math.inf], [3.0, 4.0]], [1.0, 1.0]),
+    ([[1.5e308, 1.0], [1.5e308, 1.0]], [0.0, 0.0]),
+], ids=["nan-in-rhs", "inf-at-a12", "column-norm-overflows"])
+def test_every_path_raises(rows, rhs):
+    """Inputs that only a kernel reads, or that only a kernel makes
+    non-finite, fail on every path and under every configuration."""
+    aug = AugmentedMatrix.from_parts(Matrix.from_rows(rows), rhs)
+    assert all(paths_raise_alike(aug, cfg) for cfg in COMPLETING)

@@ -22,6 +22,7 @@ from spatialqr.specdsl import (
     BoundSpec,
     CallRef,
     ConstRef,
+    ExprTypeError,
     IntLit,
     MemoryRef,
     Name,
@@ -31,6 +32,7 @@ from spatialqr.specdsl import (
     builtin_qr_spec,
     ValidationReport,
     Violation,
+    as_expr,
     spec_from_json,
     spec_to_json,
     validate,
@@ -451,6 +453,28 @@ class TestJsonErrors:
             spec_from_json(self.corrupt(lambda o: o["funcs"].append([])))
         with pytest.raises(ValueError, match="spec JSON: expected an object"):
             spec_from_json("[1, 2]")
+
+
+class TestRejectedArguments:
+    """Values no valid spec holds, each rejected with a typed error naming it."""
+
+    def test_as_expr_rejects_a_float(self):
+        with pytest.raises(ExprTypeError, match="cannot use 1.5 as an expression"):
+            as_expr(1.5)
+
+    def test_func_of_an_unknown_name(self):
+        with pytest.raises(KeyError, match="no function named 'Z'"):
+            builtin_qr_spec().func("Z")
+
+    @pytest.mark.parametrize("m,n", [(0, 1), (1, 0)])
+    def test_validate_needs_constants_of_at_least_one(self, m, n):
+        with pytest.raises(ValueError, match=f"constants must be >= 1, got M={m}, N={n}"):
+            validate(builtin_qr_spec(), m, n)
+
+    def test_spec_to_json_rejects_a_guard_that_is_no_expression(self):
+        spec = with_x(cases=(dataclasses.replace(X_FUNC.cases[0], guard=True),) + X_FUNC.cases[1:])
+        with pytest.raises(ExprTypeError, match="cannot serialize True"):
+            spec_to_json(spec)
 
 
 class TestMalformedFunctions:
