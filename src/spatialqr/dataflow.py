@@ -54,10 +54,11 @@ class IterNode:
 class DataflowGraph:
     """Nodes in walk order; a node's id is its index in ``nodes`` and in every table.
 
-    A node's inputs are its rotation pair, its data edges and its memory
-    loads.  ``relayed`` names the functions whose pairs :func:`relay_view`
-    has remapped to relay neighbours.  The graph is immutable: its tables
-    are tuples and ``ids`` is read-only.
+    A node's inputs are its rotation pair, whose c and s it applies, its data
+    edges and its memory loads.  ``relay_from`` is wiring only: on a
+    :func:`relay_view` it maps each relay hop to the chain neighbour that
+    hands it the pair, and it is empty on a plain graph.  The graph is
+    immutable: its tables are tuples and its mappings read-only.
     """
 
     spec: SpatialSpec
@@ -74,19 +75,19 @@ class DataflowGraph:
     loads: tuple[tuple[tuple[int, int, int], ...], ...]  # (row, col, port) of the input
     topo_order: tuple[int, ...]
     ids: Mapping[str, Mapping[tuple[int, ...], int]]  # node id per function name and coordinates
-    relayed: frozenset[str] = frozenset()
+    relay_from: Mapping[int, int]  # relay hop -> the chain neighbour that hands it the pair
 
     @property
     def edges(self) -> list[tuple[tuple, int, int, str]]:
         """Every value edge as ``(source, sink, port, pattern)``, derived from the tables.
 
         A source is ``(producer, tuple index)`` or ``(input, row, col)``.  A
-        pair gives its c and s edges, or on a relay hop (:meth:`relay_hops`)
-        one edge with index None, all with pattern "cs".  Relayed pairs come
-        first, then every other edge in node and port order.
+        pair gives its c and s edges, or on a relay hop (``relay_from``) one
+        edge with index None from the chain neighbour, all with pattern "cs".
+        Relayed pairs come first, then every other edge in node and port order.
         """
-        hops = self.relay_hops()
-        edges = [((self.pairs[i][0], None), i, min(self.pairs[i][1:]), "cs") for i in sorted(hops)]
+        hops = self.relay_from
+        edges = [((hops[i], None), i, min(self.pairs[i][1:]), "cs") for i in sorted(hops)]
         for i, (pair, case) in enumerate(zip(self.pairs, self.node_case)):
             ins = [None] * len(case.args)  # per port, the edge into it
             for p, index, port in self.data[i]:
@@ -100,16 +101,11 @@ class DataflowGraph:
         return edges
 
     def producers(self, i: int) -> list[int]:
-        """The nodes whose outputs node ``i`` reads: its pair's, then its data edges'."""
+        """The nodes that hand node ``i`` its inputs: the pair's producer, or on a
+        relay hop its chain neighbour, then its data edges' producers."""
         pair = self.pairs[i]
-        return ([pair[0]] if pair is not None else []) + [e[0] for e in self.data[i]]
-
-    def relay_hops(self) -> frozenset[int]:
-        """The nodes that read their pair one hop along a relay chain, from a node
-        of their own relayed function, which passes on the pair it read."""
-        nodes, relayed = self.nodes, self.relayed
-        return frozenset([i for i, pair in enumerate(self.pairs) if pair is not None
-                          and nodes[i].func in relayed and nodes[pair[0]].func == nodes[i].func])
+        handed = [] if pair is None else [self.relay_from.get(i, pair[0])]
+        return handed + [e[0] for e in self.data[i]]
 
 
 def build_graph(spec: SpatialSpec, m: int, n: int) -> DataflowGraph:
@@ -154,6 +150,7 @@ def build_graph(spec: SpatialSpec, m: int, n: int) -> DataflowGraph:
         node_stores=tuple([f.stores for f in firings]),
         pairs=tuple(pairs), data=tuple(data), loads=tuple(loads), topo_order=(),
         ids=MappingProxyType({name: MappingProxyType(of) for name, of in ids.items()}),
+        relay_from=MappingProxyType({}),
     )
     return dataclasses.replace(graph, topo_order=_topo_sort(graph))
 
@@ -214,42 +211,42 @@ def _find_cycle(graph: DataflowGraph, indeg: list[int]) -> list[IterNode]:
 
 
 def relay_view(graph: DataflowGraph) -> DataflowGraph:
-    """Remap rotation pairs onto hop-by-hop relay chains.
+    """Wire rotation pairs along hop-by-hop relay chains.
 
-    For each function with a relay directive, every node's pair comes from
-    the neighbour one step against the relay vector; the chain head, which
-    has no such neighbour, keeps the pair's producer.  The ports stay, and
-    the view shares every table of ``graph`` but the pair list.
+    For each function with a relay directive, every node is handed its pair
+    by the neighbour one step against the relay vector; the chain head, which
+    has no such neighbour, gets it from the pair's producer.  The view adds
+    only ``relay_from``, hop to neighbour, and shares every table of
+    ``graph``, ``pairs`` included: a node still applies its own producer's c
+    and s, so the view evaluates to the same bits.
 
-    The view keeps ``graph``'s topological order when every remapped pair
-    points forward in it, as it does for the built-in spec.  Otherwise it
+    The view keeps ``graph``'s topological order when every neighbour comes
+    before its hop in it, as it does for the built-in spec.  Otherwise it
     sorts its nodes again, which raises :class:`CycleError` when a relay
     chain closes a dependence cycle.  A chain that would hand a node another
     elimination's pair than the one it reads raises ValueError.
     """
-    pairs = list(graph.pairs)
-    remapped: list[int] = []
-    relays = {f.name: f.relay() for f in graph.spec.funcs if f.relay() is not None}
-    for name, relay in relays.items():
-        ids = graph.ids[name]
-        for coords, i in ids.items():
-            prev = ids.get(tuple([c - v for c, v in zip(coords, relay.vector)]))
-            if prev is not None:  # validation gives every node of a relaying function a pair
-                pairs[i] = (prev, *pairs[i][1:])
-                remapped.append(i)
+    relay_from: dict[int, int] = {}
+    for func in graph.spec.funcs:
+        relay = func.relay()
+        if relay is not None:
+            ids = graph.ids[func.name]
+            for coords, i in ids.items():
+                prev = ids.get(tuple([c - v for c, v in zip(coords, relay.vector)]))
+                if prev is not None:  # validation gives every node of a relaying function a pair
+                    relay_from[i] = prev
 
-    view = dataclasses.replace(graph, pairs=tuple(pairs), relayed=frozenset(relays))
-    position = [0] * len(pairs)
+    view = dataclasses.replace(graph, relay_from=MappingProxyType(relay_from))
+    position = [0] * len(graph.nodes)
     for k, i in enumerate(graph.topo_order):
         position[i] = k
-    if any(position[pairs[i][0]] > position[i] for i in remapped):
+    if any(position[prev] > position[i] for i, prev in relay_from.items()):
         view = dataclasses.replace(view, topo_order=_topo_sort(view))
-    nodes, read = graph.nodes, graph.pairs
-    for i in remapped:
-        prev = pairs[i][0]
-        if read[prev][0] != read[i][0]:
+    nodes, pairs = graph.nodes, graph.pairs
+    for i, prev in relay_from.items():
+        if pairs[prev][0] != pairs[i][0]:
             raise ValueError(f"relay chain {nodes[prev]} -> {nodes[i]} would pass on the pair of "
-                             f"{nodes[read[prev][0]]}, but {nodes[i]} reads {nodes[read[i][0]]}'s")
+                             f"{nodes[pairs[prev][0]]}, but {nodes[i]} reads {nodes[pairs[i][0]]}'s")
     return view
 
 
@@ -259,19 +256,16 @@ def evaluate_graph(graph: DataflowGraph, aug: AugmentedMatrix) -> AugmentedMatri
     """Fire every node once in topological order and replay cell writes.
 
     Memory arguments read the immutable initial snapshot; producer arguments
-    read the recorded output tuples, and a pair reads its producer's c and
-    s, or on a relay hop (:meth:`DataflowGraph.relay_hops`) the pair its
-    producer read.  The returned matrix carries each cell's final value,
-    which is schedule-independent because dependences totally order every
-    cell's updates.  The first non-finite kernel output raises
+    read the recorded output tuples, a pair its producer's c and s, on a
+    relay view as on its graph.  The returned matrix carries each cell's
+    final value, which is schedule-independent because dependences totally
+    order every cell's updates.  The first non-finite kernel output raises
     :class:`NonFiniteError` naming its node, as the simulator's ``execute``
     does.
     """
     get = aug.inner.get
     result = aug.inner.copy()
     values: list[tuple[float, ...] | None] = [None] * len(graph.nodes)
-    rotations = values[:]  # per node, the pair it read
-    hops = graph.relay_hops()
 
     for i in graph.topo_order:
         kernel, template = graph.node_kernel[i]
@@ -279,7 +273,7 @@ def evaluate_graph(graph: DataflowGraph, aug: AugmentedMatrix) -> AugmentedMatri
         pair = graph.pairs[i]
         if pair is not None:
             src, lo, hi = pair
-            args[lo], args[hi] = rotations[i] = rotations[src] if i in hops else values[src][:2]
+            args[lo], args[hi] = values[src][:2]
         for producer, index, port in graph.data[i]:
             args[port] = values[producer][index]
         for row, col, port in graph.loads[i]:
@@ -329,15 +323,12 @@ def emit_trace(graph: DataflowGraph) -> list[TraceEvent]:
     (c, s) pair is written by the eliminating node and read by the nodes
     that apply it, and is named by the cell the elimination zeroes; each
     node's result cells are read and written in place.  The rule is keyed
-    on the kernel, not on ``pairs`` and ``relay_hops()``: a node follows the
-    rotation it applies, an eliminating node its own, not the pair it reads.
-    Pairs may come by relay, so rotations are followed in topological order.
+    on the kernel: an eliminating node follows its own rotation, not the
+    pair it reads, and any other node the producer of its pair, which only
+    ever eliminates (``spec.pair_reads``).
     """
-    rotation = list(range(len(graph.nodes)))
-    for i in graph.topo_order:
-        pair = graph.pairs[i]
-        if pair is not None and graph.node_case[i].kernel != KERNEL_ELIMINATE:
-            rotation[i] = rotation[pair[0]]
+    rotation = [pair[0] if pair is not None and case.kernel != KERNEL_ELIMINATE else i
+                for i, (pair, case) in enumerate(zip(graph.pairs, graph.node_case))]
     events: list[TraceEvent] = []
     for i in sorted(range(len(graph.nodes)), key=lambda i: (rotation[i], i)):
         producer, cells = graph.node_cells[rotation[i]], graph.node_cells[i]

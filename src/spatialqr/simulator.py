@@ -5,11 +5,11 @@ and value edges become bounded FIFO channels (relay chains included).  The
 channels fix the schedule, not the values: a deterministic sweep schedule,
 computed once per design from queue lengths, fires each PE's iterations in
 program order, and every input replays it.  Values move by producer: each
-firing reads its inputs from the graph's own tables, its producers' outputs
-and, on a relay hop, the pair its producer read, as its channels would
-deliver them.  Which result positions the store directives drain is fixed
-with the schedule; a run writes each stored value straight into the result
-matrix, and the report carries occupancy and deadlock diagnostics.
+firing reads its inputs from the graph's own tables, its producers' outputs,
+as its channels would deliver them; relay decides only which PE hands a pair
+on.  Which result positions the store directives drain is fixed with the
+schedule; a run writes each stored value straight into the result matrix,
+and the report carries occupancy and deadlock diagnostics.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class Design:
     shape without a queue and builds each report afresh.
     """
 
-    graph: DataflowGraph  # its relay view when relay is enabled
+    graph: DataflowGraph  # its relay view when relay is enabled, which changes only the wiring
     cfg: SimConfig
     pe_labels: tuple[str, ...]  # per PE index, which is also its scheduling priority
     chan_src: tuple[int, ...]
@@ -182,12 +182,13 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
          cfg: SimConfig) -> Design:
     """Turn value edges into bounded channels between placed PEs.
 
-    With relaying enabled, rotation pairs are first remapped onto hop-by-hop
+    With relaying enabled, rotation pairs are first wired onto hop-by-hop
     chains along each relay directive's vector (:func:`relay_view`), and the
-    design runs that view; only the chain head still receives the pair
-    straight from its producer.  Edges between iterations folded onto one
-    PE still go through a channel of the same capacity, so folding is purely
-    a re-placement.  A channel is the int key (producer PE, tag, consumer
+    design keeps that view: a hop pops its pair from the chain neighbour in
+    ``relay_from``, and only the chain head still receives it straight from
+    its producer.  Edges between iterations folded onto one PE still go
+    through a channel of the same capacity, so folding is purely a
+    re-placement.  A channel is the int key (producer PE, tag, consumer
     PE, tag), numbered in order of first use, and gets its label once.
 
     Every channel must carry its values in the order its consumer pops
@@ -212,7 +213,7 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
     fixes the store coverage.
     """
     work = relay_view(graph) if cfg.relay_enabled else graph
-    nodes, hops = work.nodes, work.relay_hops()
+    nodes, hops = work.nodes, work.relay_from
     pe_labels, node_pe = placement
 
     programs: list[list[int]] = [[] for _ in pe_labels]
@@ -232,7 +233,8 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
     pushes: list[list[int]] = [[] for _ in nodes]  # per node, the channels it pushes
     for i, (pair, data) in enumerate(zip(work.pairs, work.data)):
         # a flow is (producer node, its tag, our tag): the pair first, then data ports
-        flows = data if pair is None else ((pair[0], _RELAY if i in hops else _CS, _CS), *data)
+        flows = data if pair is None else (
+            (hops[i], _RELAY, _CS) if i in hops else (pair[0], _CS, _CS), *data)
         dst_pe = node_pe[i]
         pops = []
         for src, src_tag, dst_tag in flows:
@@ -383,14 +385,12 @@ def execute(design: Design, aug: AugmentedMatrix,
     """Replay ``design``'s sweeps on one input.
 
     Each recorded firing reads its inputs as ``design.graph``'s tables name
-    them: a pair from its producer's output, or on a relay hop
-    (:meth:`~spatialqr.dataflow.DataflowGraph.relay_hops`) the pair its
-    producer read; a data input from its producer's output and a load from
-    the input.  It runs its kernel and writes its stored values into the
-    result.  The one check, as in ``evaluate_graph``: the first non-finite
-    kernel output raises :class:`NonFiniteError` naming its node.  A
-    deadlocked design replays the firings before the deadlock and reports
-    it.  ``on_event``, if given, receives one newline-terminated line per
+    them: a pair or a data input from its producer's output, relayed or not,
+    and a load from the input.  It runs its kernel and writes its stored
+    values into the result.  The one check, as in ``evaluate_graph``: the
+    first non-finite kernel output raises :class:`NonFiniteError` naming its
+    node.  A deadlocked design replays the firings before the deadlock and
+    reports it.  ``on_event``, if given, receives one newline-terminated line per
     firing as it happens (sweep, PE, iteration, arguments and outputs), so
     the lines of the firings before a failure are already out.
     """
@@ -398,13 +398,12 @@ def execute(design: Design, aug: AugmentedMatrix,
     m, n = graph.m, graph.n
     if (aug.m, aug.n) != (m, n):
         raise ValueError(f"design is for {m}x{n} inputs, got {aug.m}x{aug.n}")
-    nodes, kernels, hops = graph.nodes, graph.node_kernel, graph.relay_hops()
+    nodes, kernels = graph.nodes, graph.node_kernel
     pairs, data, loads, node_stores = graph.pairs, graph.data, graph.loads, graph.node_stores
     get = aug.inner.get
     output = Matrix.zeros(m, n + 1)
     put = output.set
     outs: list[tuple[float, ...] | None] = [None] * len(nodes)  # per node, its kernel's output
-    rotations = outs[:]  # per node, the pair it read, as in evaluate_graph
     for step, sweep in enumerate(design.sweeps, 1):
         for node in sweep:
             kernel, args = kernels[node]
@@ -412,8 +411,7 @@ def execute(design: Design, aug: AugmentedMatrix,
             pair = pairs[node]
             if pair is not None:
                 src, lo, hi = pair
-                args[lo], args[hi] = rotations[node] = \
-                    rotations[src] if node in hops else outs[src][:2]
+                args[lo], args[hi] = outs[src][:2]
             for src, index, port in data[node]:
                 args[port] = outs[src][index]
             for row, col, port in loads[node]:

@@ -29,12 +29,12 @@ def test_graph_counts_at_17x15():
     assert spans_module()._graph_counts(graph) == {"nodes": 1495, "edges": 5710}
 
 
-def test_relay_view_shares_every_table_but_the_pairs():
+def test_relay_view_shares_every_table_but_relay_from():
     graph = build_graph(builtin_qr_spec(), 6, 5)
     view = relay_view(graph)
-    assert view.pairs is not graph.pairs and view.pairs != graph.pairs
+    assert not graph.relay_from and view.relay_from
     for field in dataclasses.fields(graph):
-        if field.name not in ("pairs", "relayed"):
+        if field.name != "relay_from":
             assert getattr(view, field.name) is getattr(graph, field.name), field.name
 
 

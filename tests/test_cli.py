@@ -404,6 +404,18 @@ class TestHostileInputs:
         assert len(err) == 1 and err[0].startswith("error: cannot write standard output: ")
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_full_stdout_is_pointed_at_the_null_device(self, capsys, monkeypatch):
+        """In process, the failed stream's descriptor now refers to the null
+        device, so the interpreter's last flush at exit cannot fail again."""
+        with open("/dev/full", "w") as full:
+            monkeypatch.setattr(sys, "stdout", full)
+            assert run_cli("trace", "3", "3") == 2
+            device = os.fstat(full.fileno()).st_rdev
+        assert device == os.stat(os.devnull).st_rdev
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write standard output: ")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
     @pytest.mark.parametrize("event_log", [False, True], ids=["missing-input", "event-log"])
     def test_full_stderr_keeps_the_usage_exit_code(self, tmp_path, matrix4, event_log):
         """An unreadable input, or an event log stderr cannot take, is a usage

@@ -334,7 +334,7 @@ class TestRelayView:
         """A chain head receives its producer's own c and s, so it is no relay hop."""
         g = relay_view(build_graph(builtin_qr_spec(), 4, 4))
         node = g.ids["Y"][(1, 4, 2)]
-        assert node not in g.relay_hops()
+        assert node not in g.relay_from
         cs = [source for source, _, pattern in in_edges(g, node) if pattern == "cs"]
         x = g.ids["X"][(1, 4)]
         assert cs == [(x, 0), (x, 1)]
@@ -355,7 +355,7 @@ class TestRelayView:
     def test_update_in_degree_drops_to_three(self):
         """On a relay hop the pair is one edge; a chain head keeps its c and s edges."""
         g = relay_view(build_graph(builtin_qr_spec(), 4, 4))
-        hops = g.relay_hops()
+        hops = g.relay_from
         for i, node in enumerate(g.nodes):
             if node.func == "Y":
                 assert len(in_edges(g, i)) == (3 if i in hops else 4)

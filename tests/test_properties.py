@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spatialqr.dataflow import build_graph, evaluate_graph
+from spatialqr.dataflow import build_graph, evaluate_graph, relay_view
 from spatialqr.numeric import (
     AugmentedMatrix,
     Matrix,
@@ -91,6 +91,35 @@ def test_completed_runs_match_reference_and_graph(sim):
         assert rep.blocked
         return
     assert_drains_reference_bits(rep, aug)
+
+
+def firing_values(design, aug):
+    """Each firing's iteration, arguments and outputs, from its ``on_event``
+    line without the sweep and PE, sorted."""
+    lines = []
+    execute(design, aug, lines.append)
+    return sorted(line.split(" iter=", 1)[1] for line in lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda m: st.tuples(
+    st.just(m), st.integers(1, m + 1), st.sampled_from([spec_unroll, folded_unroll]),
+    st.sampled_from([2, 8]), st.integers(0, 2**16))))
+def test_relay_never_changes_a_value(case):
+    """Relay is wiring: every firing consumes and produces the same values
+    with relay on and off.  The view shares the pair table, and each chain
+    neighbour reads the pair of the same producer as the hop it hands it to."""
+    m, n, unroll, capacity, seed = case
+    aug = seeded_input(m, n, seed)
+    on, off = (compile_design(SPEC, SimConfig(unroll=unroll(SPEC), channel_capacity=capacity,
+                                              relay_enabled=relay), m, n)
+               for relay in (True, False))
+    assert firing_values(on, aug) == firing_values(off, aug)
+    graph = off.graph
+    view = relay_view(graph)
+    assert view.pairs is graph.pairs
+    for i, prev in view.relay_from.items():
+        assert graph.pairs[prev][0] == graph.pairs[i][0]
 
 
 def pushes(design):

@@ -7,8 +7,9 @@ A stdlib line tracer (``sys.settrace``) records the package lines run in this
 process while pytest runs, so subprocesses are not followed.  A module's
 executable lines come from its code objects, so blank lines, comments and
 docstrings never count as missed.  Tracing makes the suite several times
-slower, so a test with a time budget can fail under it.  Exits with
-pytest's code.
+slower, so a test with a time budget can fail under it: one is expected to,
+``tests/test_acceptance.py::test_criterion_3_qr_correctness``, whose budget
+is 1 s.  Exits with pytest's code.
 """
 
 import sys
