@@ -10,6 +10,14 @@ as its channels would deliver them; relay decides only which PE hands a pair
 on.  Which result positions the store directives drain is fixed with the
 schedule; a run writes each stored value straight into the result matrix,
 and the report carries occupancy and deadlock diagnostics.
+
+Lowering is four stages, each depending on less than the next: the graph
+(:func:`build_graph`) on the spec and the shape; the placement
+(:func:`place`) also on the unroll sets; the channels (:func:`wire`) also on
+relay; and the schedule (:func:`schedule`) also on the channel capacity.
+:func:`compile_design` composes them and keeps the stages of one shape only
+while that shape is asked for again in a row, as a sweep over
+configurations does.
 """
 
 from __future__ import annotations
@@ -89,15 +97,16 @@ def folded_unroll(spec: SpatialSpec, drop: tuple[str, ...] = ("row",)) -> dict[s
     }
 
 
-def place(graph: DataflowGraph, cfg: SimConfig) -> tuple[tuple[str, ...], list[int]]:
+def place(graph: DataflowGraph, cfg: SimConfig) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """Map each iteration to the PE fixed at its unrolled-dim values.
 
     Returns the PE labels, such as ``X(col=1)``, sorted by function and then
     unrolled values, so a PE's index there is its scheduling priority; and
-    per node id, the index of its PE.
+    per node id, the index of its PE.  Of ``cfg`` only the unroll sets
+    matter, the spec's own when it names none.
     """
     spec = graph.spec
-    unroll = cfg.unroll if cfg.unroll is not None else spec_unroll(spec)
+    unroll = _unroll(spec, cfg)
     unknown = set(unroll) - {f.name for f in spec.funcs}
     if unknown:
         raise WiringError(f"cannot unroll unknown functions {sorted(unknown)}")
@@ -126,21 +135,56 @@ def place(graph: DataflowGraph, cfg: SimConfig) -> tuple[tuple[str, ...], list[i
         func + "(" + ",".join([f"{d}={v}" for d, v in zip(names[func], values)]) + ")"
         for func, values in order
     ])
-    return pe_labels, [rank[p] for p in node_pe]
+    return pe_labels, tuple([rank[p] for p in node_pe])
+
+
+def _unroll(spec: SpatialSpec, cfg: SimConfig) -> Mapping[str, tuple[str, ...]]:
+    """The unroll sets ``cfg`` names, or the spec's own when it names none."""
+    return cfg.unroll if cfg.unroll is not None else spec_unroll(spec)
 
 
 # --- the compiled design ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class Wiring:
+    """A graph placed and wired: everything a design fixes before the channel capacity.
+
+    ``graph`` is the program each node fires: the :func:`relay_view` when
+    relay is enabled, which changes only the wiring.  Channels are ints;
+    channel ``c`` runs from PE ``chan_src[c]`` to PE ``chan_dst[c]`` and is
+    named ``chan_labels[c]``.  Node ``i`` runs on PE ``node_pe[i]``, pops
+    ``pops[i]``, one channel per ``graph.producers(i)``, and pushes
+    ``pushes[i]``.  The waits that hold at any capacity are edges too:
+    ``after[i]`` are the firings that wait on node ``i``, its PE's next one
+    and every consumer of its pushes, and ``waits[i]`` counts node ``i``'s.
+    ``queues`` are what the capacity waits are read from: per channel that
+    carries more than one flow, its consumers in pop order and each flow's
+    producer, or -1 where that producer pops the channel too.  Every table
+    is a tuple, so one wiring serves any number of :func:`schedule` calls.
+    """
+
+    graph: DataflowGraph
+    pe_labels: tuple[str, ...]  # per PE index, which is also its scheduling priority
+    node_pe: tuple[int, ...]  # per node id
+    programs: tuple[tuple[int, ...], ...]  # per PE index, its node ids in program order
+    chan_src: tuple[int, ...]
+    chan_dst: tuple[int, ...]
+    chan_labels: tuple[str, ...]
+    pops: tuple[tuple[int, ...], ...]  # per node id
+    pushes: tuple[tuple[int, ...], ...]  # per node id
+    after: tuple[tuple[int, ...], ...]  # per node id
+    waits: tuple[int, ...]  # per node id
+    queues: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
 
 @dataclass(frozen=True)
 class Design:
     """A spec placed, wired and scheduled at one shape: everything a run fixes before the data.
 
     It is immutable all the way down, and its ``graph`` is the program each
-    node fires.  Channels are ints; channel ``c`` runs from PE
-    ``chan_src[c]`` to PE ``chan_dst[c]`` and is named ``chan_labels[c]``.
-    Node ``i`` pops ``pops[i]``, one channel per ``graph.producers(i)``, on
-    PE ``node_pe[i]``.  ``sweeps`` holds, per sweep, the node ids it fires
-    in order.  The other fields are every report field but the output:
+    node fires.  Its graph, PE, channel, pop and program tables are those
+    of its :class:`Wiring`, shared with it.  ``sweeps`` holds, per sweep,
+    the node ids it fires in order.  The other fields are every report field but the output:
     counters as read-only mappings by PE or channel label, and ``blocked``
     (pe, iteration, channels waiting on empty, channels waiting on full) per
     PE left with work, which is empty unless the design deadlocks.
@@ -171,66 +215,97 @@ class Design:
 # channel tags as ints: tuple index or port >= 0, else the pair's, from its producer or a relay
 _CS, _RELAY = -1, -2
 
+# The stages of the latest shape asked of compile_design: (spec, shape, graph,
+# placement per unroll key, wiring per (unroll key, relay)).  Only the key is
+# kept until that shape is asked for again in a row.
+_latest: tuple = (None, None, None, None, None)
+
 
 def compile_design(spec: SpatialSpec, cfg: SimConfig, m: int, n: int) -> Design:
-    """Build, place, wire and schedule ``spec`` at m x n; see :func:`wire`."""
-    graph = build_graph(spec, m, n)
-    return wire(graph, place(graph, cfg), cfg)
+    """Build, place, wire and schedule ``spec`` at m x n.
+
+    The composition ``schedule(wire(g, place(g, cfg), cfg.relay_enabled),
+    cfg)`` on ``g = build_graph(spec, m, n)``.  Each stage depends on less
+    than the one after it: the graph on the spec and the shape, the
+    placement also on the resolved unroll sets, the wiring also on relay,
+    and only the schedule on the channel capacity.  One record is kept, for
+    the latest ``(spec, m, n)``, the spec compared by identity.  A call at
+    another shape replaces it, before building anything, with that key
+    alone, so a shape asked for once keeps nothing.  A repeat call builds
+    the stages it lacks and keeps them for the next repeat.  A stage that
+    raises is not kept, so a repeat raises the same error.  The record is
+    replaced, never changed under another key, so a call reads only stages
+    of its own shape, from any thread.
+    """
+    global _latest
+    shape = (type(m), m, type(n), n)  # so that m=True does not reuse the stages of m=1
+    record = _latest
+    if record[0] is not spec or record[1] != shape:
+        _latest = (spec, shape, None, None, None)
+        graph = build_graph(spec, m, n)
+        return schedule(wire(graph, place(graph, cfg), cfg.relay_enabled), cfg)
+    _, _, graph, placements, wirings = record
+    if graph is None:
+        graph = build_graph(spec, m, n)
+        placements, wirings = {}, {}
+        _latest = (spec, shape, graph, placements, wirings)
+    key = tuple(sorted(_unroll(spec, cfg).items()))
+    placement = placements.get(key)
+    if placement is None:
+        placement = placements[key] = place(graph, cfg)
+    relay = cfg.relay_enabled
+    wiring = wirings.get((key, relay))
+    if wiring is None:
+        wiring = wirings[key, relay] = wire(graph, placement, relay)
+    return schedule(wiring, cfg)
 
 
-def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
-         cfg: SimConfig) -> Design:
-    """Turn value edges into bounded channels between placed PEs.
+def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], tuple[int, ...]],
+         relay: bool) -> Wiring:
+    """Turn value edges into channels between placed PEs.
 
-    With relaying enabled, rotation pairs are first wired onto hop-by-hop
-    chains along each relay directive's vector (:func:`relay_view`), and the
-    design keeps that view: a hop pops its pair from the chain neighbour in
+    With ``relay``, rotation pairs are first wired onto hop-by-hop chains
+    along each relay directive's vector (:func:`relay_view`), and the wiring
+    keeps that view: a hop pops its pair from the chain neighbour in
     ``relay_from``, and only the chain head still receives it straight from
     its producer.  Edges between iterations folded onto one PE still go
-    through a channel of the same capacity, so folding is purely a
-    re-placement.  A channel is the int key (producer PE, tag, consumer
-    PE, tag), numbered in order of first use, and gets its label once.
+    through a channel, so folding is purely a re-placement.  A channel is
+    the int key (producer PE, tag, consumer PE, tag), numbered in order of
+    first use, and gets its label once.
 
     Every channel must carry its values in the order its consumer pops
     them, one per producer firing.  A PE's program is its nodes in id order,
     so that holds when the producer ids of each channel's flows strictly
     increase; the first channel that breaks it raises :class:`WiringError`.
-
-    Last, the design is scheduled once, from queue lengths alone.  A sweep
-    scans the PEs in index order; each fires its next iteration if every
-    channel it pops holds a value and every channel it only pushes has room,
-    and a firing is seen later in the same scan.  A channel has one producer
-    and one consumer PE, so a firing stays ready once it is, and firing
-    ``x`` on PE ``p`` falls in the largest of: 1; the sweep of its PE's
-    previous firing, plus 1; for each channel it pops, the sweep of the
-    firing that pushed the value; for each channel it only pushes, the sweep
-    of the pop ``channel_capacity`` flows earlier.  The last two gain 1 when
-    that firing's PE index is ``>= p``.  So a sweep is a longest path over
-    the waits, and firings on or after a cycle of waits never fire: the
-    deadlock, recorded as a last, empty sweep and reported with per-PE
-    blocking diagnostics.  No kernel runs, so the schedule holds for every
-    input; one that completes fires every node once, so :func:`drain` then
-    fixes the store coverage.
+    The channel capacity plays no part: :func:`schedule` takes it.
     """
-    work = relay_view(graph) if cfg.relay_enabled else graph
-    nodes, hops = work.nodes, work.relay_from
+    work = relay_view(graph) if relay else graph
+    hops = work.relay_from
     pe_labels, node_pe = placement
 
     programs: list[list[int]] = [[] for _ in pe_labels]
     for i, pe in enumerate(node_pe):
         programs[pe].append(i)
+    after: list[list[int]] = [[] for _ in node_pe]  # per node, the firings waiting on it
+    waits = [0] * len(node_pe)
+    for program in programs:
+        for x, y in zip(program, program[1:]):
+            after[x].append(y)
+            waits[y] = 1
 
     # per channel: producer PE, its tag, consumer PE, its tag, and the
-    # producer of its latest flow
+    # consumer of its first flow and the producer of its latest
     chan_src: list[int] = []
     src_tags: list[int] = []
     chan_dst: list[int] = []
     dst_tags: list[int] = []
+    first_consumer: list[int] = []
     last_producer: list[int] = []
     faults: dict[int, str] = {}  # channel -> its flow-order fault
     found: dict[tuple[int, int, int, int], int] = {}
+    queues: dict[int, tuple[list[int], list[int]]] = {}  # channel -> consumers, producers
     node_pops: list[tuple[int, ...]] = []
-    pushes: list[list[int]] = [[] for _ in nodes]  # per node, the channels it pushes
+    pushes: list[list[int]] = [[] for _ in node_pe]  # per node, the channels it pushes
     for i, (pair, data) in enumerate(zip(work.pairs, work.data)):
         # a flow is (producer node, its tag, our tag): the pair first, then data ports
         flows = data if pair is None else (
@@ -247,8 +322,14 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
                 src_tags.append(src_tag)
                 chan_dst.append(dst_pe)
                 dst_tags.append(dst_tag)
+                first_consumer.append(i)
                 last_producer.append(src)
             else:
+                queue = queues.get(c)
+                if queue is None:
+                    queue = queues[c] = ([first_consumer[c]], [last_producer[c]])
+                queue[0].append(i)
+                queue[1].append(src)
                 if src < last_producer[c]:
                     faults[c] = "push order does not match pop order"
                 elif src == last_producer[c]:
@@ -256,8 +337,10 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
                 last_producer[c] = src
             pops.append(c)
             pushes[src].append(c)
+            after[src].append(i)
         node_pops.append(tuple(pops))
-    del found  # free the channel keys before the schedule builds its tables
+        waits[i] += len(pops)
+    del found, first_consumer, last_producer  # freed before the labels are built
 
     tags = {_CS: "cs", _RELAY: "relay"}  # any other tag is a tuple index or a port
     labels = tuple([
@@ -267,25 +350,46 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
     if faults:
         c = min(faults)
         raise WiringError(f"channel {labels[c]}: {faults[c]}")
+    capacity_queues = tuple([  # a producer that pops the channel too frees its own room
+        (tuple(consumers), tuple([-1 if c in node_pops[a] else a for a in producers]))
+        for c, (consumers, producers) in queues.items()])
+    return Wiring(work, pe_labels, node_pe, tuple(map(tuple, programs)), tuple(chan_src),
+                  tuple(chan_dst), labels, tuple(node_pops), tuple(map(tuple, pushes)),
+                  tuple(map(tuple, after)), tuple(waits), capacity_queues)
 
-    # the schedule: per firing, the firings it waits on and its sweep
+
+def schedule(wiring: Wiring, cfg: SimConfig) -> Design:
+    """Schedule a wiring at ``cfg``'s channel capacity: the rest of a :class:`Design`.
+
+    The design is scheduled once, from queue lengths alone.  A sweep scans
+    the PEs in index order; each fires its next iteration if every channel
+    it pops holds a value and every channel it only pushes has room, and a
+    firing is seen later in the same scan.  A channel has one producer and
+    one consumer PE, so a firing stays ready once it is, and firing ``x`` on
+    PE ``p`` falls in the largest of: 1; the sweep of its PE's previous
+    firing, plus 1; for each channel it pops, the sweep of the firing that
+    pushed the value; for each channel it only pushes, the sweep of the pop
+    ``channel_capacity`` flows earlier.  The last two gain 1 when that
+    firing's PE index is ``>= p``.  So a sweep is a longest path over the
+    waits, and firings on or after a cycle of waits never fire: the
+    deadlock, recorded as a last, empty sweep and reported with per-PE
+    blocking diagnostics.  No kernel runs, so the schedule holds for every
+    input; one that completes fires every node once, so :func:`drain` then
+    fixes the store coverage.
+    """
+    work, node_pe, programs = wiring.graph, wiring.node_pe, wiring.programs
+    node_pops, pushes, labels = wiring.pops, wiring.pushes, wiring.chan_labels
+    nodes = work.nodes
+
+    # per firing, the firings it waits on, the capacity's included, and its sweep
     capacity = cfg.channel_capacity
-    after: list[list[int]] = [[] for _ in nodes]  # per node, the firings waiting on it
-    waits = [0] * len(nodes)
-    for program in programs:
-        for a, b in zip(program, program[1:]):
-            after[a].append(b)
-            waits[b] += 1
-    poppers: list[list[int]] = [[] for _ in labels]  # per channel, its consumers in pop order
-    for i, pops in enumerate(node_pops):
-        for c, a in zip(pops, work.producers(i)):
-            seen = poppers[c]
-            if len(seen) >= capacity and c not in node_pops[a]:
-                after[seen[-capacity]].append(a)  # a's push needs the pop capacity flows earlier
+    after = list(wiring.after)
+    waits = list(wiring.waits)
+    for consumers, producers in wiring.queues:
+        for pop, a in zip(consumers, producers[capacity:]):
+            if a >= 0:  # a's push needs the pop capacity flows earlier
+                after[pop] += (a,)
                 waits[a] += 1
-            seen.append(i)
-            after[a].append(i)
-            waits[i] += 1
     sweep = [1] * len(nodes)
     ready = [i for i, w in enumerate(waits) if not w]
     fired: list[int] = []
@@ -294,11 +398,13 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
         fired.append(a)
         s, pe = sweep[a], node_pe[a]
         for b in after[a]:
-            sweep[b] = max(sweep[b], s + (pe >= node_pe[b]))
+            t = s + (pe >= node_pe[b])
+            if t > sweep[b]:
+                sweep[b] = t
             waits[b] -= 1
             if not waits[b]:
                 ready.append(b)
-    del after, poppers  # freed before the counters, so lowering peaks no higher
+    del after  # freed before the counters, so lowering peaks no higher
 
     # the counters, replayed in firing order on queue lengths
     fired.sort(key=node_pe.__getitem__)
@@ -314,10 +420,12 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
         for c in pushes[i]:
             lengths[c] += 1
             sends[c] += 1
-            occupancy[c] = max(occupancy[c], lengths[c])
+            if lengths[c] > occupancy[c]:
+                occupancy[c] = lengths[c]
     sweeps = [tuple(group) for _, group in groupby(fired, sweep.__getitem__)]
     if len(fired) < len(nodes):
         sweeps.append(())  # the deadlock: a sweep that fires nothing
+    pe_labels = wiring.pe_labels
     blocked = tuple([
         (label, str(nodes[program[k]]),
          tuple([labels[c] for c in node_pops[program[k]] if not lengths[c]]),
@@ -325,8 +433,8 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], list[int]],
         for program, label, k in zip(programs, pe_labels, pointers) if k < len(program)
     ])
     drained, uncovered = ((), ()) if blocked else drain(work)
-    return Design(work, cfg, pe_labels, tuple(chan_src), tuple(chan_dst), labels,
-                  tuple(node_pops), tuple(node_pe), tuple(map(tuple, programs)), tuple(sweeps),
+    return Design(work, cfg, pe_labels, wiring.chan_src, wiring.chan_dst, labels, node_pops,
+                  node_pe, programs, tuple(sweeps),
                   MappingProxyType(dict(zip(pe_labels, pointers))),
                   MappingProxyType(dict(zip(labels, occupancy))),
                   MappingProxyType(dict(zip(labels, sends))), blocked, drained, uncovered)

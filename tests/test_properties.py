@@ -7,7 +7,8 @@ is a deadlock with blocking diagnostics or a WiringError; nothing else.  The
 recorded schedule is one ready order out of many: any other one, replayed
 through the same design, drains the same bits.  Values move by producer; a
 replay that carries them through the channels' queues delivers the same ones.
-A NaN, infinite or overflowing input fails all three ways alike.
+A NaN, infinite or overflowing input fails all three ways alike.  Reusing
+the compile's stages across calls never changes a report.
 """
 
 import dataclasses
@@ -19,6 +20,8 @@ from contextlib import suppress
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_hostile_specs import HOSTILE as HOSTILE_SPECS
+from test_hostile_specs import X, with_func
 
 from spatialqr.dataflow import build_graph, evaluate_graph, relay_view
 from spatialqr.numeric import (
@@ -35,10 +38,14 @@ from spatialqr.simulator import (
     drain,
     execute,
     folded_unroll,
+    place,
+    report_to_json,
     run,
+    schedule,
     spec_unroll,
+    wire,
 )
-from spatialqr.specdsl import builtin_qr_spec
+from spatialqr.specdsl import COL, M, BoundSpec, builtin_qr_spec
 
 SPEC = builtin_qr_spec()
 # deadlocks at capacity 1: every X on one PE and every Y on another
@@ -339,3 +346,64 @@ def test_every_path_raises(rows, rhs):
     non-finite, fail on every path and under every configuration."""
     aug = AugmentedMatrix.from_parts(Matrix.from_rows(rows), rhs)
     assert all(paths_raise_alike(aug, cfg) for cfg in COMPLETING)
+
+
+
+# Calls that raise on every try: a spec that fails validation, so building its
+# graph raises; and one whose graph builds but whose channels cannot keep
+# their flow order (see test_hostile_specs.py), so wiring raises.
+HOSTILE_CALLS = [
+    (HOSTILE_SPECS["int_guard"], 4, 3, SimConfig()),
+    (with_func(dataclasses.replace(X, bounds=(X.bounds[0], BoundSpec("row", COL + 1, 1, M)))),
+     4, 3, SimConfig(unroll={"X": ("col",), "Y": ("col",)})),
+]
+
+
+@st.composite
+def call_sequences(draw):
+    """Up to 6 calls, each at a drawn shape and configuration, or at the
+    previous call's shape, or a hostile call, so stages are reused and
+    dropped in every order."""
+    calls = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["new", "repeat", "repeat", "hostile"]))
+        if kind == "hostile":
+            calls.append(draw(st.sampled_from(HOSTILE_CALLS)))
+            continue
+        if kind == "new" or not calls or calls[-1][0] is not SPEC:
+            m = draw(st.integers(1, 6))
+            shape = (m, draw(st.integers(1, m + 1)))
+        else:
+            shape = calls[-1][1:3]
+        unroll = draw(st.sampled_from([None, spec_unroll(SPEC), folded_unroll(SPEC)])
+                      | st.fixed_dictionaries({f.name: dim_subset(f) for f in SPEC.funcs}))
+        cfg = SimConfig(unroll=unroll, channel_capacity=draw(st.integers(1, 3)),
+                        relay_enabled=draw(st.booleans()))
+        calls.append((SPEC, *shape, cfg))
+    return calls
+
+
+def run_outcome(compile_, m, n):
+    """The report bytes and event lines of one run of ``compile_()``, or the error it raises."""
+    try:
+        design = compile_()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    lines = []
+    report = execute(design, seeded_input(m, n, m * 10 + n), lines.append)
+    return report_to_json(report), lines
+
+
+@settings(max_examples=40, deadline=None)
+@given(call_sequences())
+def test_reusing_a_stage_never_changes_a_report(calls):
+    """Each run's report bytes and event lines, or its error, are those of
+    the stage-free composition on a freshly built graph."""
+
+    def fresh(spec, m, n, cfg):
+        graph = build_graph(spec, m, n)
+        return schedule(wire(graph, place(graph, cfg), cfg.relay_enabled), cfg)
+
+    for spec, m, n, cfg in calls:
+        got = run_outcome(lambda: compile_design(spec, cfg, m, n), m, n)
+        assert got == run_outcome(lambda: fresh(spec, m, n, cfg), m, n)

@@ -1,5 +1,9 @@
 import dataclasses
+import gc
 import json
+import sys
+import threading
+import weakref
 from pathlib import Path
 from types import MappingProxyType
 
@@ -24,6 +28,7 @@ from spatialqr.simulator import (
     place,
     report_to_json,
     run,
+    schedule,
     spec_unroll,
     wire,
 )
@@ -134,7 +139,7 @@ class TestWiring:
     def test_broadcast_without_relay(self):
         g = build_graph(SPEC, 4, 4)
         cfg = config("full", relay=False)
-        design = wire(g, place(g, cfg), cfg)
+        design = schedule(wire(g, place(g, cfg), cfg.relay_enabled), cfg)
         outgoing = [
             k for k in channel_keys(design)
             if k[0] == "X(col=1,row=4)" and k[3] == "cs"
@@ -144,7 +149,7 @@ class TestWiring:
     def test_single_head_channel_with_relay(self):
         g = build_graph(SPEC, 4, 4)
         cfg = config("full", relay=True)
-        design = wire(g, place(g, cfg), cfg)
+        design = schedule(wire(g, place(g, cfg), cfg.relay_enabled), cfg)
         outgoing = [
             k for k in channel_keys(design)
             if k[0] == "X(col=1,row=4)" and k[3] == "cs"
@@ -161,7 +166,7 @@ class TestWiring:
     def test_memory_ports_have_no_channels(self):
         g = build_graph(SPEC, 4, 4)
         cfg = config("full")
-        design = wire(g, place(g, cfg), cfg)
+        design = schedule(wire(g, place(g, cfg), cfg.relay_enabled), cfg)
         i = g.ids["X"][(1, 4)]
         assert {(row, col) for row, col, _ in design.graph.loads[i]} == {(4, 1), (3, 1)}
         assert design.graph.pairs[i] is None and design.graph.data[i] == ()
@@ -551,3 +556,60 @@ class TestDesignReuse:
                 entry[2].append("stray")
         assert report_to_json(execute(design, aug)) == expected
 
+
+
+class TestStages:
+    """``compile_design`` keeps the stages of the latest shape only when that
+    shape is asked for again in a row, and a stage never changes a report."""
+
+    def test_a_wiring_is_immutable(self):
+        g = build_graph(SPEC, 4, 3)
+        for mode in ("full", "folded"):
+            for relay in (True, False):
+                assert_immutable(wire(g, place(g, config(mode)), relay))
+
+    @pytest.mark.parametrize("relay", [False, True])
+    def test_a_shape_asked_for_once_keeps_nothing(self, relay):
+        """A design's graph is the graph stage, or with relay the wiring's view."""
+        def graph_of(m, n):
+            return weakref.ref(compile_design(SPEC, config("full", relay=relay), m, n).graph)
+
+        compile_design(SPEC, config("full"), 2, 2)
+        once = graph_of(5, 4)
+        gc.collect()
+        assert once() is None
+        graph_of(5, 4)
+        again = graph_of(5, 4)
+        gc.collect()
+        assert again() is not None
+        graph_of(5, 3)
+        gc.collect()
+        assert again() is None
+
+    def test_concurrent_callers_get_sequential_reports(self):
+        """Two threads, each on its own shape, interleave their calls."""
+        configs = [config(mode, capacity, relay) for mode in ("full", "folded")
+                   for relay in (True, False) for capacity in (1, 8)]
+        shapes = [(4, 3), (5, 5)]
+        expected = {shape: [report_to_json(run(SPEC, configs[k % len(configs)], make_aug(*shape)))
+                            for k in range(20)] for shape in shapes}
+        got: dict = {shape: [] for shape in shapes}
+
+        def caller(shape):
+            try:
+                got[shape] += [report_to_json(run(SPEC, configs[k % len(configs)], make_aug(*shape)))
+                               for k in range(20)]
+            except Exception as exc:  # reported by the assertion below
+                got[shape] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so the calls interleave
+        try:
+            threads = [threading.Thread(target=caller, args=(shape,)) for shape in shapes]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
