@@ -297,7 +297,3 @@ def main(argv=None) -> int:
     except (_Usage, ValueError) as exc:
         _error(exc)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -181,9 +181,9 @@ class Wiring:
 class Design:
     """A spec placed, wired and scheduled at one shape: everything a run fixes before the data.
 
-    It is immutable all the way down, and its ``graph`` is the program each
-    node fires.  Its graph, PE, channel, pop and program tables are those
-    of its :class:`Wiring`, shared with it.  ``sweeps`` holds, per sweep,
+    It is immutable all the way down.  ``wiring`` is the :class:`Wiring` it
+    was scheduled from, shared with every design of that wiring; its
+    ``graph`` is the program each node fires.  ``sweeps`` holds, per sweep,
     the node ids it fires in order.  The other fields are every report field but the output:
     counters as read-only mappings by PE or channel label, and ``blocked``
     (pe, iteration, channels waiting on empty, channels waiting on full) per
@@ -194,15 +194,8 @@ class Design:
     shape without a queue and builds each report afresh.
     """
 
-    graph: DataflowGraph  # its relay view when relay is enabled, which changes only the wiring
+    wiring: Wiring
     cfg: SimConfig
-    pe_labels: tuple[str, ...]  # per PE index, which is also its scheduling priority
-    chan_src: tuple[int, ...]
-    chan_dst: tuple[int, ...]
-    chan_labels: tuple[str, ...]
-    pops: tuple[tuple[int, ...], ...]  # per node id
-    node_pe: tuple[int, ...]  # per node id
-    programs: tuple[tuple[int, ...], ...]  # per PE index, its node ids in program order
     sweeps: tuple[tuple[int, ...], ...]
     firings: Mapping[str, int]
     max_occupancy: Mapping[str, int]
@@ -433,8 +426,7 @@ def schedule(wiring: Wiring, cfg: SimConfig) -> Design:
         for program, label, k in zip(programs, pe_labels, pointers) if k < len(program)
     ])
     drained, uncovered = ((), ()) if blocked else drain(work)
-    return Design(work, cfg, pe_labels, wiring.chan_src, wiring.chan_dst, labels, node_pops,
-                  node_pe, programs, tuple(sweeps),
+    return Design(wiring, cfg, tuple(sweeps),
                   MappingProxyType(dict(zip(pe_labels, pointers))),
                   MappingProxyType(dict(zip(labels, occupancy))),
                   MappingProxyType(dict(zip(labels, sends))), blocked, drained, uncovered)
@@ -492,7 +484,7 @@ def execute(design: Design, aug: AugmentedMatrix,
             on_event: Callable[[str], object] | None = None) -> SimReport:
     """Replay ``design``'s sweeps on one input.
 
-    Each recorded firing reads its inputs as ``design.graph``'s tables name
+    Each recorded firing reads its inputs as ``design.wiring.graph``'s tables name
     them: a pair or a data input from its producer's output, relayed or not,
     and a load from the input.  It runs its kernel and writes its stored
     values into the result.  The one check, as in ``evaluate_graph``: the
@@ -502,7 +494,8 @@ def execute(design: Design, aug: AugmentedMatrix,
     firing as it happens (sweep, PE, iteration, arguments and outputs), so
     the lines of the firings before a failure are already out.
     """
-    graph, cfg = design.graph, design.cfg
+    wiring, cfg = design.wiring, design.cfg
+    graph, pe_labels, node_pe = wiring.graph, wiring.pe_labels, wiring.node_pe
     m, n = graph.m, graph.n
     if (aug.m, aug.n) != (m, n):
         raise ValueError(f"design is for {m}x{n} inputs, got {aug.m}x{aug.n}")
@@ -533,7 +526,7 @@ def execute(design: Design, aug: AugmentedMatrix,
             if on_event is not None:
                 consumed = ",".join(repr(v) for v in args)
                 produced = ",".join(repr(v) for v in out)
-                on_event(f"step={step} pe={design.pe_labels[design.node_pe[node]]} "
+                on_event(f"step={step} pe={pe_labels[node_pe[node]]} "
                          f"iter={nodes[node]} consumed=[{consumed}] produced=[{produced}]\n")
 
     blocked = [{"pe": pe, "iteration": iteration, "waiting_on_empty": list(empty),

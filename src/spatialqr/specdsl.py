@@ -15,7 +15,6 @@ and the walker is the only thing that evaluates the spec.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Union
@@ -189,9 +188,10 @@ Directive = Union[UnrollDirective, RelayDirective, StoreDirective]
 class FuncSpec:
     """A tuple-valued function over an integer iteration domain.
 
-    ``cell_map`` records, per tuple index, which input-matrix cell that
-    element is the updated value of (or None for pure parameters such as the
-    rotation coefficients); it drives result drains and trace rendering.
+    ``cell_map`` records, per tuple index, which input-matrix cell, one
+    (row, col) pair, that element is the updated value of (or None for pure
+    parameters such as the rotation coefficients); it drives result drains
+    and trace rendering.
     """
 
     name: str
@@ -619,7 +619,9 @@ def _walker_source(spec: SpatialSpec, func: FuncSpec, faults: list[Violation] | 
     body.append(f"if {held} != 1: {fault('guard-gap', '', f'({values})')}; continue")
     cells = {}
     for idx, cell in enumerate(func.cell_map):
-        pos = None if cell is None else lowered(cell, int, "cell-eval", f"cell_map[{idx}]")
+        # an entry that is not one (row, col) pair is already a violation
+        pos = (None if cell is None or len(cell) != 2
+               else lowered(cell, int, "cell-eval", f"cell_map[{idx}]"))
         if pos is not None:
             body.append(f"r{idx} = {pos[0]}")
             body.append(f"c{idx} = {pos[1]}")
@@ -691,6 +693,10 @@ def _validate_structure(spec: SpatialSpec, func: FuncSpec) -> list[Violation]:
     if func.cell_map and len(func.cell_map) != func.tuple_arity:
         bad(Violation("cell-map-arity", func.name, None,
                       f"cell_map has {len(func.cell_map)} entries for arity {func.tuple_arity}"))
+    for idx, cell in enumerate(func.cell_map):
+        if cell is not None and len(cell) != 2:
+            bad(Violation("cell-map-arity", func.name, None,
+                          f"cell_map[{idx}] has {len(cell)} coordinates, not (row, col)"))
     for case in func.cases:
         kernel = KERNELS.get(case.kernel)
         if kernel is None:
@@ -756,178 +762,3 @@ def _validate_structure(spec: SpatialSpec, func: FuncSpec) -> list[Violation]:
             bad(Violation("pair-shape", func.name, None, f"case {case.label} reads {names}: a "
                           "rotation pair is read as one .0 and one .1 at the same coordinates"))
     return faults
-
-
-# --- JSON serialization ------------------------------------------------------------
-
-SPEC_SCHEMA = 2
-
-
-def _expr_to_obj(e: Expr) -> object:
-    if isinstance(e, IntLit):
-        return {"int": e.value}
-    if isinstance(e, Name):
-        return {"name": e.name}
-    if isinstance(e, BinOp):
-        return {"op": e.op, "lhs": _expr_to_obj(e.lhs), "rhs": _expr_to_obj(e.rhs)}
-    raise ExprTypeError(f"cannot serialize {e!r}")
-
-
-def _field(obj: object, key: str, kind: type | tuple[type, ...] = object):
-    """``obj[key]`` checked to be a ``kind``; a ValueError naming the key otherwise."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected an object with key {key!r}, "
-                         f"got {type(obj).__name__}")
-    if key not in obj:
-        raise ValueError(f"missing key {key!r}")
-    value = obj[key]
-    if not isinstance(value, kind):
-        raise ValueError(f"key {key!r} has type {type(value).__name__}")
-    return value
-
-
-def _ints(obj: object, key: str) -> tuple[int, ...]:
-    values = _field(obj, key, list)
-    if not all(isinstance(v, int) for v in values):
-        raise ValueError(f"key {key!r} must hold integers")
-    return tuple(values)
-
-
-def _expr_from_obj(obj: object) -> Expr:
-    if not isinstance(obj, dict):
-        raise ValueError(f"bad expression node {obj!r}")
-    if "int" in obj:
-        return IntLit(_field(obj, "int", int))
-    if "name" in obj:
-        return Name(_field(obj, "name", str))
-    if "op" in obj:
-        return BinOp(_field(obj, "op", str), _expr_from_obj(_field(obj, "lhs")),
-                     _expr_from_obj(_field(obj, "rhs")))
-    raise ValueError(f"bad expression node {obj!r}")
-
-
-def _arg_to_obj(arg: Arg) -> object:
-    if isinstance(arg, MemoryRef):
-        return {"memory": {"input": arg.input, "row": _expr_to_obj(arg.row),
-                           "col": _expr_to_obj(arg.col)}}
-    if isinstance(arg, CallRef):
-        return {"call": {"func": arg.func, "coords": [_expr_to_obj(c) for c in arg.coords],
-                         "index": arg.index}}
-    return {"const": arg.value}
-
-
-def _arg_from_obj(obj: object) -> Arg:
-    if not isinstance(obj, dict):
-        raise ValueError(f"bad argument {obj!r}")
-    if "memory" in obj:
-        d = obj["memory"]
-        return MemoryRef(_field(d, "input", str), _expr_from_obj(_field(d, "row")),
-                         _expr_from_obj(_field(d, "col")))
-    if "call" in obj:
-        d = obj["call"]
-        return CallRef(_field(d, "func", str),
-                       tuple(_expr_from_obj(c) for c in _field(d, "coords", list)),
-                       _field(d, "index", int))
-    if "const" in obj:
-        return ConstRef(float(_field(obj, "const", (int, float))))
-    raise ValueError(f"bad argument {obj!r}")
-
-
-def _directive_to_obj(d: Directive) -> object:
-    if isinstance(d, UnrollDirective):
-        return {"unroll": d.var}
-    if isinstance(d, RelayDirective):
-        return {"relay": {"vector": list(d.vector)}}
-    return {"store": {"indices": list(d.indices), "condition": _expr_to_obj(d.condition)}}
-
-
-def _directive_from_obj(obj: object) -> Directive:
-    if not isinstance(obj, dict):
-        raise ValueError(f"bad directive {obj!r}")
-    if "unroll" in obj:
-        return UnrollDirective(_field(obj, "unroll", str))
-    if "relay" in obj:
-        return RelayDirective(_ints(obj["relay"], "vector"))
-    if "store" in obj:
-        d = obj["store"]
-        return StoreDirective(_ints(d, "indices"), _expr_from_obj(_field(d, "condition")))
-    raise ValueError(f"bad directive {obj!r}")
-
-
-def spec_to_json(spec: SpatialSpec) -> str:
-    obj = {
-        "schema": SPEC_SCHEMA,
-        "constants": list(spec.constants),
-        "inputs": list(spec.inputs),
-        "funcs": [
-            {
-                "name": f.name,
-                "dims": list(f.dims),
-                "bounds": [
-                    {"var": b.var, "lower": _expr_to_obj(b.lower), "step": b.step,
-                     "upper": _expr_to_obj(b.upper)}
-                    for b in f.bounds
-                ],
-                "tuple_arity": f.tuple_arity,
-                "cases": [
-                    {"label": c.label, "guard": _expr_to_obj(c.guard), "kernel": c.kernel,
-                     "args": [_arg_to_obj(a) for a in c.args]}
-                    for c in f.cases
-                ],
-                "directives": [_directive_to_obj(d) for d in f.directives],
-                "cell_map": [
-                    None if cell is None
-                    else {"row": _expr_to_obj(cell[0]), "col": _expr_to_obj(cell[1])}
-                    for cell in f.cell_map
-                ],
-            }
-            for f in spec.funcs
-        ],
-    }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def spec_from_json(text: str) -> SpatialSpec:
-    """Parse :func:`spec_to_json` output; malformed input raises ValueError("spec JSON: ...")."""
-    try:
-        return _spec_from_obj(json.loads(text))
-    except RecursionError:
-        raise ValueError("spec JSON: nested too deeply") from None
-    except ValueError as exc:
-        raise ValueError(f"spec JSON: {exc}") from None
-
-
-def _spec_from_obj(obj: object) -> SpatialSpec:
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected an object, got {type(obj).__name__}")
-    if obj.get("schema") != SPEC_SCHEMA:
-        raise ValueError(f"unsupported spec schema {obj.get('schema')!r}")
-    funcs = []
-    for f in _field(obj, "funcs", list):
-        funcs.append(FuncSpec(
-            name=_field(f, "name", str),
-            dims=tuple(_field(f, "dims", list)),
-            bounds=tuple(
-                BoundSpec(_field(b, "var", str), _expr_from_obj(_field(b, "lower")),
-                          _field(b, "step", int), _expr_from_obj(_field(b, "upper")))
-                for b in _field(f, "bounds", list)
-            ),
-            tuple_arity=_field(f, "tuple_arity", int),
-            cases=tuple(
-                RecurrenceCase(_field(c, "label", str), _expr_from_obj(_field(c, "guard")),
-                               _field(c, "kernel", str),
-                               tuple(_arg_from_obj(a) for a in _field(c, "args", list)))
-                for c in _field(f, "cases", list)
-            ),
-            directives=tuple(_directive_from_obj(d) for d in _field(f, "directives", list)),
-            cell_map=tuple(
-                None if cell is None
-                else (_expr_from_obj(_field(cell, "row")), _expr_from_obj(_field(cell, "col")))
-                for cell in _field(f, "cell_map", list)
-            ),
-        ))
-    return SpatialSpec(
-        constants=tuple(_field(obj, "constants", list)),
-        inputs=tuple(_field(obj, "inputs", list)),
-        funcs=tuple(funcs),
-    )

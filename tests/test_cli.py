@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,17 @@ class TestTrace:
     def test_matches_golden_fixture(self, capsys):
         assert run_cli("trace", "4", "4") == 0
         assert capsys.readouterr().out == (FIXTURES / "trace_4x4_golden.txt").read_text()
+
+    def test_python_m_spatialqr_exits_with_main(self, capsys, monkeypatch):
+        """``python -m spatialqr`` runs ``main`` on the command line and exits with its code."""
+        assert run_cli("trace", "2", "2") == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["spatialqr", "trace", "2", "2"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("spatialqr", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == expected
+        assert expected.startswith("1,2,-  c,s[2,1](W) A'[2,1] A'[1,1]\n")
 
     def test_empty_space(self, capsys):
         assert run_cli("trace", "1", "1") == 0

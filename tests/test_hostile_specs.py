@@ -5,8 +5,8 @@ Specs are evaluated by generated, compiled walkers, so these tests pin that
 no spec text is ever executed, that a static fault is reported once per
 function, and that the dynamic violations and the firings are the ones the
 expression interpreter gave before it was deleted
-(``fixtures/walk_oracle.json``).  Each spec is built directly and again
-through ``spec_from_json``.
+(``fixtures/walk_oracle.json``).  Each spec is built directly, the one way a
+spec enters.
 """
 
 import builtins
@@ -37,8 +37,6 @@ from spatialqr.specdsl import (
     Violation,
     _walker_source,
     builtin_qr_spec,
-    spec_from_json,
-    spec_to_json,
     validate,
     walk,
 )
@@ -166,32 +164,25 @@ EXPECTED = {
 }
 
 
-def built(name, how):
-    spec = HOSTILE[name]
-    return spec if how == "direct" else spec_from_json(spec_to_json(spec))
-
-
 @pytest.fixture(autouse=True)
 def nothing_ran():
     yield
     assert not hasattr(builtins, SENTINEL)
 
 
-@pytest.mark.parametrize("how", ["direct", "json"])
+@pytest.mark.parametrize("how", ["direct"])
 @pytest.mark.parametrize("name", sorted(HOSTILE))
 def test_violations_match_interpreter(name, how):
     """The static faults once per function; the dynamic ones as the interpreter gave them."""
-    report = validate(built(name, how), 4, 3)
+    report = validate(HOSTILE[name], 4, 3)
     assert [str(v).replace(CODE, "<CODE>") for v in report.violations] == EXPECTED[name]
 
 
-@pytest.mark.parametrize("how", ["direct", "json"])
+@pytest.mark.parametrize("how", ["direct"])
 def test_boolean_coordinate_is_a_memref_fault(how):
     """A memory row of ``(row + 0) == row`` is a bool, not row 1."""
     b = X.cases[1]
     spec = with_case(X, 1, args=(b.args[0], MemoryRef(A_PRIME, (ROW + 0).eq(ROW), IntLit(1))))
-    if how == "json":
-        spec = spec_from_json(spec_to_json(spec))
     assert [str(v) for v in validate(spec, 4, 3).violations] == [
         "[memref-eval] X: case b arg 1: a bool where an int is needed",
     ]
@@ -200,22 +191,14 @@ def test_boolean_coordinate_is_a_memref_fault(how):
         run(spec, SimConfig(), aug)
 
 
-def test_json_form_is_the_hostile_one():
-    obj = json.loads(spec_to_json(HOSTILE["bool_in_arithmetic"]))
-    row = obj["funcs"][0]["cases"][1]["args"][1]["memory"]["row"]
-    assert row == {"op": "+", "lhs": {"name": "row"}, "rhs": {"int": True}}
-
-
 # a guard nested too deep is one violation, and case a then never holds
 DEEP_GUARD = [Violation("expr-depth", "X", None, "case a: nested more than 64 deep"),
               Violation("guard-gap", "X", (1, 4), "no case guard holds")]
 
 
-@pytest.mark.parametrize("how", ["direct", "json"])
+@pytest.mark.parametrize("how", ["direct"])
 def test_deep_guard_is_an_expr_depth_violation(how):
     spec = with_case(X, 0, guard=deep(COL, 299).eq(1) & ROW.eq(M))
-    if how == "json":
-        spec = spec_from_json(spec_to_json(spec))
     assert validate(spec, 4, 3).violations == DEEP_GUARD
     aug = AugmentedMatrix.from_parts(random_matrix(4, 3, 9), [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ValueError, match=r"^spec does not validate at \(4, 3\): \[expr-depth\]"):
@@ -223,14 +206,9 @@ def test_deep_guard_is_an_expr_depth_violation(how):
 
 
 def test_guard_deeper_than_the_recursion_limit():
-    """Built in Python, it is the same violation; as spec JSON, a ValueError."""
+    """Deeper than Python recurses, it is the same violation."""
     spec = with_case(X, 0, guard=deep(COL, 2000).eq(1) & ROW.eq(M))
     assert validate(spec, 4, 3).violations == DEEP_GUARD
-    obj = json.loads(spec_to_json(SPEC))
-    obj["funcs"][0]["cases"][0]["guard"] = "GUARD"
-    guard = '{"op": "+", "lhs": ' * 2000 + '{"name": "col"}' + ', "rhs": {"int": 0}}' * 2000
-    with pytest.raises(ValueError, match="^spec JSON: "):
-        spec_from_json(json.dumps(obj).replace('"GUARD"', guard))
 
 
 def test_literal_too_long_to_print_is_a_guard_fault():
@@ -290,11 +268,9 @@ def with_dim_named(text):
     ))
 
 
-@pytest.mark.parametrize("how", ["direct", "json"])
+@pytest.mark.parametrize("how", ["direct"])
 def test_code_named_dim_is_a_slot(how):
     spec = with_dim_named(CODE)
-    if how == "json":
-        spec = spec_from_json(spec_to_json(spec))
     assert spec.walkers[0] is not None
     source, _ = _walker_source(spec, spec.funcs[0])
     assert CODE not in source and "col" not in source
@@ -377,8 +353,7 @@ def oracle_specs():
         m = rnd.randint(1, 5)
         yield f"mutated-{i}", spec, m, rnd.randint(1, m)
     for name in sorted(HOSTILE):
-        for how in ("direct", "json"):
-            yield f"{name}-{how}", built(name, how), 4, 3
+        yield f"{name}-direct", HOSTILE[name], 4, 3
 
 
 def walked(spec, m, n):
@@ -401,7 +376,9 @@ def test_compiled_walk_matches_interpreter_on_mutated_specs():
     under "new", with the reason; one with a type the interpreter let
     through may also drop pairs ("gone") and differ in its points and firings.
     """
-    oracle = json.loads(ORACLE.read_text())["specs"]
+    # each "-json" entry pins the walk of its "-direct" spec read back from the
+    # spec JSON format, which is gone
+    oracle = [s for s in json.loads(ORACLE.read_text())["specs"] if not s["id"].endswith("-json")]
     for (name, spec, m, n), pinned in zip(oracle_specs(), oracle, strict=True):
         assert (name, m, n) == (pinned["id"], pinned["m"], pinned["n"])
         rules, dynamic, firings = walked(spec, m, n)

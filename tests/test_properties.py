@@ -122,7 +122,7 @@ def test_relay_never_changes_a_value(case):
                                               relay_enabled=relay), m, n)
                for relay in (True, False))
     assert firing_values(on, aug) == firing_values(off, aug)
-    graph = off.graph
+    graph = off.wiring.graph
     view = relay_view(graph)
     assert view.pairs is graph.pairs
     for i, prev in view.relay_from.items():
@@ -131,9 +131,9 @@ def test_relay_never_changes_a_value(case):
 
 def pushes(design):
     """Per node id, the channels it pushes: each pop's channel, under its producer."""
-    pushed = [[] for _ in design.pops]
-    for i, pops in enumerate(design.pops):
-        for c, p in zip(pops, design.graph.producers(i)):
+    pushed = [[] for _ in design.wiring.pops]
+    for i, pops in enumerate(design.wiring.pops):
+        for c, p in zip(pops, design.wiring.graph.producers(i)):
             pushed[p].append(c)
     return pushed
 
@@ -141,8 +141,8 @@ def pushes(design):
 def random_ready_order(design, rnd):
     """Every node id once, each step firing the next node of a PE drawn from
     those whose popped channels all hold a value, with unbounded queues."""
-    pops, programs, pushed = design.pops, design.programs, pushes(design)
-    lengths = [0] * len(design.chan_labels)
+    pops, programs, pushed = design.wiring.pops, design.wiring.programs, pushes(design)
+    lengths = [0] * len(design.wiring.chan_labels)
     pointers = [0] * len(programs)
 
     def ready(pe):
@@ -163,7 +163,7 @@ def random_ready_order(design, rnd):
             lengths[c] -= 1
         for c in pushed[node]:
             lengths[c] += 1
-        for woken in {pe, *[design.chan_dst[c] for c in pushed[node]]}:
+        for woken in {pe, *[design.wiring.chan_dst[c] for c in pushed[node]]}:
             if woken not in candidates and ready(woken):
                 candidates.append(woken)
     return tuple(order)
@@ -179,8 +179,8 @@ def test_any_ready_order_drains_the_same_bits(sim):
     except WiringError:
         return
     order = random_ready_order(design, random.Random(seed))
-    assert sorted(order) == list(range(len(design.pops)))  # the graph is acyclic
-    drained, uncovered = drain(design.graph)
+    assert sorted(order) == list(range(len(design.wiring.pops)))  # the graph is acyclic
+    drained, uncovered = drain(design.wiring.graph)
     completed = dataclasses.replace(design, sweeps=(order,), blocked=(), drained=drained,
                                     uncovered=uncovered)
     aug = seeded_input(m, n, seed)
@@ -192,9 +192,10 @@ def scan(design):
     """The sweeps by their definition: each visits every PE in index order and
     fires its next node if every channel it pops holds a value and every
     channel it pushes has room or is also popped, until one fires nothing."""
-    pops, programs, capacity = design.pops, design.programs, design.cfg.channel_capacity
+    pops, programs = design.wiring.pops, design.wiring.programs
+    capacity = design.cfg.channel_capacity
     pushed = pushes(design)
-    lengths = [0] * len(design.chan_labels)
+    lengths = [0] * len(design.wiring.chan_labels)
     pointers = [0] * len(programs)
     sweeps = []
     while sum(pointers) < len(pops) and (not sweeps or sweeps[-1]):
@@ -227,18 +228,18 @@ def test_recorded_schedule_keeps_its_invariants(sim):
     except WiringError:
         return
     assert scan(design) == design.sweeps
-    labels, capacity, pushed = design.chan_labels, cfg.channel_capacity, pushes(design)
+    labels, capacity, pushed = design.wiring.chan_labels, cfg.channel_capacity, pushes(design)
     lengths = [0] * len(labels)
     sends = [0] * len(labels)
     peak = [0] * len(labels)
-    fired = [0] * len(design.programs)
+    fired = [0] * len(design.wiring.programs)
     for sweep in design.sweeps:
-        pes = [design.node_pe[node] for node in sweep]
+        pes = [design.wiring.node_pe[node] for node in sweep]
         assert pes == sorted(set(pes))
         for node, pe in zip(sweep, pes):
-            assert design.programs[pe][fired[pe]] == node
+            assert design.wiring.programs[pe][fired[pe]] == node
             fired[pe] += 1
-            for c in design.pops[node]:
+            for c in design.wiring.pops[node]:
                 assert lengths[c] > 0, labels[c]
                 lengths[c] -= 1
             for c in pushed[node]:
@@ -246,14 +247,14 @@ def test_recorded_schedule_keeps_its_invariants(sim):
                 sends[c] += 1
                 peak[c] = max(peak[c], lengths[c])
                 assert lengths[c] <= capacity, labels[c]
-    assert design.firings == dict(zip(design.pe_labels, fired))
+    assert design.firings == dict(zip(design.wiring.pe_labels, fired))
     assert design.channel_sends == dict(zip(labels, sends))
     assert design.max_occupancy == dict(zip(labels, peak))
     if design.blocked:
         assert design.sweeps[-1] == () and design.drained == design.uncovered == ()
         return
-    assert sum(fired) == len(design.pops)
-    stored = sorted((cells[k + 1], cells[k + 2]) for cells in design.graph.node_stores
+    assert sum(fired) == len(design.wiring.pops)
+    stored = sorted((cells[k + 1], cells[k + 2]) for cells in design.wiring.graph.node_stores
                     for k in range(0, len(cells), 3))
     assert list(design.drained) == stored
     upper = [(i, j) for i in range(1, m + 1) for j in range(i, n + 2)]
@@ -273,12 +274,12 @@ def test_queues_deliver_the_named_producers(sim):
         design = compile_design(SPEC, cfg, m, n)
     except WiringError:
         return
-    labels, pushed = design.chan_labels, pushes(design)
+    labels, pushed = design.wiring.chan_labels, pushes(design)
     queues = [deque() for _ in labels]
     for sweep in design.sweeps:
         for node in sweep:
-            producers = design.graph.producers(node)
-            for c, producer in zip(design.pops[node], producers, strict=True):
+            producers = design.wiring.graph.producers(node)
+            for c, producer in zip(design.wiring.pops[node], producers, strict=True):
                 assert queues[c], labels[c]
                 assert queues[c].popleft() == producer, labels[c]
             for c in pushed[node]:

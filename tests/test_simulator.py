@@ -128,9 +128,10 @@ class TestPlacement:
 
 def channel_keys(design):
     """Per channel: (producer PE, tag, consumer PE, tag), read back from the design's tables."""
-    for c, label in enumerate(design.chan_labels):
-        src = design.pe_labels[design.chan_src[c]]
-        dst = design.pe_labels[design.chan_dst[c]]
+    wiring = design.wiring
+    for c, label in enumerate(wiring.chan_labels):
+        src = wiring.pe_labels[wiring.chan_src[c]]
+        dst = wiring.pe_labels[wiring.chan_dst[c]]
         head, tail = label.split("->")
         yield src, head[len(src) + 1:], dst, tail[len(dst) + 1:]
 
@@ -168,9 +169,9 @@ class TestWiring:
         cfg = config("full")
         design = schedule(wire(g, place(g, cfg), cfg.relay_enabled), cfg)
         i = g.ids["X"][(1, 4)]
-        assert {(row, col) for row, col, _ in design.graph.loads[i]} == {(4, 1), (3, 1)}
-        assert design.graph.pairs[i] is None and design.graph.data[i] == ()
-        assert design.pops[i] == ()
+        assert {(row, col) for row, col, _ in design.wiring.graph.loads[i]} == {(4, 1), (3, 1)}
+        assert design.wiring.graph.pairs[i] is None and design.wiring.graph.data[i] == ()
+        assert design.wiring.pops[i] == ()
 
 
 class TestRunEquivalence:
@@ -358,7 +359,7 @@ class TestEventStream:
         lines = []
         report = execute(design, make_aug(4, 3), lines.append)
         assert len(lines) == report.total_firings() == sum(map(len, design.sweeps))
-        fired = [str(design.graph.nodes[i]) for sweep in design.sweeps for i in sweep]
+        fired = [str(design.wiring.graph.nodes[i]) for sweep in design.sweeps for i in sweep]
         assert all(f" iter={it} consumed=" in line for line, it in zip(lines, fired))
         assert all(line.endswith("]\n") and line.count("\n") == 1 for line in lines)
         assert lines[-1].startswith(f"step={report.steps} ")
@@ -404,7 +405,7 @@ class TestDrain:
         design = compile_design(SPEC, cfg, 4, 4)
 
         def stores_of(node):
-            s = design.graph.node_stores[g.ids[node.func][node.coords]]
+            s = design.wiring.graph.node_stores[g.ids[node.func][node.coords]]
             return [(s[k], (s[k + 1], s[k + 2])) for k in range(0, len(s), 3)]
 
         assert stores_of(IterNode("X", (1, 2))) == [(3, (1, 1))]
@@ -441,7 +442,7 @@ class TestDrain:
         design = compile_design(SPEC, config("full"), 4, 4)
         execute(design, make_aug(4, 4))
         execute(design, make_aug(4, 4, 1))
-        assert len(graphs) == 1 and graphs[0] is design.graph
+        assert len(graphs) == 1 and graphs[0] is design.wiring.graph
         compile_design(chain_spec(), SimConfig(unroll={"F": ()}), 2, 2)  # deadlocks
         assert len(graphs) == 1
 
@@ -546,9 +547,10 @@ class TestDesignReuse:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(design, f.name, None)
         assert_immutable(design)
-        for table, key in ((design.firings, design.pe_labels[0]),
-                           (design.max_occupancy, design.chan_labels[0]),
-                           (design.channel_sends, design.chan_labels[0]), (design.sweeps, 0)):
+        for table, key in ((design.firings, design.wiring.pe_labels[0]),
+                           (design.max_occupancy, design.wiring.chan_labels[0]),
+                           (design.channel_sends, design.wiring.chan_labels[0]),
+                           (design.sweeps, 0)):
             with pytest.raises(TypeError):
                 table[key] = 99
         for entry in design.blocked:
@@ -572,7 +574,7 @@ class TestStages:
     def test_a_shape_asked_for_once_keeps_nothing(self, relay):
         """A design's graph is the graph stage, or with relay the wiring's view."""
         def graph_of(m, n):
-            return weakref.ref(compile_design(SPEC, config("full", relay=relay), m, n).graph)
+            return weakref.ref(compile_design(SPEC, config("full", relay=relay), m, n).wiring.graph)
 
         compile_design(SPEC, config("full"), 2, 2)
         once = graph_of(5, 4)

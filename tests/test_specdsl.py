@@ -1,7 +1,4 @@
 import dataclasses
-import functools
-import json
-import operator
 import random
 import re
 from pathlib import Path
@@ -22,6 +19,7 @@ from spatialqr.specdsl import (
     BoundSpec,
     CallRef,
     ConstRef,
+    Expr,
     ExprTypeError,
     IntLit,
     MemoryRef,
@@ -33,8 +31,6 @@ from spatialqr.specdsl import (
     ValidationReport,
     Violation,
     as_expr,
-    spec_from_json,
-    spec_to_json,
     validate,
     walk,
 )
@@ -355,23 +351,17 @@ class TestEvaluatedExpressions:
         ]
         assert "A'(5, 1) is outside the 4x5 input" in report.violations[0].message
 
+    def test_a_guard_that_is_no_expression_is_a_guard_fault(self):
+        spec = with_x(cases=(dataclasses.replace(X_FUNC.cases[0], guard=True),) + X_FUNC.cases[1:])
+        assert [str(v) for v in validate(spec, 4, 3).violations] == [
+            "[guard-eval] X: case a: unknown expression node True",
+            "[guard-gap] X(1, 4): no case guard holds",
+        ]
 
-class TestJsonRoundTrip:
-    def test_byte_identical(self):
-        spec = builtin_qr_spec()
-        text = spec_to_json(spec)
-        again = spec_to_json(spec_from_json(text))
-        assert again == text
-
-    def test_roundtrip_preserves_semantics(self):
-        spec = spec_from_json(spec_to_json(builtin_qr_spec()))
-        assert spec == builtin_qr_spec()
-        assert validate(spec, 5, 3).ok
-
-    def test_every_comparison_product_and_constant_survives(self):
+    def test_every_comparison_product_and_constant_lowers(self):
         """The built-in spec rewritten with ``le``, ``lt``, ``*`` and a
-        constant argument, which it does not use itself, round-trips through
-        JSON and still lowers to the built-in spec's graph."""
+        constant argument, which it does not use itself, lowers to the
+        built-in spec's graph."""
         def rewrite(expr):
             if expr == COL.eq(1):
                 return COL.le(1)
@@ -392,67 +382,11 @@ class TestJsonRoundTrip:
             dataclasses.replace(f, cases=tuple(dataclasses.replace(c, guard=rewrite(c.guard))
                                                for c in f.cases))
             for f in funcs))
-        text = spec_to_json(spec)
-        assert all(f'"op": "{op}"' in text for op in ("<=", "<", "*"))
-        assert '"const": 0.5' in text
-        assert spec_from_json(text) == spec
+        assert all(f"op='{op}'" in repr(spec) for op in ("<=", "<", "*"))
+        assert "ConstRef(value=0.5)" in repr(spec)
         for m, n in ((1, 1), (4, 4), (5, 3), (6, 6)):
             assert graph_to_json(build_graph(spec, m, n)) == \
                 graph_to_json(build_graph(builtin, m, n))
-
-    def test_rejects_unknown_schema(self):
-        with pytest.raises(ValueError):
-            spec_from_json('{"schema": 99}')
-
-    def test_rejects_schema_1(self):
-        obj = json.loads(spec_to_json(builtin_qr_spec()))
-        obj["schema"] = 1
-        with pytest.raises(ValueError, match="unsupported spec schema 1"):
-            spec_from_json(json.dumps(obj))
-
-    def test_relay_is_its_vector(self):
-        obj = json.loads(spec_to_json(builtin_qr_spec()))
-        assert [d for f in obj["funcs"] for d in f["directives"] if "relay" in d] == [
-            {"relay": {"vector": [0, 0, 1]}},
-        ]
-        assert not [d for f in obj["funcs"] for d in f["directives"] if "channel" in d]
-
-
-class TestJsonErrors:
-    def corrupt(self, edit):
-        obj = json.loads(spec_to_json(builtin_qr_spec()))
-        edit(obj)
-        return json.dumps(obj)
-
-    @pytest.mark.parametrize("edit,key", [
-        (lambda o: o.pop("funcs"), "funcs"),
-        (lambda o: o["funcs"][0].pop("bounds"), "bounds"),
-        (lambda o: o["funcs"][1]["bounds"][0].pop("step"), "step"),
-        (lambda o: o["funcs"][0]["cases"][1]["args"][0]["call"].pop("coords"), "coords"),
-        (lambda o: o["funcs"][0]["cell_map"][2].pop("row"), "row"),
-        (lambda o: o["funcs"][0]["directives"][2]["store"].pop("condition"), "condition"),
-    ])
-    def test_missing_key_names_it(self, edit, key):
-        with pytest.raises(ValueError, match=f"spec JSON: missing key '{key}'"):
-            spec_from_json(self.corrupt(edit))
-
-    @pytest.mark.parametrize("edit,key", [
-        (lambda o: o.__setitem__("funcs", 5), "funcs"),
-        (lambda o: o["funcs"][0].__setitem__("name", 3), "name"),
-        (lambda o: o["funcs"][0].__setitem__("tuple_arity", None), "tuple_arity"),
-        (lambda o: o["funcs"][0]["bounds"][0].__setitem__("step", "1"), "step"),
-        (lambda o: o["funcs"][1]["directives"][3]["relay"].__setitem__("vector", [0, None]),
-         "vector"),
-    ])
-    def test_wrong_type_names_key(self, edit, key):
-        with pytest.raises(ValueError, match=f"spec JSON: key '{key}'"):
-            spec_from_json(self.corrupt(edit))
-
-    def test_non_object_elements(self):
-        with pytest.raises(ValueError, match="spec JSON: expected an object"):
-            spec_from_json(self.corrupt(lambda o: o["funcs"].append([])))
-        with pytest.raises(ValueError, match="spec JSON: expected an object"):
-            spec_from_json("[1, 2]")
 
 
 class TestRejectedArguments:
@@ -471,11 +405,6 @@ class TestRejectedArguments:
         with pytest.raises(ValueError, match=f"constants must be >= 1, got M={m}, N={n}"):
             validate(builtin_qr_spec(), m, n)
 
-    def test_spec_to_json_rejects_a_guard_that_is_no_expression(self):
-        spec = with_x(cases=(dataclasses.replace(X_FUNC.cases[0], guard=True),) + X_FUNC.cases[1:])
-        with pytest.raises(ExprTypeError, match="cannot serialize True"):
-            spec_to_json(spec)
-
 
 class TestMalformedFunctions:
     """Functions that cannot be enumerated or told apart end in violations."""
@@ -489,6 +418,17 @@ class TestMalformedFunctions:
         assert "bounds-shape" in validate(spec, 4, 4).rules()
         aug = AugmentedMatrix.from_parts(random_matrix(4, 4, 0), [1.0] * 4)
         with pytest.raises(ValueError, match=r"does not validate at \(4, 4\)"):
+            run(spec, SimConfig(), aug)
+
+    @pytest.mark.parametrize("entry", [(ROW,), (ROW, ROW, K)], ids=["one", "three"])
+    def test_cell_map_entry_that_is_no_pair_is_reported(self, entry):
+        spec = replace_func(builtin_qr_spec(), "Y", cell_map=(entry, Y_FUNC.cell_map[1]))
+        assert [str(v) for v in validate(spec, 4, 3).violations] == [
+            f"[cell-map-arity] Y: cell_map[0] has {len(entry)} coordinates, not (row, col)",
+        ]
+        aug = AugmentedMatrix.from_parts(random_matrix(4, 3, 0), [1.0] * 4)
+        with pytest.raises(ValueError, match=r"^spec does not validate at \(4, 3\): "
+                                             r"\[cell-map-arity\]"):
             run(spec, SimConfig(), aug)
 
     def test_repeated_dim_is_reported(self):
@@ -549,62 +489,62 @@ def test_readme_rule_table_matches_the_code():
     assert readme_rules() == raised
 
 
-def json_paths(obj):
-    """(path, value) of every node below ``obj``, the root excluded."""
-    nodes = [((), obj)]
-    for path, value in nodes:  # grows as it goes
-        items = (value.items() if isinstance(value, dict)
-                 else enumerate(value) if isinstance(value, list) else ())
-        nodes.extend((path + (key,), child) for key, child in items)
-    return nodes[1:]
+def spec_nodes(value, path=()):
+    """(path, value) of ``value`` and every node below it: dataclass fields by
+    name, tuple elements by index."""
+    if dataclasses.is_dataclass(value):
+        children = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
+    else:
+        children = list(enumerate(value)) if isinstance(value, tuple) else []
+    return [(path, value)] + [node for key, child in children
+                              for node in spec_nodes(child, path + (key,))]
 
 
-SPEC_TEXT = spec_to_json(builtin_qr_spec())
-PATHS = json_paths(json.loads(SPEC_TEXT))
-CASES = [p for p, _ in PATHS if p[-1] == "cases"]
-LISTS = [p for p, v in PATHS if isinstance(v, list) and v]
-DICTS = [p for p, v in PATHS if isinstance(v, dict) and v]
-INTS = [p for p, v in PATHS if type(v) is int]
+def replaced(value, path, new):
+    """``value`` with the node at ``path`` replaced by ``new``, rebuilt through its constructors."""
+    if not path:
+        return new
+    key, *rest = path
+    if isinstance(value, tuple):
+        return value[:key] + (replaced(value[key], rest, new),) + value[key + 1:]
+    return dataclasses.replace(value, **{key: replaced(getattr(value, key), rest, new)})
+
+
+SPEC = builtin_qr_spec()
+NODES = dict(spec_nodes(SPEC))
+TUPLES = [p for p, v in NODES.items() if isinstance(v, tuple) and v]
+INTS = [p for p, v in NODES.items() if type(v) is int]
+EXPRS = [p for p, v in NODES.items() if isinstance(v, Expr)]
 
 
 def structurally_mutated(rnd):
-    """The built-in spec's JSON with one structural edit."""
-    obj = json.loads(SPEC_TEXT)
-    what = rnd.randrange(4)
-    if what == 0:  # drop or duplicate a case, or an element of another list
-        path = rnd.choice(CASES if rnd.random() < 0.5 else LISTS)
-        items = functools.reduce(operator.getitem, path, obj)
+    """The built-in spec with one edit that keeps every field's type; constructing
+    it may raise ValueError."""
+    what = rnd.randrange(3)
+    if what == 0:  # drop or duplicate a tuple element
+        path = rnd.choice(TUPLES)
+        items = NODES[path]
         i = rnd.randrange(len(items))
-        if rnd.random() < 0.5:
-            del items[i]
-        else:
-            items.insert(i, json.loads(json.dumps(items[i])))
-    elif what == 1:  # delete a key
-        d = functools.reduce(operator.getitem, rnd.choice(DICTS), obj)
-        del d[rnd.choice(sorted(d))]
-    else:  # shift an int, or replace a node
-        *path, key = rnd.choice(INTS) if what == 2 else rnd.choice(PATHS)[0]
-        container = functools.reduce(operator.getitem, path, obj)
-        if what == 2:
-            container[key] += rnd.choice([-2, -1, 1, 2])
-        else:
-            container[key] = rnd.choice([None, [], {}, "x", 1.5])
-    return json.dumps(obj)
+        new = items[:i] + items[i + 1:] if rnd.random() < 0.5 else items[:i + 1] + items[i:]
+    elif what == 1:  # shift an int
+        path = rnd.choice(INTS)
+        new = NODES[path] + rnd.choice([-2, -1, 1, 2])
+    else:  # put one of the spec's expressions in place of another
+        path = rnd.choice(EXPRS)
+        new = NODES[rnd.choice(EXPRS)]
+    return replaced(SPEC, path, new)
 
 
-def test_structural_json_mutations_end_in_violations_or_spec_json_errors():
+def test_structural_mutations_end_in_violations_or_construction_errors():
     rules = readme_rules()
     rnd = random.Random(12)
-    outcomes = {"violations": 0, "ok": 0, "error": 0}
+    outcomes = {"violations": 0, "ok": 0}
     for _ in range(500):
-        mutated = structurally_mutated(rnd)
         try:
-            spec = spec_from_json(mutated)
-        except ValueError as exc:
-            assert str(exc).startswith("spec JSON: "), (mutated, exc)
-            outcomes["error"] += 1
+            spec = structurally_mutated(rnd)
+        except ValueError:
             continue
         report = validate(spec, 4, 3)
-        assert all(isinstance(v, Violation) and v.rule in rules for v in report.violations)
+        assert all(isinstance(v, Violation) and v.rule in rules for v in report.violations), spec
         outcomes["violations" if report.violations else "ok"] += 1
     assert min(outcomes.values()) > 0, outcomes
