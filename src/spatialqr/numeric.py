@@ -200,10 +200,11 @@ def qr_givens_reference(a: AugmentedMatrix, accumulate_q: bool = False) -> QrRes
     ``accumulate_q``, the same rotations are applied to an identity so the
     returned ``q`` satisfies a = q . r.
 
-    A non-finite entry of R raises :class:`NonFiniteError`.  That one check
-    suffices: every kernel output reaches R, directly or through a later
-    kernel, and a kernel turns any non-finite input into a non-finite output
-    (``0 * inf`` is NaN).  At m = 1 no kernel runs and it checks the input.
+    Once a kernel has run, a non-finite entry of R raises
+    :class:`NonFiniteError`.  That one check suffices: every kernel output
+    reaches R, directly or through a later kernel, and a kernel turns any
+    non-finite input into a non-finite output (``0 * inf`` is NaN).  At
+    m = 1 no kernel runs, and R is the input, unchecked, as on the other ways.
     """
     work = a.copy()
     inner = work.inner
@@ -221,10 +222,11 @@ def qr_givens_reference(a: AugmentedMatrix, accumulate_q: bool = False) -> QrRes
             if qt is not None:
                 _rotate_rows(qt, row, range(1, m + 1), c, s)
 
-    for k, v in enumerate(inner.data):
-        if not math.isfinite(v):
-            raise NonFiniteError(f"non-finite value {v!r} in R at "
-                                 f"({k // inner.cols + 1}, {k % inner.cols + 1})")
+    if rotations:  # else no kernel ran
+        for k, v in enumerate(inner.data):
+            if not math.isfinite(v):
+                raise NonFiniteError(f"non-finite value {v!r} in R at "
+                                     f"({k // inner.cols + 1}, {k % inner.cols + 1})")
     q = qt.transpose() if qt is not None else None
     return QrResult(work, q, rotations)
 
@@ -313,7 +315,8 @@ def solve(a: Matrix, z: list[float]) -> list[float]:
     """Solve a . y = z for square a via QR elimination plus back substitution.
 
     Raises NonFiniteError for a NaN or infinite entry of ``a`` or ``z``, or
-    one the elimination overflows to, as :func:`qr_givens_reference` does.
+    one the elimination overflows to, as :func:`qr_givens_reference` does;
+    so not at 1 x 1, where no rotation runs and the result is z / a.
     """
     if a.rows != a.cols:
         raise DimensionError(f"solve needs a square matrix, got {a.rows}x{a.cols}")

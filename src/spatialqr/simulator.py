@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import groupby
@@ -38,10 +37,6 @@ from spatialqr.specdsl import SpatialSpec
 
 class WiringError(ValueError):
     """Channels cannot be laid out consistently for this configuration."""
-
-
-class DrainError(ValueError):
-    """Store directives name one result position twice."""
 
 
 @dataclass(frozen=True)
@@ -89,12 +84,9 @@ def spec_unroll(spec: SpatialSpec) -> dict[str, tuple[str, ...]]:
     return {f.name: f.unrolled_dims() for f in spec.funcs}
 
 
-def folded_unroll(spec: SpatialSpec, drop: tuple[str, ...] = ("row",)) -> dict[str, tuple[str, ...]]:
-    """The spec's unroll sets minus ``drop``: those dims time-multiplex on one PE."""
-    return {
-        f.name: tuple(d for d in f.unrolled_dims() if d not in drop)
-        for f in spec.funcs
-    }
+def folded_unroll(spec: SpatialSpec) -> dict[str, tuple[str, ...]]:
+    """The spec's unroll sets without ``row``: a function's rows time-multiplex on one PE."""
+    return {f.name: tuple(d for d in f.unrolled_dims() if d != "row") for f in spec.funcs}
 
 
 def place(graph: DataflowGraph, cfg: SimConfig) -> tuple[tuple[str, ...], tuple[int, ...]]:
@@ -151,12 +143,12 @@ class Wiring:
 
     ``graph`` is the program each node fires: the :func:`relay_view` when
     relay is enabled, which changes only the wiring.  Channels are ints;
-    channel ``c`` runs from PE ``chan_src[c]`` to PE ``chan_dst[c]`` and is
-    named ``chan_labels[c]``.  Node ``i`` runs on PE ``node_pe[i]``, pops
-    ``pops[i]``, one channel per ``graph.producers(i)``, and pushes
-    ``pushes[i]``.  The waits that hold at any capacity are edges too:
-    ``after[i]`` are the firings that wait on node ``i``, its PE's next one
-    and every consumer of its pushes, and ``waits[i]`` counts node ``i``'s.
+    channel ``c`` is named ``chan_labels[c]``.  Node ``i`` runs on PE
+    ``node_pe[i]``, pops ``pops[i]``, one channel per ``graph.producers(i)``
+    and so from that producer's PE, and pushes ``pushes[i]``.  The waits
+    that hold at any capacity are edges too: ``after[i]`` are the firings
+    that wait on node ``i``, its PE's next one and every consumer of its
+    pushes, and ``waits[i]`` counts node ``i``'s.
     ``queues`` are what the capacity waits are read from: per channel that
     carries more than one flow, its consumers in pop order and each flow's
     producer, or -1 where that producer pops the channel too.  Every table
@@ -167,8 +159,6 @@ class Wiring:
     pe_labels: tuple[str, ...]  # per PE index, which is also its scheduling priority
     node_pe: tuple[int, ...]  # per node id
     programs: tuple[tuple[int, ...], ...]  # per PE index, its node ids in program order
-    chan_src: tuple[int, ...]
-    chan_dst: tuple[int, ...]
     chan_labels: tuple[str, ...]
     pops: tuple[tuple[int, ...], ...]  # per node id
     pushes: tuple[tuple[int, ...], ...]  # per node id
@@ -286,16 +276,11 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], tuple[int, ...]
             after[x].append(y)
             waits[y] = 1
 
-    # per channel: producer PE, its tag, consumer PE, its tag, and the
-    # consumer of its first flow and the producer of its latest
-    chan_src: list[int] = []
-    src_tags: list[int] = []
-    chan_dst: list[int] = []
-    dst_tags: list[int] = []
+    # per channel, the consumer of its first flow and the producer of its latest
     first_consumer: list[int] = []
     last_producer: list[int] = []
     faults: dict[int, str] = {}  # channel -> its flow-order fault
-    found: dict[tuple[int, int, int, int], int] = {}
+    found: dict[tuple[int, int, int, int], int] = {}  # channel key -> channel
     queues: dict[int, tuple[list[int], list[int]]] = {}  # channel -> consumers, producers
     node_pops: list[tuple[int, ...]] = []
     pushes: list[list[int]] = [[] for _ in node_pe]  # per node, the channels it pushes
@@ -306,15 +291,10 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], tuple[int, ...]
         dst_pe = node_pe[i]
         pops = []
         for src, src_tag, dst_tag in flows:
-            src_pe = node_pe[src]
-            key = (src_pe, src_tag, dst_pe, dst_tag)
+            key = (node_pe[src], src_tag, dst_pe, dst_tag)
             c = found.get(key)
             if c is None:
-                c = found[key] = len(chan_src)
-                chan_src.append(src_pe)
-                src_tags.append(src_tag)
-                chan_dst.append(dst_pe)
-                dst_tags.append(dst_tag)
+                c = found[key] = len(found)
                 first_consumer.append(i)
                 last_producer.append(src)
             else:
@@ -333,22 +313,23 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], tuple[int, ...]
             after[src].append(i)
         node_pops.append(tuple(pops))
         waits[i] += len(pops)
-    del found, first_consumer, last_producer  # freed before the labels are built
+    del first_consumer, last_producer  # freed before the labels are built
 
     tags = {_CS: "cs", _RELAY: "relay"}  # any other tag is a tuple index or a port
-    labels = tuple([
+    labels = tuple([  # found's keys are the channels, in order
         f"{pe_labels[a]}.{tags.get(s) or f't{s}'}->{pe_labels[b]}.{tags.get(d) or f'p{d}'}"
-        for a, s, b, d in zip(chan_src, src_tags, chan_dst, dst_tags)
+        for a, s, b, d in found
     ])
+    del found
     if faults:
         c = min(faults)
         raise WiringError(f"channel {labels[c]}: {faults[c]}")
     capacity_queues = tuple([  # a producer that pops the channel too frees its own room
         (tuple(consumers), tuple([-1 if c in node_pops[a] else a for a in producers]))
         for c, (consumers, producers) in queues.items()])
-    return Wiring(work, pe_labels, node_pe, tuple(map(tuple, programs)), tuple(chan_src),
-                  tuple(chan_dst), labels, tuple(node_pops), tuple(map(tuple, pushes)),
-                  tuple(map(tuple, after)), tuple(waits), capacity_queues)
+    return Wiring(work, pe_labels, node_pe, tuple(map(tuple, programs)), labels,
+                  tuple(node_pops), tuple(map(tuple, pushes)), tuple(map(tuple, after)),
+                  tuple(waits), capacity_queues)
 
 
 def schedule(wiring: Wiring, cfg: SimConfig) -> Design:
@@ -436,14 +417,11 @@ def drain(graph: DataflowGraph) -> tuple[tuple[tuple[int, int], ...], tuple[tupl
     """The result positions the store directives drain, sorted, and the
     upper-triangle positions of the M x (N+1) result that none drains.
 
-    A position named twice raises :class:`DrainError`.  The uncovered
-    positions are diagnostics (empty whenever eliminations reach the bottom row).
+    The walk that built ``graph`` has checked that no position is stored
+    twice (``store-duplicate``).  The uncovered positions are diagnostics
+    (empty whenever eliminations reach the bottom row).
     """
-    named = [(s[k + 1], s[k + 2]) for s in graph.node_stores if s for k in range(0, len(s), 3)]
-    stored = set(named)
-    if len(stored) < len(named):
-        doubles = sorted(p for p, count in Counter(named).items() if count > 1)
-        raise DrainError(f"positions stored more than once: {doubles}")
+    stored = {(s[k + 1], s[k + 2]) for s in graph.node_stores if s for k in range(0, len(s), 3)}
     upper = [(i, j) for i in range(1, graph.m + 1) for j in range(i, graph.n + 2)]
     return tuple(sorted(stored)), tuple([p for p in upper if p not in stored])
 

@@ -440,13 +440,15 @@ def walk(spec: SpatialSpec, m: int, n: int, report: ValidationReport) -> Iterato
     not read or relayed whole), and expressions that name something out of
     scope, have the wrong type or nest too deep.  The dynamic ones come per
     point: guard exclusivity/exhaustiveness over each domain, call
-    coordinates outside the callee's domain, and memory references and cells
-    outside the M x (N+1) input.  Yields a :class:`Firing` for each point with
-    exactly one firing case, in function then loop-nest order; they describe
-    the spec only if ``report`` ends ok.
+    coordinates outside the callee's domain, memory references and cells
+    outside the M x (N+1) input, and a result position stored again, by any
+    function earlier in walk order or by the same point.  Yields a
+    :class:`Firing` for each point with exactly one firing case, in function
+    then loop-nest order; they describe the spec only if ``report`` ends ok.
 
     Each function runs its compiled walker (:attr:`SpatialSpec.walkers`),
-    which reports each dynamic violation through a ``bad`` callback.
+    which reports each dynamic violation but ``store-duplicate`` through a
+    ``bad`` callback.
     """
     if m < 1 or n < 1:
         raise ValueError(f"constants must be >= 1, got M={m}, N={n}")
@@ -460,6 +462,7 @@ def walk(spec: SpatialSpec, m: int, n: int, report: ValidationReport) -> Iterato
              if names.index(f.name) == k]
     orders = {func.name: walker.domain(m, n) for func, walker in funcs}
     domains = {name: set(points) for name, points in orders.items()}
+    stored: set[tuple[int, int]] = set()  # the result positions stored so far
 
     for func, walker in funcs:
         report.violations.extend(walker.faults)
@@ -476,9 +479,17 @@ def walk(spec: SpatialSpec, m: int, n: int, report: ValidationReport) -> Iterato
                 message = f"{prefix}{value} is outside the {m}x{n + 1} input"
             report.violations.append(Violation(rule, func.name, point, message))
 
-        yield from walker.fire(m, n, orders[func.name],
-                               tuple(domains[name] for name in walker.callees),
-                               func.cases, func.name, bad)
+        firings = walker.fire(m, n, orders[func.name],
+                              tuple(domains[name] for name in walker.callees),
+                              func.cases, func.name, bad)
+        for firing in [f for f in firings if f.stores]:  # most firings store nothing
+            for position in zip(firing.stores[1::3], firing.stores[2::3]):
+                if position in stored:
+                    report.violations.append(Violation(
+                        "store-duplicate", func.name, firing.coords,
+                        f"result position {position} is stored again"))
+                stored.add(position)
+        yield from firings
 
 
 # --- generated walkers ----------------------------------------------------------------

@@ -142,6 +142,7 @@ def random_ready_order(design, rnd):
     """Every node id once, each step firing the next node of a PE drawn from
     those whose popped channels all hold a value, with unbounded queues."""
     pops, programs, pushed = design.wiring.pops, design.wiring.programs, pushes(design)
+    consumer_pe = {c: design.wiring.node_pe[i] for i, cs in enumerate(pops) for c in cs}
     lengths = [0] * len(design.wiring.chan_labels)
     pointers = [0] * len(programs)
 
@@ -163,7 +164,7 @@ def random_ready_order(design, rnd):
             lengths[c] -= 1
         for c in pushed[node]:
             lengths[c] += 1
-        for woken in {pe, *[design.wiring.chan_dst[c] for c in pushed[node]]}:
+        for woken in {pe, *[consumer_pe[c] for c in pushed[node]]}:
             if woken not in candidates and ready(woken):
                 candidates.append(woken)
     return tuple(order)
@@ -261,6 +262,59 @@ def test_recorded_schedule_keeps_its_invariants(sim):
     assert list(design.uncovered) == [p for p in upper if p not in stored]
 
 
+@st.composite
+def placements(draw):
+    """A shape, a placement drawn straight onto PEs, relay and a capacity.
+
+    The placement takes one of three forms: a random PE per node, blocks of
+    consecutive node ids, or each function's nodes spread over PEs of its
+    own.  PE priorities are always shuffled, so a PE's index says nothing
+    of its nodes."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, m + 1))
+    graph = build_graph(SPEC, m, n)
+    nodes = graph.nodes
+    form = draw(st.sampled_from(["node", "blocks", "function"]))
+    pes = draw(st.integers(1, len(nodes) + 1))
+    rnd = random.Random(draw(st.integers(0, 2**16)))
+    if form == "node":
+        node_pe = [rnd.randrange(pes) for _ in nodes]
+    elif form == "blocks":
+        cuts = sorted(rnd.sample(range(1, len(nodes) + pes), pes - 1))
+        node_pe = [sum(cut <= i for cut in cuts) for i in range(len(nodes))]
+    else:  # pes PEs for each function
+        first = {f.name: k * pes for k, f in enumerate(SPEC.funcs)}
+        node_pe = [first[node.func] + rnd.randrange(pes) for node in nodes]
+        pes *= len(SPEC.funcs)
+    priority = list(range(pes))
+    rnd.shuffle(priority)
+    placement = (tuple(f"P{p}" for p in range(pes)), tuple(priority[p] for p in node_pe))
+    return graph, placement, draw(st.booleans()), draw(st.integers(1, 4)), rnd.randrange(2**16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(placements())
+def test_any_placement_drains_the_same_bits_deadlocks_or_fails_to_wire(case):
+    """Wired onto any PEs in any priority order, a design completes and
+    drains the bits of the reference and of the graph evaluator, deadlocks
+    with PEs left blocked, or fails to wire; its sweeps are those of a scan."""
+    graph, placement, relay, capacity, seed = case
+    try:
+        wiring = wire(graph, placement, relay)
+    except WiringError as exc:
+        assert str(exc)
+        return
+    design = schedule(wiring, SimConfig(channel_capacity=capacity, relay_enabled=relay))
+    assert design.sweeps == scan(design)
+    aug = seeded_input(graph.m, graph.n, seed)
+    rep = execute(design, aug)
+    if design.blocked:
+        assert rep.status == "deadlock" and rep.blocked
+        return
+    assert rep.completed and rep.total_firings() == len(graph.nodes)
+    assert_drains_reference_bits(rep, aug)
+
+
 @settings(max_examples=100, deadline=None)
 @given(simulations())
 @example(DEADLOCK)
@@ -322,9 +376,9 @@ def paths_raise_alike(aug, cfg):
 @st.composite
 def poisoned_inputs(draw):
     """A seeded input with one entry, rhs column included, replaced by NaN,
-    +-inf or +-1.5e308, and a configuration that completes.  It has two rows
-    or more, so every entry meets a kernel."""
-    m, n = draw(st.integers(2, 5)), draw(st.integers(1, 5))
+    +-inf or +-1.5e308, and a configuration that completes.  At two rows or
+    more every entry meets a kernel; at one row none runs, and no way raises."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     aug = seeded_input(m, n, draw(st.integers(0, 2**16)))
     aug.inner.set(draw(st.integers(1, m)), draw(st.integers(1, n + 1)),
                   draw(st.sampled_from(HOSTILE)))
@@ -335,6 +389,16 @@ def poisoned_inputs(draw):
 @given(poisoned_inputs())
 def test_paths_agree_on_failure(case):
     paths_raise_alike(*case)
+
+
+def test_one_row_returns_its_input_on_every_way():
+    """At m = 1 no kernel runs, so a NaN input raises on no way: the
+    reference and the graph evaluator return it, and a run completes."""
+    aug = AugmentedMatrix(1, 2, Matrix(1, 3, [math.nan, 1.0, 2.0]))
+    assert math.isnan(qr_givens_reference(aug).r_aug.inner.get(1, 1))
+    assert math.isnan(evaluate_graph(build_graph(SPEC, 1, 2), aug).inner.get(1, 1))
+    assert all(run(SPEC, cfg, aug).completed for cfg in COMPLETING)
+    assert not paths_raise_alike(aug, COMPLETING[0])
 
 
 @pytest.mark.parametrize("rows,rhs", [

@@ -32,7 +32,7 @@ SPEC = builtin_qr_spec()
 UNROLLS = {
     "spec": spec_unroll(SPEC),
     "folded_row": folded_unroll(SPEC),
-    "folded_row_k": folded_unroll(SPEC, ("row", "k")),
+    "folded_row_k": {"X": ("col",), "Y": ("col",)},
     "none": {"X": (), "Y": ()},
 }
 

@@ -18,7 +18,6 @@ from spatialqr.numeric import (
 )
 from spatialqr import simulator
 from spatialqr.simulator import (
-    DrainError,
     SimConfig,
     WiringError,
     compile_design,
@@ -51,6 +50,7 @@ from spatialqr.specdsl import (
     StoreDirective,
     UnrollDirective,
     builtin_qr_spec,
+    validate,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -129,9 +129,12 @@ class TestPlacement:
 def channel_keys(design):
     """Per channel: (producer PE, tag, consumer PE, tag), read back from the design's tables."""
     wiring = design.wiring
+    ends = {}  # channel -> (producer PE, consumer PE), from the nodes that push and pop it
+    for i, pops in enumerate(wiring.pops):
+        for c, producer in zip(pops, wiring.graph.producers(i)):
+            ends[c] = (wiring.node_pe[producer], wiring.node_pe[i])
     for c, label in enumerate(wiring.chan_labels):
-        src = wiring.pe_labels[wiring.chan_src[c]]
-        dst = wiring.pe_labels[wiring.chan_dst[c]]
+        src, dst = (wiring.pe_labels[pe] for pe in ends[c])
         head, tail = label.split("->")
         yield src, head[len(src) + 1:], dst, tail[len(dst) + 1:]
 
@@ -427,13 +430,15 @@ class TestDrain:
         assert (5, 5) not in rep.drained
 
     def test_double_store_detected(self):
-        """Two store directives naming one position fail before any data flows."""
+        """Two store directives naming one position fail validation, before any data flows."""
         x = SPEC.func("X")
         store = next(d for d in x.directives if isinstance(d, StoreDirective))
         twice = dataclasses.replace(x, directives=x.directives + (store,))
         spec = dataclasses.replace(SPEC, funcs=tuple(twice if f.name == "X" else f
                                                      for f in SPEC.funcs))
-        with pytest.raises(DrainError, match=r"more than once: \[\(1, 1\), \(2, 2\), \(3, 3\)\]"):
+        assert validate(spec, 4, 4).rules() == {"store-duplicate"}
+        with pytest.raises(ValueError,
+                           match=r"\[store-duplicate\] X\(1, 2\): result position \(1, 1\)"):
             compile_design(spec, config("full"), 4, 4)
 
     def test_coverage_is_fixed_once_per_completing_design(self, monkeypatch):

@@ -212,6 +212,22 @@ class TestInjectedFaults:
         )
         assert "store-tuple-index" in validate(spec2, 4, 4).rules()
 
+    def test_position_stored_again_is_reported_where_it_is_stored_again(self):
+        """A later function or a later point of the same one that stores a
+        result position again is a violation at that point, and nothing runs."""
+        y = builtin_qr_spec().func("Y")
+        spec = replace_func(builtin_qr_spec(), "Y", directives=y.directives
+                            + (StoreDirective((1,), ROW.eq(COL + 2)),))
+        assert [str(v) for v in validate(spec, 3, 2).violations] == [
+            "[store-duplicate] Y(1, 3, 2): result position (2, 2) is stored again",  # by X(2, 3)
+            "[store-duplicate] Y(2, 3, 3): result position (2, 3) is stored again",  # by Y(1, 3, 3)
+        ]
+        with pytest.raises(ValueError, match=r"does not validate at \(3, 2\): \[store-duplicate\]"):
+            build_graph(spec, 3, 2)
+        aug = AugmentedMatrix.from_parts(random_matrix(3, 2, 0), [1.0] * 3)
+        with pytest.raises(ValueError, match=r"does not validate at \(3, 2\)"):
+            run(spec, SimConfig(), aug)
+
     def test_bad_relay_vector(self):
         spec = builtin_qr_spec()
         y = spec.func("Y")
