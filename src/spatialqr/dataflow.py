@@ -213,7 +213,7 @@ def _find_cycle(graph: DataflowGraph, indeg: list[int]) -> list[IterNode]:
 def relay_view(graph: DataflowGraph) -> DataflowGraph:
     """Wire rotation pairs along hop-by-hop relay chains.
 
-    For each function with a relay directive, every node is handed its pair
+    For each function with a relay vector, every node is handed its pair
     by the neighbour one step against the relay vector; the chain head, which
     has no such neighbour, gets it from the pair's producer.  The view adds
     only ``relay_from``, hop to neighbour, and shares every table of
@@ -228,11 +228,10 @@ def relay_view(graph: DataflowGraph) -> DataflowGraph:
     """
     relay_from: dict[int, int] = {}
     for func in graph.spec.funcs:
-        relay = func.relay()
-        if relay is not None:
+        if func.relay is not None:
             ids = graph.ids[func.name]
             for coords, i in ids.items():
-                prev = ids.get(tuple([c - v for c, v in zip(coords, relay.vector)]))
+                prev = ids.get(tuple([c - v for c, v in zip(coords, func.relay)]))
                 if prev is not None:  # validation gives every node of a relaying function a pair
                     relay_from[i] = prev
 

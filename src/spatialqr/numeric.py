@@ -113,6 +113,8 @@ class AugmentedMatrix:
     inner: Matrix
 
     def __post_init__(self) -> None:
+        if not isinstance(self.inner, Matrix):
+            raise DimensionError(f"augmented matrix needs a Matrix, got {type(self.inner).__name__}")
         if self.inner.rows != self.m or self.inner.cols != self.n + 1:
             raise DimensionError(
                 f"augmented matrix for m={self.m}, n={self.n} must be "
@@ -314,20 +316,19 @@ def back_substitute(r: Matrix, b: list[float]) -> list[float]:
 def solve(a: Matrix, z: list[float]) -> list[float]:
     """Solve a . y = z for square a via QR elimination plus back substitution.
 
-    Raises NonFiniteError for a NaN or infinite entry of ``a`` or ``z``, or
-    one the elimination overflows to, as :func:`qr_givens_reference` does;
-    so not at 1 x 1, where no rotation runs and the result is z / a.
+    Raises NonFiniteError for a NaN or infinite entry of ``a`` or ``z`` and
+    for an overflow, in the elimination (:func:`qr_givens_reference`) or
+    here, naming the first entry of y that is not finite.
     """
     if a.rows != a.cols:
         raise DimensionError(f"solve needs a square matrix, got {a.rows}x{a.cols}")
-    result = qr_givens_reference(AugmentedMatrix.from_parts(a, z))
-    n = a.cols
-    r = Matrix.zeros(n, n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            r.set(i, j, result.r_aug.inner.get(i, j))
-    rhs = [result.r_aug.inner.get(i, n + 1) for i in range(1, n + 1)]
-    return back_substitute(r, rhs)
+    r_aug = qr_givens_reference(AugmentedMatrix.from_parts(a, z)).r_aug
+    y = back_substitute(r_aug.coefficient_part(),
+                        [r_aug.inner.get(i, a.cols + 1) for i in range(1, a.cols + 1)])
+    for i, v in enumerate(y, 1):
+        if not math.isfinite(v):
+            raise NonFiniteError(f"non-finite value {v!r} in y at index {i}")
+    return y
 
 
 # --- deterministic test-suite inputs -------------------------------------

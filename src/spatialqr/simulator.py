@@ -44,7 +44,7 @@ class SimConfig:
     """Placement and channel knobs for one simulation run.
 
     ``unroll`` maps function names to the dims kept unrolled; ``None`` means
-    follow the spec's unroll directives (the fully spatial layout).  Folded
+    each function's own ``unroll`` (the fully spatial layout).  Folded
     dims execute in program order on their PE.
     """
 
@@ -80,13 +80,13 @@ class SimConfig:
 
 
 def spec_unroll(spec: SpatialSpec) -> dict[str, tuple[str, ...]]:
-    """The unroll sets named by the spec's own directives."""
-    return {f.name: f.unrolled_dims() for f in spec.funcs}
+    """The unroll sets the spec's functions name."""
+    return {f.name: f.unroll for f in spec.funcs}
 
 
 def folded_unroll(spec: SpatialSpec) -> dict[str, tuple[str, ...]]:
     """The spec's unroll sets without ``row``: a function's rows time-multiplex on one PE."""
-    return {f.name: tuple(d for d in f.unrolled_dims() if d != "row") for f in spec.funcs}
+    return {f.name: tuple(d for d in f.unroll if d != "row") for f in spec.funcs}
 
 
 def place(graph: DataflowGraph, cfg: SimConfig) -> tuple[tuple[str, ...], tuple[int, ...]]:
@@ -104,7 +104,7 @@ def place(graph: DataflowGraph, cfg: SimConfig) -> tuple[tuple[str, ...], tuple[
         raise WiringError(f"cannot unroll unknown functions {sorted(unknown)}")
     kept: dict[str, tuple[int, ...]] = {}  # per function, the positions of its unrolled dims
     for func in spec.funcs:
-        keep = set(unroll.get(func.name, func.unrolled_dims()))
+        keep = set(unroll.get(func.name, func.unroll))
         unknown = keep - set(func.dims)
         if unknown:
             raise WiringError(f"{func.name}: cannot unroll unknown dims {sorted(unknown)}")
@@ -248,7 +248,7 @@ def wire(graph: DataflowGraph, placement: tuple[tuple[str, ...], tuple[int, ...]
     """Turn value edges into channels between placed PEs.
 
     With ``relay``, rotation pairs are first wired onto hop-by-hop chains
-    along each relay directive's vector (:func:`relay_view`), and the wiring
+    along each function's relay vector (:func:`relay_view`), and the wiring
     keeps that view: a hop pops its pair from the chain neighbour in
     ``relay_from``, and only the chain head still receives it straight from
     its producer.  Edges between iterations folded onto one PE still go

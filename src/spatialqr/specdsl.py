@@ -1,16 +1,18 @@
 """Spatial program specifications: functions, recurrences, and directives.
 
-A :class:`SpatialSpec` is a purely declarative object: named functions with
-tuple-valued piecewise recurrences over integer loop variables, inclusive
-``lower:step:upper`` bounds that may reference outer variables, and the
-scheduling directives (unroll, relay, store) that the simulator interprets.
-:data:`KERNELS` is the one table of the kernels a case can fire.
-:func:`builtin_qr_spec` returns the Givens-QR program over an augmented input
-matrix; :func:`walk` evaluates any spec at concrete constants, checking it
-exhaustively on the way.  Each expression has one meaning, the Python text it
-is lowered to: per function, the static checks (names, types, references)
-run once and a walker is generated and compiled, both once per spec object,
-and the walker is the only thing that evaluates the spec.
+A :class:`SpatialSpec` is a purely declarative tuple of functions.  Each
+holds tuple-valued piecewise recurrences over integer loop variables, the
+inclusive ``lower:step:upper`` bounds that name those variables, outermost
+first, and may reference outer ones, and its three spatial directives: the
+dims kept unrolled, the relay vector and the stores.  Every memory reference
+reads the one augmented input :data:`A_PRIME`, and M and N are the only
+constants.  :data:`KERNELS` is the one table of the kernels a case can fire.
+:func:`builtin_qr_spec` returns the Givens-QR program; :func:`walk`
+evaluates any spec at concrete constants, checking it exhaustively on the
+way.  Each expression has one meaning, the Python text it is lowered to:
+per function, the static checks (names, types, references) run once and a
+walker is generated and compiled, both once per spec object, and the walker
+is the only thing that evaluates the spec.
 """
 
 from __future__ import annotations
@@ -157,19 +159,7 @@ class RecurrenceCase:
     args: tuple[Arg, ...]
 
 
-# --- directives ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UnrollDirective:
-    var: str
-
-
-@dataclass(frozen=True)
-class RelayDirective:
-    """Forward the rotation pair every case reads, hop by hop along ``vector``."""
-
-    vector: tuple[int, ...]
-
+# --- functions and the whole spec ----------------------------------------------
 
 @dataclass(frozen=True)
 class StoreDirective:
@@ -179,43 +169,35 @@ class StoreDirective:
     condition: Expr
 
 
-Directive = Union[UnrollDirective, RelayDirective, StoreDirective]
-
-
-# --- functions and the whole spec ----------------------------------------------
-
 @dataclass(frozen=True)
 class FuncSpec:
     """A tuple-valued function over an integer iteration domain.
 
-    ``cell_map`` records, per tuple index, which input-matrix cell, one
-    (row, col) pair, that element is the updated value of (or None for pure
-    parameters such as the rotation coefficients); it drives result drains
-    and trace rendering.
+    ``unroll`` names the dims kept spatial, one PE per value; ``relay``, when
+    set, forwards the rotation pair every case reads hop by hop along that
+    vector; ``stores`` drain final results.  ``cell_map`` records, per tuple
+    index, which input-matrix cell, one (row, col) pair, that element is the
+    updated value of (or None for pure parameters such as the rotation
+    coefficients); it drives result drains and trace rendering.
     """
 
     name: str
-    dims: tuple[str, ...]
     bounds: tuple[BoundSpec, ...]
     tuple_arity: int
     cases: tuple[RecurrenceCase, ...]
-    directives: tuple[Directive, ...] = ()
+    unroll: tuple[str, ...] = ()
+    relay: tuple[int, ...] | None = None
+    stores: tuple[StoreDirective, ...] = ()
     cell_map: tuple[tuple[Expr, Expr] | None, ...] = ()
 
-    def relay(self) -> RelayDirective | None:
-        for d in self.directives:
-            if isinstance(d, RelayDirective):
-                return d
-        return None
-
-    def unrolled_dims(self) -> tuple[str, ...]:
-        return tuple(d.var for d in self.directives if isinstance(d, UnrollDirective))
+    @property
+    def dims(self) -> tuple[str, ...]:
+        """The loop variables, outermost first: each bound's ``var``."""
+        return tuple(b.var for b in self.bounds)
 
 
 @dataclass(frozen=True)
 class SpatialSpec:
-    constants: tuple[str, ...]
-    inputs: tuple[str, ...]
     funcs: tuple[FuncSpec, ...]
 
     def func(self, name: str) -> FuncSpec:
@@ -295,18 +277,14 @@ def builtin_qr_spec() -> SpatialSpec:
     )
     x = FuncSpec(
         name="X",
-        dims=("col", "row"),
         bounds=(
             BoundSpec("col", IntLit(1), 1, N),
             BoundSpec("row", M, -1, COL + 1),
         ),
         tuple_arity=4,
         cases=x_cases,
-        directives=(
-            UnrollDirective("col"),
-            UnrollDirective("row"),
-            StoreDirective((3,), ROW.eq(COL + 1)),
-        ),
+        unroll=("col", "row"),
+        stores=(StoreDirective((3,), ROW.eq(COL + 1)),),
         cell_map=(None, None, (ROW, COL), (ROW - 1, COL)),
     )
 
@@ -358,7 +336,6 @@ def builtin_qr_spec() -> SpatialSpec:
     )
     y = FuncSpec(
         name="Y",
-        dims=("col", "row", "k"),
         bounds=(
             BoundSpec("col", IntLit(1), 1, N),
             BoundSpec("row", M, -1, COL + 1),
@@ -366,18 +343,14 @@ def builtin_qr_spec() -> SpatialSpec:
         ),
         tuple_arity=2,
         cases=y_cases,
-        directives=(
-            UnrollDirective("col"),
-            UnrollDirective("row"),
-            UnrollDirective("k"),
-            RelayDirective((0, 0, 1)),
-            StoreDirective((1,), ROW.eq(COL + 1)),
-            StoreDirective((0,), ROW.eq(COL + 1) & ROW.eq(M)),
-        ),
+        unroll=("col", "row", "k"),
+        relay=(0, 0, 1),
+        stores=(StoreDirective((1,), ROW.eq(COL + 1)),
+                StoreDirective((0,), ROW.eq(COL + 1) & ROW.eq(M))),
         cell_map=((ROW, K), (ROW - 1, K)),
     )
 
-    return SpatialSpec(constants=("M", "N"), inputs=(A_PRIME,), funcs=(x, y))
+    return SpatialSpec((x, y))
 
 
 # --- validation -------------------------------------------------------------------
@@ -435,7 +408,7 @@ def walk(spec: SpatialSpec, m: int, n: int, report: ValidationReport) -> Iterato
 
     Appends every violation to ``report`` rather than stopping at the first.
     The static ones come once per function, with no coordinates: structural
-    problems (repeated or unknown names, bounds that do not name the dims,
+    problems (repeated or unknown names, loop variables that repeat,
     bad indices, arities and ranks, malformed relay vectors, rotation pairs
     not read or relayed whole), and expressions that name something out of
     scope, have the wrong type or nest too deep.  The dynamic ones come per
@@ -606,7 +579,7 @@ def _walker_source(spec: SpatialSpec, func: FuncSpec, faults: list[Violation] | 
     def within(row: str, col: str, rule: str, prefix: str, value: str) -> str:
         return f"if not (1 <= {row} <= m and 1 <= {col} <= n + 1): {fault(rule, prefix, value)}"
 
-    if not _bounds_match(func):  # bounds-shape: nothing to walk, nothing in scope
+    if not _bounds_shaped(func):  # bounds-shape: nothing to walk, nothing in scope
         return "def domain(m, n):\n    return []\ndef fire(*args):\n    return []\n", ()
     lines = ["def domain(m, n):", "    points = []", "    add = points.append"]
     loops = []
@@ -615,7 +588,7 @@ def _walker_source(spec: SpatialSpec, func: FuncSpec, faults: list[Violation] | 
         if ends is not None:
             loops.append(f"{'    ' * (i + 1)}for d{i} in range({ends[0]}, {ends[1]} "
                          f"{'+ 1' if bound.step > 0 else '- 1'}, ({bound.step!r})):")
-        slots[func.dims[i]] = f"d{i}"
+        slots[bound.var] = f"d{i}"
     if len(loops) == rank:  # else a bound is bad and the domain empty
         lines += loops + [f"{'    ' * (rank + 1)}add(({point}))"]
     lines.append("    return points")
@@ -641,9 +614,7 @@ def _walker_source(spec: SpatialSpec, func: FuncSpec, faults: list[Violation] | 
             cells[idx] = f"{idx}, r{idx}, c{idx}, "
     body.append(f"cells = ({''.join(cells.values())})")
     body.append("stores = ()")
-    for directive in func.directives:
-        if not isinstance(directive, StoreDirective):
-            continue
+    for directive in func.stores:
         condition = lowered((directive.condition,), bool, "cell-eval", "store condition")
         # an index without a cell is already a violation
         stored = "".join(cells[idx] for idx in directive.indices
@@ -689,18 +660,19 @@ def _walker_source(spec: SpatialSpec, func: FuncSpec, faults: list[Violation] | 
     return "\n".join(lines) + "\n", tuple(callees)
 
 
-def _bounds_match(func: FuncSpec) -> bool:
-    return (all(type(d) is str for d in func.dims) and len(set(func.dims)) == len(func.dims) <= 20
-            and [b.var for b in func.bounds] == list(func.dims))  # CPython nests 20 loops at most
+def _bounds_shaped(func: FuncSpec) -> bool:
+    """Whether the bounds name distinct string dims, at most the 20 loops CPython nests."""
+    dims = func.dims
+    return all(type(d) is str for d in dims) and len(set(dims)) == len(dims) <= 20
 
 
 def _validate_structure(spec: SpatialSpec, func: FuncSpec) -> list[Violation]:
     """``func``'s static faults but those of its expressions, which the generator reports."""
     faults: list[Violation] = []
     bad = faults.append
-    if not _bounds_match(func):
+    if not _bounds_shaped(func):
         bad(Violation("bounds-shape", func.name, None,
-                      "bounds must name each dim once, in dim order, and at most 20 dims"))
+                      "bounds must name distinct dims, at most 20"))
     if func.cell_map and len(func.cell_map) != func.tuple_arity:
         bad(Violation("cell-map-arity", func.name, None,
                       f"cell_map has {len(func.cell_map)} entries for arity {func.tuple_arity}"))
@@ -722,7 +694,7 @@ def _validate_structure(spec: SpatialSpec, func: FuncSpec) -> list[Violation]:
                           f"values, not tuple arity {func.tuple_arity}"))
         for slot, arg in enumerate(case.args):
             where = f"case {case.label} arg {slot}"
-            if isinstance(arg, MemoryRef) and arg.input not in spec.inputs:
+            if isinstance(arg, MemoryRef) and arg.input != A_PRIME:
                 bad(Violation("memref-unknown-input", func.name, None,
                               f"{where}: no input {arg.input!r}"))
             elif isinstance(arg, CallRef) and not spec.has_func(arg.func):
@@ -736,35 +708,34 @@ def _validate_structure(spec: SpatialSpec, func: FuncSpec) -> list[Violation]:
                 if len(arg.coords) != len(callee.dims):
                     bad(Violation("callref-rank", func.name, None, f"{where}: {len(arg.coords)} "
                                   f"coords for {len(callee.dims)}-dim {arg.func}"))
-    for d in func.directives:
-        if isinstance(d, UnrollDirective):
-            if d.var not in func.dims:
-                bad(Violation("unroll-unknown-dim", func.name, None,
-                              f"unroll names unknown dim {d.var!r}"))
-        elif isinstance(d, RelayDirective):
-            # the pair relayed is the one each case reads, so every case reads a pair,
-            # and all of them one function's
-            reads = [[a.func for a in spec.pair_reads(c).values()] for c in func.cases]
-            unread = [c.label for c, funcs in zip(func.cases, reads) if not funcs]
-            read = list(dict.fromkeys(f for funcs in reads for f in funcs))
-            if unread or len(read) > 1:
-                why = (f"case {unread[0]} reads no rotation pair" if unread
-                       else f"cases read the rotation pairs of {', '.join(map(str, read))}")
-                bad(Violation("relay-pair-mismatch", func.name, None, f"relay: {why}"))
-            if len(d.vector) != len(func.dims):
-                bad(Violation("relay-vector", func.name, None,
-                              f"relay vector rank {len(d.vector)} != {len(func.dims)} dims"))
-            elif sorted(abs(v) for v in d.vector) != [0] * (len(d.vector) - 1) + [1]:
-                bad(Violation("relay-vector", func.name, None,
-                              "relay vector must have exactly one entry of magnitude 1"))
-        elif isinstance(d, StoreDirective):
-            for idx in d.indices:
-                if not (type(idx) is int and 0 <= idx < func.tuple_arity):
-                    bad(Violation("store-tuple-index", func.name, None,
-                                  f"store index {idx} outside tuple arity {func.tuple_arity}"))
-                elif idx >= len(func.cell_map) or func.cell_map[idx] is None:
-                    bad(Violation("store-no-cell", func.name, None,
-                                  f"store index {idx} has no output cell"))
+    for var in func.unroll:
+        if var not in func.dims:
+            bad(Violation("unroll-unknown-dim", func.name, None,
+                          f"unroll names unknown dim {var!r}"))
+    if func.relay is not None:
+        # the pair relayed is the one each case reads, so every case reads a pair,
+        # and all of them one function's
+        reads = [[a.func for a in spec.pair_reads(c).values()] for c in func.cases]
+        unread = [c.label for c, funcs in zip(func.cases, reads) if not funcs]
+        read = list(dict.fromkeys(f for funcs in reads for f in funcs))
+        if unread or len(read) > 1:
+            why = (f"case {unread[0]} reads no rotation pair" if unread
+                   else f"cases read the rotation pairs of {', '.join(map(str, read))}")
+            bad(Violation("relay-pair-mismatch", func.name, None, f"relay: {why}"))
+        if len(func.relay) != len(func.dims):
+            bad(Violation("relay-vector", func.name, None,
+                          f"relay vector rank {len(func.relay)} != {len(func.dims)} dims"))
+        elif sorted(abs(v) for v in func.relay) != [0] * (len(func.relay) - 1) + [1]:
+            bad(Violation("relay-vector", func.name, None,
+                          "relay vector must have exactly one entry of magnitude 1"))
+    for store in func.stores:
+        for idx in store.indices:
+            if not (type(idx) is int and 0 <= idx < func.tuple_arity):
+                bad(Violation("store-tuple-index", func.name, None,
+                              f"store index {idx} outside tuple arity {func.tuple_arity}"))
+            elif idx >= len(func.cell_map) or func.cell_map[idx] is None:
+                bad(Violation("store-no-cell", func.name, None,
+                              f"store index {idx} has no output cell"))
     for case in func.cases:
         reads = list(spec.pair_reads(case).values())
         if reads and not (len(reads) == 2 and reads[0].index != reads[1].index

@@ -208,6 +208,17 @@ class TestSolve:
         write_matrix(str(z_path), Matrix(2, 1, [1.0, 1.0]))
         assert run_cli("solve", a_path, z_path) == 2
 
+    @pytest.mark.parametrize("text,rhs", [
+        ("1 1\nnan\n", [1.0]),
+        ("2 2\n1 0\n0 1e-320\n", [1.0, 1e10]),  # back substitution overflows
+    ], ids=["nan-1x1", "overflow"])
+    def test_non_finite_solution_fails(self, tmp_path, capsys, text, rhs):
+        a_path, z_path = tmp_path / "a.txt", tmp_path / "z.txt"
+        a_path.write_text(text)
+        write_matrix(str(z_path), Matrix(len(rhs), 1, rhs))
+        assert run_cli("solve", a_path, z_path) == 1
+        assert capsys.readouterr() == ("", "error: non-finite value nan in y at index 1\n")
+
 
 class TestSimulate:
     def test_full_unroll_completes(self, matrix4, rhs4, tmp_path, capsys):

@@ -22,7 +22,6 @@ from spatialqr.specdsl import (
     K,
     ROW,
     CallRef,
-    RelayDirective,
     ValidationReport,
     builtin_qr_spec,
     walk,
@@ -193,12 +192,8 @@ class TestRelayCycle:
     def spec(self):
         spec = builtin_qr_spec()
         y = spec.func("Y")
-        directives = tuple(
-            RelayDirective((0, 1, 0)) if isinstance(d, RelayDirective) else d
-            for d in y.directives
-        )
         return dataclasses.replace(spec, funcs=(
-            spec.func("X"), dataclasses.replace(y, directives=directives)))
+            spec.func("X"), dataclasses.replace(y, relay=(0, 1, 0))))
 
     def test_run_with_relay_raises_witness(self):
         with pytest.raises(CycleError) as exc:
@@ -217,12 +212,8 @@ class TestRelayCycle:
         instead of X(1, 3)'s, and no dependence cycle shows it."""
         spec = builtin_qr_spec()
         y = spec.func("Y")
-        directives = tuple(
-            RelayDirective((0, -1, 0)) if isinstance(d, RelayDirective) else d
-            for d in y.directives
-        )
         spec = dataclasses.replace(spec, funcs=(
-            spec.func("X"), dataclasses.replace(y, directives=directives)))
+            spec.func("X"), dataclasses.replace(y, relay=(0, -1, 0))))
         with pytest.raises(ValueError, match=r"relay chain Y\(1, 4, 2\) -> Y\(1, 3, 2\) would "
                                              r"pass on the pair of X\(1, 4\), but Y\(1, 3, 2\) "
                                              r"reads X\(1, 3\)'s"):

@@ -32,7 +32,6 @@ from spatialqr.specdsl import (
     MemoryRef,
     Name,
     StoreDirective,
-    UnrollDirective,
     ValidationReport,
     Violation,
     _walker_source,
@@ -76,7 +75,7 @@ HOSTILE = {
         + Y.cases[3].args[3:]),
     "code_name_cell_and_store": with_func(dataclasses.replace(
         X, cell_map=X.cell_map[:3] + ((CODE_NAME, COL),),
-        directives=X.directives + (StoreDirective((2,), CODE_NAME.eq(1)),))),
+        stores=X.stores + (StoreDirective((2,), CODE_NAME.eq(1)),))),
     "code_name_bound": with_func(dataclasses.replace(
         X, bounds=(X.bounds[0], BoundSpec("row", CODE_NAME, -1, COL + 1)))),
     "code_name_input": with_case(
@@ -247,21 +246,14 @@ def with_dim_named(text):
             return CallRef(a.func, tuple(renamed(c, text) for c in a.coords), a.index)
         return a
 
-    def directive(d):
-        if isinstance(d, UnrollDirective) and d.var == "col":
-            return UnrollDirective(text)
-        if isinstance(d, StoreDirective):
-            return StoreDirective(d.indices, renamed(d.condition, text))
-        return d
-
     return with_func(dataclasses.replace(
         X,
-        dims=(text, "row"),
         bounds=tuple(BoundSpec(text if b.var == "col" else b.var, renamed(b.lower, text),
                                b.step, renamed(b.upper, text)) for b in X.bounds),
         cases=tuple(dataclasses.replace(c, guard=renamed(c.guard, text),
                                         args=tuple(arg(a) for a in c.args)) for c in X.cases),
-        directives=tuple(directive(d) for d in X.directives),
+        unroll=tuple(text if d == "col" else d for d in X.unroll),
+        stores=tuple(StoreDirective(d.indices, renamed(d.condition, text)) for d in X.stores),
         cell_map=tuple(None if cell is None else
                        (renamed(cell[0], text), renamed(cell[1], text))
                        for cell in X.cell_map),
@@ -334,9 +326,8 @@ def mutated_spec(rnd):
         if cells[c] is not None:
             cells[c] = (mutated_expr(cells[c][0], rnd), mutated_expr(cells[c][1], rnd))
         return with_func(dataclasses.replace(func, cell_map=tuple(cells)))
-    return with_func(dataclasses.replace(func, directives=tuple(
-        StoreDirective(d.indices, mutated_expr(d.condition, rnd))
-        if isinstance(d, StoreDirective) else d for d in func.directives)))
+    return with_func(dataclasses.replace(func, stores=tuple(
+        StoreDirective(d.indices, mutated_expr(d.condition, rnd)) for d in func.stores)))
 
 
 ORACLE = Path(__file__).parent / "fixtures" / "walk_oracle.json"

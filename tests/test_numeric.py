@@ -7,6 +7,7 @@ from spatialqr.numeric import (
     AugmentedMatrix,
     DimensionError,
     Matrix,
+    NonFiniteError,
     SingularMatrixError,
     back_substitute,
     format_matrix_csv,
@@ -23,6 +24,8 @@ from spatialqr.numeric import (
     write_matrix,
 )
 
+# systems whose solution is not finite: (a's rows, z)
+NON_FINITE_SOLUTIONS = [([[math.nan]], [1.0]), ([[1.0, 0.0], [0.0, 1e-320]], [1.0, 1e10])]
 finite = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
 
 
@@ -265,6 +268,18 @@ class TestSolve:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             solve(random_matrix(3, 2, 0), [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("rows,z", NON_FINITE_SOLUTIONS, ids=["nan-1x1", "overflow"])
+    def test_non_finite_solution_raises(self, rows, z):
+        """No rotation runs at 1 x 1, and in the second system none
+        overflows: back substitution does, and y is checked."""
+        with pytest.raises(NonFiniteError, match=r"^non-finite value nan in y at index 1$"):
+            solve(Matrix.from_rows(rows), z)
+
+
+def test_augmented_matrix_needs_a_matrix():
+    with pytest.raises(DimensionError, match="^augmented matrix needs a Matrix, got list$"):
+        AugmentedMatrix(1, 2, [math.nan, 1.0, 2.0])
 
 
 class TestMatrixIo:

@@ -3,7 +3,8 @@
 Whatever subset of each function's dims stays unrolled, whatever the channel
 capacity and whether rotation pairs relay, a run that completes drains the
 bits of the reference loop nest and of the graph evaluator.  Any other run
-is a deadlock with blocking diagnostics or a WiringError; nothing else.  The
+is a deadlock with blocking diagnostics or a WiringError; nothing else.
+The same holds for specs drawn from the built-in one's own field values.  The
 recorded schedule is one ready order out of many: any other one, replayed
 through the same design, drains the same bits.  Values move by producer; a
 replay that carries them through the channels' queues delivers the same ones.
@@ -12,6 +13,7 @@ the compile's stages across calls never changes a report.
 """
 
 import dataclasses
+import functools
 import math
 import random
 from collections import deque
@@ -45,7 +47,7 @@ from spatialqr.simulator import (
     spec_unroll,
     wire,
 )
-from spatialqr.specdsl import COL, M, BoundSpec, builtin_qr_spec
+from spatialqr.specdsl import COL, M, BoundSpec, SpatialSpec, builtin_qr_spec
 
 SPEC = builtin_qr_spec()
 # deadlocks at capacity 1: every X on one PE and every Y on another
@@ -313,6 +315,63 @@ def test_any_placement_drains_the_same_bits_deadlocks_or_fails_to_wire(case):
         return
     assert rep.completed and rep.total_firings() == len(graph.nodes)
     assert_drains_reference_bits(rep, aug)
+
+
+@functools.cache
+def variant(swapped, relay, unroll):
+    """The built-in spec with Y's c and s ports swapped or not, Y's relay
+    vector, and per function its unroll set; kept, so a repeat compiles nothing."""
+    x, y = SPEC.funcs
+    if swapped:
+        y = dataclasses.replace(y, cases=tuple(
+            dataclasses.replace(case, args=(case.args[1], case.args[0], *case.args[2:]))
+            for case in y.cases))
+    y = dataclasses.replace(y, relay=relay)
+    return SpatialSpec(tuple(dataclasses.replace(f, unroll=dims) for f, dims in zip((x, y), unroll)))
+
+
+@st.composite
+def drawn_specs(draw):
+    """A spec drawn from the built-in one's own field values, a shape, a
+    capacity and an input seed."""
+    swapped = draw(st.booleans())
+    relay = draw(st.sampled_from([(0, 0, 1), (0, 0, -1), None]))
+    masks = [draw(st.integers(0, 2 ** len(f.dims) - 1)) for f in SPEC.funcs]
+    unroll = tuple(tuple(d for k, d in enumerate(f.dims) if mask >> k & 1)
+                   for f, mask in zip(SPEC.funcs, masks))
+    m = draw(st.integers(1, 5))
+    return variant(swapped, relay, unroll), swapped, m, draw(st.integers(1, m)), \
+        draw(st.integers(1, 4)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn_specs())
+def test_drawn_specs_drain_the_graph_bits_deadlock_or_fail_to_wire(case):
+    """Placed by its own unroll sets, a drawn spec completes and drains the
+    bits of the graph evaluator, deadlocks, or fails to wire.  Relay on and
+    off drain the same bits, and so does the reference loop nest when c and
+    s keep their ports."""
+    spec, swapped, m, n, capacity, seed = case
+    aug = seeded_input(m, n, seed)
+    expected = evaluate_graph(build_graph(spec, m, n), aug).inner
+    drained = []
+    for relay in (True, False):
+        try:
+            rep = run(spec, SimConfig(channel_capacity=capacity, relay_enabled=relay), aug)
+        except WiringError as exc:
+            assert str(exc)
+            continue
+        if not rep.completed:
+            assert rep.status == "deadlock" and rep.blocked
+            continue
+        bits = [rep.output.get(*p).hex() for p in rep.drained]
+        assert bits == [expected.get(*p).hex() for p in rep.drained]
+        drained.append((rep.drained, bits))
+    if len(drained) == 2:
+        assert drained[0] == drained[1]
+    if drained and not swapped:
+        reference = qr_givens_reference(aug).r_aug.inner
+        assert drained[0][1] == [reference.get(*p).hex() for p in drained[0][0]]
 
 
 @settings(max_examples=100, deadline=None)

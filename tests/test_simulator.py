@@ -45,10 +45,7 @@ from spatialqr.specdsl import (
     ROW,
     Name,
     RecurrenceCase,
-    RelayDirective,
     SpatialSpec,
-    StoreDirective,
-    UnrollDirective,
     builtin_qr_spec,
     validate,
 )
@@ -224,17 +221,17 @@ class TestRunEquivalence:
         it along k; Y, not relayed, reads G's pair.  Each Y gets its own G's
         c and s, not the pair that G read, with relay on or off."""
         y = SPEC.func("Y")
-        g = FuncSpec("G", y.dims, y.bounds, 4, tuple([
+        g = FuncSpec("G", y.bounds, 4, tuple([
             RecurrenceCase(label, cond, KERNEL_ELIMINATE,
                            (CallRef("X", (COL, ROW), 1), CallRef("X", (COL, ROW), 0)))
             for label, cond in (("a", ROW.eq(M)), ("b", ROW.ne(M)))
-        ]), (*[UnrollDirective(d) for d in y.dims], RelayDirective((0, 0, 1))), (None,) * 4)
+        ]), unroll=y.dims, relay=(0, 0, 1), cell_map=(None,) * 4)
         y = dataclasses.replace(y, cases=tuple([
             dataclasses.replace(case, args=tuple([
                 CallRef("G", (*a.coords, K), a.index) if isinstance(a, CallRef) and a.func == "X"
                 else a for a in case.args]))
             for case in y.cases
-        ]), directives=tuple([d for d in y.directives if not isinstance(d, RelayDirective)]))
+        ]), relay=None)
         spec = dataclasses.replace(SPEC, funcs=(SPEC.func("X"), g, y))
         aug = make_aug(4, 3, 1)
         lines = []
@@ -432,8 +429,7 @@ class TestDrain:
     def test_double_store_detected(self):
         """Two store directives naming one position fail validation, before any data flows."""
         x = SPEC.func("X")
-        store = next(d for d in x.directives if isinstance(d, StoreDirective))
-        twice = dataclasses.replace(x, directives=x.directives + (store,))
+        twice = dataclasses.replace(x, stores=x.stores + x.stores[:1])
         spec = dataclasses.replace(SPEC, funcs=tuple(twice if f.name == "X" else f
                                                      for f in SPEC.funcs))
         assert validate(spec, 4, 4).rules() == {"store-duplicate"}
@@ -461,7 +457,6 @@ def chain_spec():
     row = Name("row")
     f = FuncSpec(
         name="F",
-        dims=("row",),
         bounds=(BoundSpec("row", IntLit(1), 1, IntLit(2)),),
         tuple_arity=4,
         cases=(
@@ -475,10 +470,10 @@ def chain_spec():
                  MemoryRef(A_PRIME, IntLit(1), IntLit(1))),
             ),
         ),
-        directives=(UnrollDirective("row"),),
+        unroll=("row",),
         cell_map=(None, None, None, None),
     )
-    return SpatialSpec(constants=("M", "N"), inputs=(A_PRIME,), funcs=(f,))
+    return SpatialSpec((f,))
 
 
 class TestDeadlock:

@@ -25,7 +25,6 @@ from spatialqr.specdsl import (
     MemoryRef,
     Name,
     RecurrenceCase,
-    RelayDirective,
     StoreDirective,
     builtin_qr_spec,
     ValidationReport,
@@ -204,19 +203,14 @@ class TestInjectedFaults:
     def test_bad_store_index(self):
         spec = builtin_qr_spec()
         x = spec.func("X")
-        from spatialqr.specdsl import StoreDirective
-
-        spec2 = replace_func(
-            spec, "X",
-            directives=x.directives + (StoreDirective((9,), ROW.eq(COL + 1)),),
-        )
+        spec2 = replace_func(spec, "X", stores=x.stores + (StoreDirective((9,), ROW.eq(COL + 1)),))
         assert "store-tuple-index" in validate(spec2, 4, 4).rules()
 
     def test_position_stored_again_is_reported_where_it_is_stored_again(self):
         """A later function or a later point of the same one that stores a
         result position again is a violation at that point, and nothing runs."""
         y = builtin_qr_spec().func("Y")
-        spec = replace_func(builtin_qr_spec(), "Y", directives=y.directives
+        spec = replace_func(builtin_qr_spec(), "Y", stores=y.stores
                             + (StoreDirective((1,), ROW.eq(COL + 2)),))
         assert [str(v) for v in validate(spec, 3, 2).violations] == [
             "[store-duplicate] Y(1, 3, 2): result position (2, 2) is stored again",  # by X(2, 3)
@@ -229,15 +223,7 @@ class TestInjectedFaults:
             run(spec, SimConfig(), aug)
 
     def test_bad_relay_vector(self):
-        spec = builtin_qr_spec()
-        y = spec.func("Y")
-        from spatialqr.specdsl import RelayDirective
-
-        fixed = tuple(
-            RelayDirective((0, 1, 1)) if isinstance(d, RelayDirective) else d
-            for d in y.directives
-        )
-        spec2 = replace_func(spec, "Y", directives=fixed)
+        spec2 = replace_func(builtin_qr_spec(), "Y", relay=(0, 1, 1))
         assert "relay-vector" in validate(spec2, 4, 4).rules()
 
     def test_validation_collects_everything(self):
@@ -269,7 +255,7 @@ def two_eliminators():
     """Y's case b reads its pair from X2, a copy of X that stores nothing."""
     spec = builtin_qr_spec()
     x, y = spec.funcs
-    x2 = dataclasses.replace(x, name="X2", directives=x.directives[:2])
+    x2 = dataclasses.replace(x, name="X2", stores=())
     b = y.cases[1]
     pair = tuple(CallRef("X2", a.coords, a.index) for a in b.args[:2])
     y = dataclasses.replace(y, cases=(y.cases[0], dataclasses.replace(b, args=pair + b.args[2:]),
@@ -346,7 +332,7 @@ class TestEvaluatedExpressions:
         (with_memref(M + 1), "memref-out-of-range"),
         (with_x(cell_map=X_FUNC.cell_map[:2] + ((ROW, Name("q")), X_FUNC.cell_map[3])),
          "cell-eval"),
-        (with_x(directives=X_FUNC.directives + (StoreDirective((2,), Name("q").eq(1)),)),
+        (with_x(stores=X_FUNC.stores + (StoreDirective((2,), Name("q").eq(1)),)),
          "cell-eval"),
         (replace_func(builtin_qr_spec(), "Y", cell_map=((ROW, K + 1), (ROW - 1, K))),
          "cell-out-of-range"),
@@ -425,13 +411,16 @@ class TestRejectedArguments:
 class TestMalformedFunctions:
     """Functions that cannot be enumerated or told apart end in violations."""
 
-    @pytest.mark.parametrize("bounds", [
-        (X_FUNC.bounds[0], dataclasses.replace(X_FUNC.bounds[1], var="r")),
-        X_FUNC.bounds[:1],
+    @pytest.mark.parametrize("bounds,rule", [
+        ((X_FUNC.bounds[0], dataclasses.replace(X_FUNC.bounds[1], var="r")),
+         "unroll-unknown-dim"),
+        (X_FUNC.bounds[:1], "callref-rank"),
     ], ids=["misnamed", "missing"])
-    def test_bounds_not_naming_dims_are_reported(self, bounds):
+    def test_bounds_not_naming_dims_are_reported(self, bounds, rule):
+        """The bounds name the dims, so X of (col, r) unrolls a ``row`` it does
+        not have, and a one-dimensional X is called with two coordinates."""
         spec = with_x(bounds=bounds)
-        assert "bounds-shape" in validate(spec, 4, 4).rules()
+        assert rule in validate(spec, 4, 4).rules()
         aug = AugmentedMatrix.from_parts(random_matrix(4, 4, 0), [1.0] * 4)
         with pytest.raises(ValueError, match=r"does not validate at \(4, 4\)"):
             run(spec, SimConfig(), aug)
@@ -449,7 +438,7 @@ class TestMalformedFunctions:
 
     def test_repeated_dim_is_reported(self):
         bounds = Y_FUNC.bounds[:2] + (dataclasses.replace(Y_FUNC.bounds[2], var="row"),)
-        spec = replace_func(builtin_qr_spec(), "Y", dims=("col", "row", "row"), bounds=bounds)
+        spec = replace_func(builtin_qr_spec(), "Y", bounds=bounds)
         assert "bounds-shape" in validate(spec, 4, 4).rules()
         aug = AugmentedMatrix.from_parts(random_matrix(4, 4, 0), [1.0] * 4)
         with pytest.raises(ValueError, match=r"does not validate at \(4, 4\)"):
@@ -457,7 +446,7 @@ class TestMalformedFunctions:
 
     def test_more_dims_than_python_nests_is_reported(self):
         dims = tuple(f"d{i}" for i in range(21))
-        z = dataclasses.replace(X_FUNC, name="Z", dims=dims, directives=(), cell_map=(),
+        z = dataclasses.replace(X_FUNC, name="Z", unroll=(), stores=(), cell_map=(),
                                 bounds=tuple(BoundSpec(d, IntLit(1), 1, IntLit(1)) for d in dims))
         spec = dataclasses.replace(builtin_qr_spec(), funcs=builtin_qr_spec().funcs + (z,))
         assert [(v.rule, v.func) for v in validate(spec, 4, 4).violations] == [("bounds-shape", "Z")]
