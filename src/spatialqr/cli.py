@@ -87,17 +87,15 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_decompose(args) -> int:
-    if args.q_output and not args.accumulate_q:
-        raise _Usage("--q-output needs --accumulate-q")
     aug = _load_augmented(args.matrix, args.rhs)
-    result = qr_givens_reference(aug, accumulate_q=args.accumulate_q)
+    result = qr_givens_reference(aug, accumulate_q=args.q_output is not None)
     if args.rhs:
         out = result.r_aug.inner
     else:
         out = result.r_aug.coefficient_part()
     with _writing(args.output):
         write_matrix(args.output, out)
-    if args.q_output:
+    if result.q is not None:
         with _writing(args.q_output):
             write_matrix(args.q_output, result.q)
     return EXIT_OK
@@ -235,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="input matrix file (.txt whitespace or .csv)")
     p.add_argument("--rhs", help="right-hand-side vector file; output gains its column")
     p.add_argument("--output", required=True, help="output matrix file")
-    p.add_argument("--accumulate-q", action="store_true")
     p.add_argument("--q-output", help="write the orthogonal factor here")
     p.set_defaults(handler=cmd_decompose)
 

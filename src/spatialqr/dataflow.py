@@ -26,7 +26,6 @@ from spatialqr.specdsl import (
     KERNEL_ELIMINATE,
     KERNELS,
     CallRef,
-    ConstRef,
     MemoryRef,
     SpatialSpec,
 )
@@ -66,8 +65,7 @@ class DataflowGraph:
     n: int
     nodes: tuple[IterNode, ...]
     node_case: tuple[specdsl.RecurrenceCase, ...]
-    # per node, its case's kernel and argument template, constants filled in
-    node_kernel: tuple[tuple[Callable[..., tuple[float, ...]], tuple[float | None, ...]], ...]
+    node_kernel: tuple[tuple[Callable[..., tuple[float, ...]], int], ...]  # (kernel, arity)
     node_cells: tuple[tuple[int, ...], ...]  # flat (tuple index, row, col) triples
     node_stores: tuple[tuple[int, ...], ...]  # likewise; empty for nodes that store nothing
     pairs: tuple[tuple[int, int, int] | None, ...]  # (producer, port of c, port of s)
@@ -93,7 +91,7 @@ class DataflowGraph:
             for p, index, port in self.data[i]:
                 ins[port] = ((p, index), i, port, case.label)
             for row, col, port in self.loads[i]:
-                ins[port] = ((case.args[port].input, row, col), i, port, case.label)
+                ins[port] = ((A_PRIME, row, col), i, port, case.label)
             if pair is not None and i not in hops:
                 ins[pair[1]] = ((pair[0], 0), i, pair[1], "cs")
                 ins[pair[2]] = ((pair[0], 1), i, pair[2], "cs")
@@ -159,15 +157,14 @@ def _case_plan(spec: SpatialSpec, case: specdsl.RecurrenceCase,
                ids: dict[str, dict[tuple[int, ...], int]]) -> tuple:
     """Where a case's arguments come from: its pair (callee ids, port of c, port of s)
     or None, its data calls (callee ids, tuple index, port) and its memory ports;
-    then its kernel and argument template, the one place either is looked up."""
+    then its kernel and arity, the one place the kernel is looked up."""
     reads = spec.pair_reads(case)  # validation makes it one .0 and one .1 of one call
     ports = {a.index: port for port, a in reads.items()}
     pair = (ids[reads[ports[0]].func], ports[0], ports[1]) if reads else None
     calls = [(ids[a.func], a.index, port) for port, a in enumerate(case.args)
              if isinstance(a, CallRef) and port not in reads]
     memory = [port for port, a in enumerate(case.args) if isinstance(a, MemoryRef)]
-    template = tuple([a.value if isinstance(a, ConstRef) else None for a in case.args])
-    return pair, calls, memory, (KERNELS[case.kernel][0], template)
+    return pair, calls, memory, (KERNELS[case.kernel][0], len(case.args))
 
 
 def _topo_sort(graph: DataflowGraph) -> tuple[int, ...]:
@@ -267,8 +264,8 @@ def evaluate_graph(graph: DataflowGraph, aug: AugmentedMatrix) -> AugmentedMatri
     values: list[tuple[float, ...] | None] = [None] * len(graph.nodes)
 
     for i in graph.topo_order:
-        kernel, template = graph.node_kernel[i]
-        args = list(template)
+        kernel, arity = graph.node_kernel[i]
+        args = [None] * arity
         pair = graph.pairs[i]
         if pair is not None:
             src, lo, hi = pair

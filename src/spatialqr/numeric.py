@@ -147,7 +147,6 @@ class AugmentedMatrix:
 class QrResult:
     r_aug: AugmentedMatrix
     q: Matrix | None
-    rotations: list[tuple[int, int, tuple[float, float]]]  # (col, row, (c, s))
 
 
 @dataclass
@@ -202,35 +201,38 @@ def qr_givens_reference(a: AugmentedMatrix, accumulate_q: bool = False) -> QrRes
     ``accumulate_q``, the same rotations are applied to an identity so the
     returned ``q`` satisfies a = q . r.
 
-    Once a kernel has run, a non-finite entry of R raises
+    Once a kernel has run (m > 1), a non-finite entry of R raises
     :class:`NonFiniteError`.  That one check suffices: every kernel output
     reaches R, directly or through a later kernel, and a kernel turns any
-    non-finite input into a non-finite output (``0 * inf`` is NaN).  At
-    m = 1 no kernel runs, and R is the input, unchecked, as on the other ways.
+    non-finite input into a non-finite output (``0 * inf`` is NaN).  At m = 1
+    no kernel runs, and R is the input, unchecked as on the other ways.
     """
     work = a.copy()
     inner = work.inner
     m, n = work.m, work.n
     qt = Matrix.identity(m) if accumulate_q else None
-    rotations: list[tuple[int, int, tuple[float, float]]] = []
 
     for col in range(1, n + 1):
         for row in range(m, col, -1):
             c, s, zero, r = kernel_eliminate(inner.get(row, col), inner.get(row - 1, col))
-            rotations.append((col, row, (c, s)))
             inner.set(row, col, zero)
             inner.set(row - 1, col, r)
             _rotate_rows(inner, row, range(col + 1, n + 2), c, s)
             if qt is not None:
                 _rotate_rows(qt, row, range(1, m + 1), c, s)
 
-    if rotations:  # else no kernel ran
-        for k, v in enumerate(inner.data):
-            if not math.isfinite(v):
-                raise NonFiniteError(f"non-finite value {v!r} in R at "
-                                     f"({k // inner.cols + 1}, {k % inner.cols + 1})")
+    if m > 1:  # else no kernel ran
+        _check_r(inner)
     q = qt.transpose() if qt is not None else None
-    return QrResult(work, q, rotations)
+    return QrResult(work, q)
+
+
+def _check_r(r: Matrix) -> None:
+    """Raise :class:`NonFiniteError` naming the first non-finite entry of ``r``."""
+    for k, v in enumerate(r.data):
+        if not math.isfinite(v):
+            raise NonFiniteError(f"non-finite value {v!r} in R at "
+                                 f"({k // r.cols + 1}, {k % r.cols + 1})")
 
 
 def _rotate_rows(mat: Matrix, row: int, cols: range, c: float, s: float) -> None:
@@ -317,12 +319,14 @@ def solve(a: Matrix, z: list[float]) -> list[float]:
     """Solve a . y = z for square a via QR elimination plus back substitution.
 
     Raises NonFiniteError for a NaN or infinite entry of ``a`` or ``z`` and
-    for an overflow, in the elimination (:func:`qr_givens_reference`) or
-    here, naming the first entry of y that is not finite.
+    for an overflow in the elimination, naming the first entry of R that is
+    not finite (checked here too, as at 1 x 1 no rotation runs), or in back
+    substitution, naming the first entry of y that is not finite.
     """
     if a.rows != a.cols:
         raise DimensionError(f"solve needs a square matrix, got {a.rows}x{a.cols}")
     r_aug = qr_givens_reference(AugmentedMatrix.from_parts(a, z)).r_aug
+    _check_r(r_aug.inner)
     y = back_substitute(r_aug.coefficient_part(),
                         [r_aug.inner.get(i, a.cols + 1) for i in range(1, a.cols + 1)])
     for i, v in enumerate(y, 1):

@@ -485,8 +485,8 @@ def execute(design: Design, aug: AugmentedMatrix,
     outs: list[tuple[float, ...] | None] = [None] * len(nodes)  # per node, its kernel's output
     for step, sweep in enumerate(design.sweeps, 1):
         for node in sweep:
-            kernel, args = kernels[node]
-            args = list(args)
+            kernel, arity = kernels[node]
+            args = [None] * arity
             pair = pairs[node]
             if pair is not None:
                 src, lo, hi = pair

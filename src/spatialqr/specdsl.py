@@ -4,9 +4,9 @@ A :class:`SpatialSpec` is a purely declarative tuple of functions.  Each
 holds tuple-valued piecewise recurrences over integer loop variables, the
 inclusive ``lower:step:upper`` bounds that name those variables, outermost
 first, and may reference outer ones, and its three spatial directives: the
-dims kept unrolled, the relay vector and the stores.  Every memory reference
-reads the one augmented input :data:`A_PRIME`, and M and N are the only
-constants.  :data:`KERNELS` is the one table of the kernels a case can fire.
+dims kept unrolled, the relay vector and the stores.  A case's arguments are
+calls and memory references, which read the one augmented input A', and M and
+N are the only constants.  :data:`KERNELS` is the one table of the kernels.
 :func:`builtin_qr_spec` returns the Givens-QR program; :func:`walk`
 evaluates any spec at concrete constants, checking it exhaustively on the
 way.  Each expression has one meaning, the Python text it is lowered to:
@@ -125,9 +125,8 @@ KERNELS: dict[str, tuple[Callable[..., tuple[float, ...]], int, int]] = {
 
 @dataclass(frozen=True)
 class MemoryRef:
-    """Load from a named external 2-D input at (row, col)."""
+    """Load from the augmented input :data:`A_PRIME` at (row, col)."""
 
-    input: str
     row: Expr
     col: Expr
 
@@ -141,12 +140,7 @@ class CallRef:
     index: int
 
 
-@dataclass(frozen=True)
-class ConstRef:
-    value: float
-
-
-Arg = Union[MemoryRef, CallRef, ConstRef]
+Arg = Union[MemoryRef, CallRef]
 
 
 @dataclass(frozen=True)
@@ -254,13 +248,13 @@ def builtin_qr_spec() -> SpatialSpec:
             "a",
             COL.eq(1) & ROW.eq(M),
             KERNEL_ELIMINATE,
-            (MemoryRef(A_PRIME, M, one), MemoryRef(A_PRIME, M - 1, one)),
+            (MemoryRef(M, one), MemoryRef(M - 1, one)),
         ),
         RecurrenceCase(
             "b",
             COL.eq(1) & ROW.ne(M),
             KERNEL_ELIMINATE,
-            (CallRef("X", (one, ROW + 1), 3), MemoryRef(A_PRIME, ROW - 1, one)),
+            (CallRef("X", (one, ROW + 1), 3), MemoryRef(ROW - 1, one)),
         ),
         RecurrenceCase(
             "c",
@@ -296,8 +290,8 @@ def builtin_qr_spec() -> SpatialSpec:
             (
                 CallRef("X", (one, M), 0),
                 CallRef("X", (one, M), 1),
-                MemoryRef(A_PRIME, M, K),
-                MemoryRef(A_PRIME, M - 1, K),
+                MemoryRef(M, K),
+                MemoryRef(M - 1, K),
             ),
         ),
         RecurrenceCase(
@@ -308,7 +302,7 @@ def builtin_qr_spec() -> SpatialSpec:
                 CallRef("X", (one, ROW), 0),
                 CallRef("X", (one, ROW), 1),
                 CallRef("Y", (one, ROW + 1, K), 1),
-                MemoryRef(A_PRIME, ROW - 1, K),
+                MemoryRef(ROW - 1, K),
             ),
         ),
         RecurrenceCase(
@@ -408,16 +402,16 @@ def walk(spec: SpatialSpec, m: int, n: int, report: ValidationReport) -> Iterato
 
     Appends every violation to ``report`` rather than stopping at the first.
     The static ones come once per function, with no coordinates: structural
-    problems (repeated or unknown names, loop variables that repeat,
-    bad indices, arities and ranks, malformed relay vectors, rotation pairs
-    not read or relayed whole), and expressions that name something out of
-    scope, have the wrong type or nest too deep.  The dynamic ones come per
-    point: guard exclusivity/exhaustiveness over each domain, call
-    coordinates outside the callee's domain, memory references and cells
+    problems (repeated or unknown names, loop variables that repeat, bad
+    argument kinds, indices, arities and ranks, malformed relay vectors,
+    rotation pairs not read or relayed whole), and expressions that name
+    something out of scope, have the wrong type or nest too deep.  The dynamic
+    ones come per point: guard exclusivity/exhaustiveness over each domain,
+    call coordinates outside the callee's domain, memory references and cells
     outside the M x (N+1) input, and a result position stored again, by any
     function earlier in walk order or by the same point.  Yields a
-    :class:`Firing` for each point with exactly one firing case, in function
-    then loop-nest order; they describe the spec only if ``report`` ends ok.
+    :class:`Firing` per point with exactly one firing case, in function then
+    loop-nest order; they describe the spec only if ``report`` ends ok.
 
     Each function runs its compiled walker (:attr:`SpatialSpec.walkers`),
     which reports each dynamic violation but ``store-duplicate`` through a
@@ -631,7 +625,7 @@ def _walker_source(spec: SpatialSpec, func: FuncSpec, faults: list[Violation] | 
                 if pos is not None:
                     source = f"({pos[0]}, {pos[1]})"
                     check = within(f"a{slot}[0]", f"a{slot}[1]", "memref-out-of-range",
-                                   f"{where}: {arg.input}", f"a{slot}")
+                                   f"{where}: {A_PRIME}", f"a{slot}")
             elif (isinstance(arg, CallRef) and spec.has_func(arg.func)
                   and len(arg.coords) == len(spec.func(arg.func).dims)):
                 coords = lowered(arg.coords, int, "callref-eval", where)
@@ -694,9 +688,9 @@ def _validate_structure(spec: SpatialSpec, func: FuncSpec) -> list[Violation]:
                           f"values, not tuple arity {func.tuple_arity}"))
         for slot, arg in enumerate(case.args):
             where = f"case {case.label} arg {slot}"
-            if isinstance(arg, MemoryRef) and arg.input != A_PRIME:
-                bad(Violation("memref-unknown-input", func.name, None,
-                              f"{where}: no input {arg.input!r}"))
+            if not isinstance(arg, (MemoryRef, CallRef)):
+                bad(Violation("arg-kind", func.name, None,
+                              f"{where}: {type(arg).__name__} is not a MemoryRef or CallRef"))
             elif isinstance(arg, CallRef) and not spec.has_func(arg.func):
                 bad(Violation("callref-unknown-func", func.name, None,
                               f"{where}: no function {arg.func!r}"))

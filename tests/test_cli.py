@@ -149,7 +149,7 @@ class TestDecompose:
         r_path, q_path = tmp_path / "r.txt", tmp_path / "q.txt"
         assert run_cli(
             "decompose", matrix4, "--output", r_path,
-            "--accumulate-q", "--q-output", q_path,
+            "--q-output", q_path,
         ) == 0
         q = parse_matrix_text(q_path.read_text())
         r = parse_matrix_text(r_path.read_text())
@@ -158,13 +158,6 @@ class TestDecompose:
         for i in range(1, 5):
             for j in range(1, 5):
                 assert abs(recon.get(i, j) - a.get(i, j)) < 1e-12
-
-    def test_q_output_without_flag_is_usage_error(self, matrix4, tmp_path, capsys):
-        code = run_cli("decompose", matrix4, "--output", tmp_path / "r.txt",
-                       "--q-output", tmp_path / "q.txt")
-        assert code == 2
-        assert capsys.readouterr().err == "error: --q-output needs --accumulate-q\n"
-        assert not (tmp_path / "r.txt").exists() and not (tmp_path / "q.txt").exists()
 
     def test_overflow_fails_and_writes_nothing(self, tmp_path, capsys):
         """Finite entries whose column norm overflows end as for a non-finite input."""
@@ -208,16 +201,18 @@ class TestSolve:
         write_matrix(str(z_path), Matrix(2, 1, [1.0, 1.0]))
         assert run_cli("solve", a_path, z_path) == 2
 
-    @pytest.mark.parametrize("text,rhs", [
-        ("1 1\nnan\n", [1.0]),
-        ("2 2\n1 0\n0 1e-320\n", [1.0, 1e10]),  # back substitution overflows
-    ], ids=["nan-1x1", "overflow"])
-    def test_non_finite_solution_fails(self, tmp_path, capsys, text, rhs):
+    @pytest.mark.parametrize("text,rhs,named", [
+        ("1 1\nnan\n", [1.0], "nan in R at (1, 1)"),
+        ("1 1\ninf\n", [1.0], "inf in R at (1, 1)"),  # not y = 1 / inf = 0.0
+        # back substitution overflows
+        ("2 2\n1 0\n0 1e-320\n", [1.0, 1e10], "nan in y at index 1"),
+    ], ids=["nan-1x1", "inf-1x1", "overflow"])
+    def test_non_finite_solution_fails(self, tmp_path, capsys, text, rhs, named):
         a_path, z_path = tmp_path / "a.txt", tmp_path / "z.txt"
         a_path.write_text(text)
         write_matrix(str(z_path), Matrix(len(rhs), 1, rhs))
         assert run_cli("solve", a_path, z_path) == 1
-        assert capsys.readouterr() == ("", "error: non-finite value nan in y at index 1\n")
+        assert capsys.readouterr() == ("", f"error: non-finite value {named}\n")
 
 
 class TestSimulate:

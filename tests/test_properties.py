@@ -4,7 +4,8 @@ Whatever subset of each function's dims stays unrolled, whatever the channel
 capacity and whether rotation pairs relay, a run that completes drains the
 bits of the reference loop nest and of the graph evaluator.  Any other run
 is a deadlock with blocking diagnostics or a WiringError; nothing else.
-The same holds for specs drawn from the built-in one's own field values.  The
+The same holds for specs drawn from the built-in one's own field values, with
+or without a relayed eliminator between X and Y.  The
 recorded schedule is one ready order out of many: any other one, replayed
 through the same design, drains the same bits.  Values move by producer; a
 replay that carries them through the channels' queues delivers the same ones.
@@ -47,7 +48,19 @@ from spatialqr.simulator import (
     spec_unroll,
     wire,
 )
-from spatialqr.specdsl import COL, M, BoundSpec, SpatialSpec, builtin_qr_spec
+from spatialqr.specdsl import (
+    COL,
+    K,
+    KERNEL_ELIMINATE,
+    M,
+    ROW,
+    BoundSpec,
+    CallRef,
+    FuncSpec,
+    RecurrenceCase,
+    SpatialSpec,
+    builtin_qr_spec,
+)
 
 SPEC = builtin_qr_spec()
 # deadlocks at capacity 1: every X on one PE and every Y on another
@@ -318,30 +331,49 @@ def test_any_placement_drains_the_same_bits_deadlocks_or_fails_to_wire(case):
 
 
 @functools.cache
-def variant(swapped, relay, unroll):
-    """The built-in spec with Y's c and s ports swapped or not, Y's relay
-    vector, and per function its unroll set; kept, so a repeat compiles nothing."""
+def variant(swapped, relay, unroll, eliminator):
+    """The built-in spec with Y's c and s ports swapped or not, with or
+    without G(col, row, k) between X and Y, and per function its unroll set;
+    kept, so a repeat compiles nothing.  G eliminates on X(col, row)'s pair,
+    swapped, and Y reads G's pair; the relay vector is G's if G is there,
+    else Y's."""
     x, y = SPEC.funcs
+    funcs = [x]
+    if eliminator:
+        funcs.append(FuncSpec("G", y.bounds, 4, tuple([
+            RecurrenceCase(label, guard, KERNEL_ELIMINATE,
+                           (CallRef("X", (COL, ROW), 1), CallRef("X", (COL, ROW), 0)))
+            for label, guard in (("a", ROW.eq(M)), ("b", ROW.ne(M)))
+        ]), relay=relay, cell_map=(None,) * 4))
+        y = dataclasses.replace(y, cases=tuple(
+            dataclasses.replace(case, args=tuple(
+                CallRef("G", (*a.coords, K), a.index) if isinstance(a, CallRef) and a.func == "X"
+                else a for a in case.args))
+            for case in y.cases))
+        relay = None
     if swapped:
         y = dataclasses.replace(y, cases=tuple(
             dataclasses.replace(case, args=(case.args[1], case.args[0], *case.args[2:]))
             for case in y.cases))
-    y = dataclasses.replace(y, relay=relay)
-    return SpatialSpec(tuple(dataclasses.replace(f, unroll=dims) for f, dims in zip((x, y), unroll)))
+    funcs.append(dataclasses.replace(y, relay=relay))
+    return SpatialSpec(tuple(dataclasses.replace(f, unroll=dims) for f, dims in zip(funcs, unroll)))
 
 
 @st.composite
 def drawn_specs(draw):
-    """A spec drawn from the built-in one's own field values, a shape, a
-    capacity and an input seed."""
-    swapped = draw(st.booleans())
+    """A spec drawn from the built-in one's own field values, with or
+    without a relayed eliminator G, a shape, a capacity and an input seed."""
+    swapped, eliminator = draw(st.booleans()), draw(st.booleans())
     relay = draw(st.sampled_from([(0, 0, 1), (0, 0, -1), None]))
-    masks = [draw(st.integers(0, 2 ** len(f.dims) - 1)) for f in SPEC.funcs]
-    unroll = tuple(tuple(d for k, d in enumerate(f.dims) if mask >> k & 1)
-                   for f, mask in zip(SPEC.funcs, masks))
+    dims = [f.dims for f in SPEC.funcs]
+    if eliminator:
+        dims.insert(1, dims[1])  # G's dims are Y's
+    masks = [draw(st.integers(0, 2 ** len(d) - 1)) for d in dims]
+    unroll = tuple(tuple(v for k, v in enumerate(d) if mask >> k & 1)
+                   for d, mask in zip(dims, masks))
     m = draw(st.integers(1, 5))
-    return variant(swapped, relay, unroll), swapped, m, draw(st.integers(1, m)), \
-        draw(st.integers(1, 4)), draw(st.integers(0, 2**16))
+    return variant(swapped, relay, unroll, eliminator), swapped, eliminator, m, \
+        draw(st.integers(1, m)), draw(st.integers(1, 4)), draw(st.integers(0, 2**16))
 
 
 @settings(max_examples=100, deadline=None)
@@ -350,8 +382,8 @@ def test_drawn_specs_drain_the_graph_bits_deadlock_or_fail_to_wire(case):
     """Placed by its own unroll sets, a drawn spec completes and drains the
     bits of the graph evaluator, deadlocks, or fails to wire.  Relay on and
     off drain the same bits, and so does the reference loop nest when c and
-    s keep their ports."""
-    spec, swapped, m, n, capacity, seed = case
+    s keep their ports and Y reads X's pair."""
+    spec, swapped, eliminator, m, n, capacity, seed = case
     aug = seeded_input(m, n, seed)
     expected = evaluate_graph(build_graph(spec, m, n), aug).inner
     drained = []
@@ -369,7 +401,7 @@ def test_drawn_specs_drain_the_graph_bits_deadlock_or_fail_to_wire(case):
         drained.append((rep.drained, bits))
     if len(drained) == 2:
         assert drained[0] == drained[1]
-    if drained and not swapped:
+    if drained and not (swapped or eliminator):
         reference = qr_givens_reference(aug).r_aug.inner
         assert drained[0][1] == [reference.get(*p).hex() for p in drained[0][0]]
 

@@ -32,7 +32,6 @@ from spatialqr.simulator import (
     wire,
 )
 from spatialqr.specdsl import (
-    A_PRIME,
     COL,
     K,
     KERNEL_ELIMINATE,
@@ -462,12 +461,11 @@ def chain_spec():
         cases=(
             RecurrenceCase(
                 "head", row.eq(1), KERNEL_ELIMINATE,
-                (CallRef("F", (row + 1,), 3), MemoryRef(A_PRIME, IntLit(1), IntLit(1))),
+                (CallRef("F", (row + 1,), 3), MemoryRef(IntLit(1), IntLit(1))),
             ),
             RecurrenceCase(
                 "tail", row.ne(1), KERNEL_ELIMINATE,
-                (MemoryRef(A_PRIME, IntLit(2), IntLit(1)),
-                 MemoryRef(A_PRIME, IntLit(1), IntLit(1))),
+                (MemoryRef(IntLit(2), IntLit(1)), MemoryRef(IntLit(1), IntLit(1))),
             ),
         ),
         unroll=("row",),

@@ -10,7 +10,6 @@ from spatialqr.dataflow import build_graph, graph_to_json
 from spatialqr.numeric import AugmentedMatrix, random_matrix
 from spatialqr.simulator import SimConfig, run
 from spatialqr.specdsl import (
-    A_PRIME,
     COL,
     K,
     M,
@@ -18,7 +17,6 @@ from spatialqr.specdsl import (
     BinOp,
     BoundSpec,
     CallRef,
-    ConstRef,
     Expr,
     ExprTypeError,
     IntLit,
@@ -294,8 +292,7 @@ class TestRotationPairs:
             assert run(spec, SimConfig(relay_enabled=relay), aug).output == expected
 
     @pytest.mark.parametrize("spec,message", [
-        (with_y_case(0, (ConstRef(1.0), ConstRef(0.0)) + A_ARGS[2:]),
-         "case a reads no rotation pair"),
+        (with_y_case(0, A_ARGS[2:] * 2), "case a reads no rotation pair"),
         (two_eliminators(), "cases read the rotation pairs of X, X2"),
     ], ids=["no-pair", "two-sources"])
     def test_relay_must_name_the_pair_read(self, spec, message):
@@ -315,7 +312,7 @@ X_FUNC = builtin_qr_spec().func("X")
 
 def with_memref(row):
     a = X_FUNC.cases[0]
-    case = dataclasses.replace(a, args=(MemoryRef(A_PRIME, row, IntLit(1)), a.args[1]))
+    case = dataclasses.replace(a, args=(MemoryRef(row, IntLit(1)), a.args[1]))
     return with_x(cases=(case,) + X_FUNC.cases[1:])
 
 
@@ -361,9 +358,9 @@ class TestEvaluatedExpressions:
         ]
 
     def test_every_comparison_product_and_constant_lowers(self):
-        """The built-in spec rewritten with ``le``, ``lt``, ``*`` and a
-        constant argument, which it does not use itself, lowers to the
-        built-in spec's graph."""
+        """The built-in spec rewritten with ``le``, ``lt``, a product by the
+        constant 1 and a case whose guard never holds, which it does not use
+        itself, lowers to the built-in spec's graph."""
         def rewrite(expr):
             if expr == COL.eq(1):
                 return COL.le(1)
@@ -378,14 +375,13 @@ class TestEvaluatedExpressions:
         a, b, *rest = x.cases
         assert b.args[0] == CallRef("X", (IntLit(1), ROW + 1), 3)
         b = dataclasses.replace(b, args=(CallRef("X", (IntLit(1), ROW * 1 + 1), 3), b.args[1]))
-        never = RecurrenceCase("never", COL.lt(1), "eliminate", (ConstRef(0.5), ConstRef(2.0)))
+        never = RecurrenceCase("never", COL.lt(1), "eliminate", a.args)
         funcs = (dataclasses.replace(x, cases=(a, b, *rest, never)), y)
         spec = dataclasses.replace(builtin, funcs=tuple(
             dataclasses.replace(f, cases=tuple(dataclasses.replace(c, guard=rewrite(c.guard))
                                                for c in f.cases))
             for f in funcs))
         assert all(f"op='{op}'" in repr(spec) for op in ("<=", "<", "*"))
-        assert "ConstRef(value=0.5)" in repr(spec)
         for m, n in ((1, 1), (4, 4), (5, 3), (6, 6)):
             assert graph_to_json(build_graph(spec, m, n)) == \
                 graph_to_json(build_graph(builtin, m, n))
@@ -393,6 +389,18 @@ class TestEvaluatedExpressions:
 
 class TestRejectedArguments:
     """Values no valid spec holds, each rejected with a typed error naming it."""
+
+    @pytest.mark.parametrize("arg,kind", [("junk", "str"), (1.5, "float"), (None, "NoneType")],
+                             ids=["str", "float", "none"])
+    def test_an_argument_neither_load_nor_call_is_an_arg_kind_fault(self, arg, kind):
+        a = X_FUNC.cases[0]
+        spec = with_x(cases=(dataclasses.replace(a, args=(arg, a.args[1])),) + X_FUNC.cases[1:])
+        message = f"[arg-kind] X: case a arg 0: {kind} is not a MemoryRef or CallRef"
+        assert [(str(v), v.coords) for v in validate(spec, 4, 3).violations] == [(message, None)]
+        aug = AugmentedMatrix.from_parts(random_matrix(4, 3, 0), [1.0] * 4)
+        with pytest.raises(ValueError) as exc:
+            run(spec, SimConfig(), aug)
+        assert str(exc.value) == f"spec does not validate at (4, 3): {message}"
 
     def test_as_expr_rejects_a_float(self):
         with pytest.raises(ExprTypeError, match="cannot use 1.5 as an expression"):
