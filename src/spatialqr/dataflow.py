@@ -106,14 +106,49 @@ class DataflowGraph:
         return handed + [e[0] for e in self.data[i]]
 
 
+# The graph build_graph returned last: (spec, shape, graph, derived), the spec
+# by identity and the shape as (type(m), m, type(n), n), so that m=True does
+# not get the graph of m=1.  ``derived`` is where later stages keep what they
+# build from that graph (``simulator.compile_design``), so it goes with it.
+_latest: tuple = (None, None, None, None)
+
+
 def build_graph(spec: SpatialSpec, m: int, n: int) -> DataflowGraph:
     """One node per iteration, with its rotation pair, data edges and memory loads.
 
     Built from one :func:`specdsl.walk`, so the spec is validated on the
     way: a spec with violations at (m, n) raises ValueError naming the first
     few.  Raises :class:`CycleError` with a witness path if the dependences
-    are cyclic.
+    are cyclic.  The graph of the latest ``(spec, m, n)`` is kept and
+    returned again at that shape; a call at another shape drops it before
+    building, so no two shapes' graphs are kept together, and a build that
+    raises keeps nothing.
     """
+    global _latest
+    kept = kept_graph(spec, m, n)
+    if kept is not None:
+        return kept[0]
+    _latest = (None, None, None, None)
+    graph = _build(spec, m, n)
+    _latest = (spec, (type(m), m, type(n), n), graph, {})
+    return graph
+
+
+def kept_graph(spec: SpatialSpec, m: int, n: int) -> tuple[DataflowGraph, dict] | None:
+    """The graph :func:`build_graph` keeps for ``(spec, m, n)`` and the dict
+    where later stages keep what they derive from it; None if it keeps none."""
+    spec_, shape, graph, derived = _latest
+    return (graph, derived) if spec_ is spec and shape == (type(m), m, type(n), n) else None
+
+
+def forget_graph(graph: DataflowGraph) -> None:
+    """Drop the graph :func:`build_graph` keeps, if it is ``graph``, with what derives from it."""
+    global _latest
+    if _latest[2] is graph:
+        _latest = (None, None, None, None)
+
+
+def _build(spec: SpatialSpec, m: int, n: int) -> DataflowGraph:
     report = specdsl.ValidationReport(m, n)
     # the walk goes on to collect every violation
     firings = [firing for firing in specdsl.walk(spec, m, n, report) if report.ok]

@@ -15,9 +15,11 @@ Lowering is four stages, each depending on less than the next: the graph
 (:func:`build_graph`) on the spec and the shape; the placement
 (:func:`place`) also on the unroll sets; the channels (:func:`wire`) also on
 relay; and the schedule (:func:`schedule`) also on the channel capacity.
-:func:`compile_design` composes them and keeps the stages of one shape only
-while that shape is asked for again in a row, as a sweep over
-configurations does.
+:func:`compile_design` composes them.  :func:`build_graph` keeps the graph
+of the latest shape; at that shape, or at one asked for again in a row,
+:func:`compile_design` keeps its placements and wirings with that graph, so
+a sweep over configurations of one shape builds each stage once.  A shape
+asked for once keeps nothing after the call returns.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from itertools import groupby
 from types import MappingProxyType
 from typing import Callable
 
-from spatialqr.dataflow import DataflowGraph, build_graph, relay_view
+from spatialqr.dataflow import DataflowGraph, build_graph, forget_graph, kept_graph, relay_view
 from spatialqr.numeric import AugmentedMatrix, Matrix, NonFiniteError
 from spatialqr.specdsl import SpatialSpec
 
@@ -198,10 +200,9 @@ class Design:
 # channel tags as ints: tuple index or port >= 0, else the pair's, from its producer or a relay
 _CS, _RELAY = -1, -2
 
-# The stages of the latest shape asked of compile_design: (spec, shape, graph,
-# placement per unroll key, wiring per (unroll key, relay)).  Only the key is
-# kept until that shape is asked for again in a row.
-_latest: tuple = (None, None, None, None, None)
+# The latest (spec, shape) compile_design was asked for, so that a shape
+# asked for again in a row keeps its stages.
+_asked: tuple = (None, None)
 
 
 def compile_design(spec: SpatialSpec, cfg: SimConfig, m: int, n: int) -> Design:
@@ -211,35 +212,40 @@ def compile_design(spec: SpatialSpec, cfg: SimConfig, m: int, n: int) -> Design:
     cfg)`` on ``g = build_graph(spec, m, n)``.  Each stage depends on less
     than the one after it: the graph on the spec and the shape, the
     placement also on the resolved unroll sets, the wiring also on relay,
-    and only the schedule on the channel capacity.  One record is kept, for
-    the latest ``(spec, m, n)``, the spec compared by identity.  A call at
-    another shape replaces it, before building anything, with that key
-    alone, so a shape asked for once keeps nothing.  A repeat call builds
-    the stages it lacks and keeps them for the next repeat.  A stage that
-    raises is not kept, so a repeat raises the same error.  The record is
-    replaced, never changed under another key, so a call reads only stages
-    of its own shape, from any thread.
+    and only the schedule on the channel capacity.  A call is a repeat when
+    :func:`build_graph` keeps the graph of ``(spec, m, n)``, or when the
+    latest call was at that shape, the spec compared by identity.  A repeat
+    uses the kept graph, building it if need be, and keeps with it one
+    placement per unroll sets and one wiring per unroll sets and relay, so
+    they go when a call at another shape drops the graph, before it builds
+    anything.  Any other call builds the graph with :func:`build_graph` and
+    drops it again, so a shape asked for once keeps nothing after it
+    returns.  A stage that raises is not kept, so a repeat raises the same
+    error.  The kept stages of a graph are only ever added to, under that
+    graph's own key, so a call reads only stages of its own shape, from any
+    thread.
     """
-    global _latest
-    shape = (type(m), m, type(n), n)  # so that m=True does not reuse the stages of m=1
-    record = _latest
-    if record[0] is not spec or record[1] != shape:
-        _latest = (spec, shape, None, None, None)
+    global _asked
+    kept = kept_graph(spec, m, n)
+    if kept is None:
+        shape = (type(m), m, type(n), n)
+        again = _asked[0] is spec and _asked[1] == shape
+        _asked = (spec, shape)
         graph = build_graph(spec, m, n)
-        return schedule(wire(graph, place(graph, cfg), cfg.relay_enabled), cfg)
-    _, _, graph, placements, wirings = record
-    if graph is None:
-        graph = build_graph(spec, m, n)
-        placements, wirings = {}, {}
-        _latest = (spec, shape, graph, placements, wirings)
+        if not again:
+            forget_graph(graph)
+            return schedule(wire(graph, place(graph, cfg), cfg.relay_enabled), cfg)
+        kept = kept_graph(spec, m, n) or (graph, {})  # {} if another thread moved on
+    graph, derived = kept
+    # placements under the unroll key, wirings under (unroll key, relay)
     key = tuple(sorted(_unroll(spec, cfg).items()))
-    placement = placements.get(key)
+    placement = derived.get(key)
     if placement is None:
-        placement = placements[key] = place(graph, cfg)
+        placement = derived[key] = place(graph, cfg)
     relay = cfg.relay_enabled
-    wiring = wirings.get((key, relay))
+    wiring = derived.get((key, relay))
     if wiring is None:
-        wiring = wirings[key, relay] = wire(graph, placement, relay)
+        wiring = derived[key, relay] = wire(graph, placement, relay)
     return schedule(wiring, cfg)
 
 

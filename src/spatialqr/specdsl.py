@@ -206,8 +206,9 @@ class SpatialSpec:
     def pair_reads(self, case: RecurrenceCase) -> dict[int, CallRef]:
         """Per port, the arguments of ``case`` that read a rotation pair: element
         0 or 1 of a function whose every case eliminates."""
-        eliminators = {f.name for f in self.funcs
-                       if f.cases and all(c.kernel == KERNEL_ELIMINATE for c in f.cases)}
+        eliminators = {f.name for f in self.funcs if isinstance(f.cases, tuple) and f.cases
+                       and all(isinstance(c, RecurrenceCase) and c.kernel == KERNEL_ELIMINATE
+                               for c in f.cases)}
         return {port: a for port, a in enumerate(case.args)
                 if isinstance(a, CallRef) and a.func in eliminators and a.index in (0, 1)}
 
@@ -547,6 +548,8 @@ def _walker_source(spec: SpatialSpec, func: FuncSpec, faults: list[Violation] | 
     """
     faults = [] if faults is None else faults
     sites = [] if sites is None else sites
+    if _field_faults(func) or not _bounds_shaped(func):  # nothing to walk, nothing in scope
+        return "def domain(m, n):\n    return []\ndef fire(*args):\n    return []\n", ()
     rank = len(func.dims)
     point = "".join(f"d{i}, " for i in range(rank))
     slots = {"M": "m", "N": "n"}
@@ -573,8 +576,6 @@ def _walker_source(spec: SpatialSpec, func: FuncSpec, faults: list[Violation] | 
     def within(row: str, col: str, rule: str, prefix: str, value: str) -> str:
         return f"if not (1 <= {row} <= m and 1 <= {col} <= n + 1): {fault(rule, prefix, value)}"
 
-    if not _bounds_shaped(func):  # bounds-shape: nothing to walk, nothing in scope
-        return "def domain(m, n):\n    return []\ndef fire(*args):\n    return []\n", ()
     lines = ["def domain(m, n):", "    points = []", "    add = points.append"]
     loops = []
     for i, bound in enumerate(func.bounds):
@@ -626,7 +627,7 @@ def _walker_source(spec: SpatialSpec, func: FuncSpec, faults: list[Violation] | 
                     source = f"({pos[0]}, {pos[1]})"
                     check = within(f"a{slot}[0]", f"a{slot}[1]", "memref-out-of-range",
                                    f"{where}: {A_PRIME}", f"a{slot}")
-            elif (isinstance(arg, CallRef) and spec.has_func(arg.func)
+            elif (isinstance(arg, CallRef) and _well_typed(spec, arg.func)
                   and len(arg.coords) == len(spec.func(arg.func).dims)):
                 coords = lowered(arg.coords, int, "callref-eval", where)
                 if coords is not None:
@@ -654,6 +655,42 @@ def _walker_source(spec: SpatialSpec, func: FuncSpec, faults: list[Violation] | 
     return "\n".join(lines) + "\n", tuple(callees)
 
 
+def _field_faults(func: FuncSpec) -> list[Violation]:
+    """A violation per field of ``func`` that is not of its declared type.
+
+    The other checks and the walker read these fields, so a function with
+    any of them is checked no further and walks nothing.
+    """
+    def tuple_of(value, kind) -> bool:
+        return isinstance(value, tuple) and all(isinstance(v, kind) for v in value)
+
+    cases = tuple_of(func.cases, RecurrenceCase)
+    checks = (
+        ("bounds-shape", tuple_of(func.bounds, BoundSpec), "bounds are not a tuple of BoundSpecs"),
+        ("field-type", type(func.tuple_arity) is int,
+         f"tuple_arity {func.tuple_arity!r} is not an int"),
+        ("field-type", cases, "cases are not a tuple of RecurrenceCases"),
+        ("field-type", not cases or all(isinstance(c.args, tuple) for c in func.cases),
+         "a case's args are not a tuple"),
+        ("kernel-unknown", not cases or all(isinstance(c.kernel, str) for c in func.cases),
+         "a case's kernel is not a str"),
+        ("field-type", isinstance(func.unroll, tuple), "unroll is not a tuple"),
+        ("relay-vector", func.relay is None or tuple_of(func.relay, int),
+         "relay is neither None nor a tuple of ints"),
+        ("field-type", tuple_of(func.stores, StoreDirective)
+         and all(isinstance(s.indices, tuple) for s in func.stores),
+         "stores are not a tuple of StoreDirectives with tuple indices"),
+        ("cell-map-arity", tuple_of(func.cell_map, (tuple, type(None))),
+         "cell_map is not a tuple of tuples and Nones"),
+    )
+    return [Violation(rule, func.name, None, message) for rule, ok, message in checks if not ok]
+
+
+def _well_typed(spec: SpatialSpec, name: str) -> bool:
+    """Whether ``spec`` has a function ``name`` and its fields are of their types."""
+    return spec.has_func(name) and not _field_faults(spec.func(name))
+
+
 def _bounds_shaped(func: FuncSpec) -> bool:
     """Whether the bounds name distinct string dims, at most the 20 loops CPython nests."""
     dims = func.dims
@@ -662,7 +699,9 @@ def _bounds_shaped(func: FuncSpec) -> bool:
 
 def _validate_structure(spec: SpatialSpec, func: FuncSpec) -> list[Violation]:
     """``func``'s static faults but those of its expressions, which the generator reports."""
-    faults: list[Violation] = []
+    faults = _field_faults(func)
+    if faults:
+        return faults
     bad = faults.append
     if not _bounds_shaped(func):
         bad(Violation("bounds-shape", func.name, None,
@@ -694,7 +733,7 @@ def _validate_structure(spec: SpatialSpec, func: FuncSpec) -> list[Violation]:
             elif isinstance(arg, CallRef) and not spec.has_func(arg.func):
                 bad(Violation("callref-unknown-func", func.name, None,
                               f"{where}: no function {arg.func!r}"))
-            elif isinstance(arg, CallRef):
+            elif isinstance(arg, CallRef) and _well_typed(spec, arg.func):  # else faulted there
                 callee = spec.func(arg.func)
                 if not (type(arg.index) is int and 0 <= arg.index < callee.tuple_arity):
                     bad(Violation("callref-tuple-index", func.name, None, f"{where}: index "

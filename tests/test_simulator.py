@@ -16,7 +16,7 @@ from spatialqr.numeric import (
     qr_givens_reference,
     random_matrix,
 )
-from spatialqr import simulator
+from spatialqr import simulator, specdsl
 from spatialqr.simulator import (
     SimConfig,
     WiringError,
@@ -559,8 +559,9 @@ class TestDesignReuse:
 
 
 class TestStages:
-    """``compile_design`` keeps the stages of the latest shape only when that
-    shape is asked for again in a row, and a stage never changes a report."""
+    """``build_graph`` keeps the latest shape's graph, ``compile_design`` keeps its
+    stages when that shape is asked for again in a row, and a stage never
+    changes a report."""
 
     def test_a_wiring_is_immutable(self):
         g = build_graph(SPEC, 4, 3)
@@ -585,6 +586,66 @@ class TestStages:
         graph_of(5, 3)
         gc.collect()
         assert again() is None
+
+    def test_a_selfcheck_pass_builds_each_stage_the_fewest_times(self, monkeypatch):
+        """The oracle's graph, then twelve configurations: 1 walk, 2 placements, 4 wirings."""
+        calls = {"walk": 0, "place": 0, "wire": 0}
+
+        def counted(name, fn):
+            def counting(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counting
+
+        build_graph(SPEC, 2, 2)  # so that no stage of 5 x 4 is kept
+        monkeypatch.setattr(specdsl, "walk", counted("walk", specdsl.walk))
+        monkeypatch.setattr(simulator, "place", counted("place", simulator.place))
+        monkeypatch.setattr(simulator, "wire", counted("wire", simulator.wire))
+        aug = make_aug(5, 4)
+        evaluate_graph(build_graph(SPEC, 5, 4), aug)
+        for mode in ("full", "folded"):
+            for relay in (True, False):
+                for capacity in (1, 2, 8):
+                    assert run(SPEC, config(mode, capacity, relay), aug).completed
+        assert calls == {"walk": 1, "place": 2, "wire": 4}
+
+    def test_a_design_without_relay_fires_the_kept_graph(self):
+        graph = build_graph(SPEC, 5, 4)
+        assert compile_design(SPEC, config("full", relay=False), 5, 4).wiring.graph is graph
+        assert build_graph(SPEC, 5, 4) is graph
+
+    def test_a_new_shape_drops_the_old_stages_before_building(self, monkeypatch):
+        """Neither shape A's kept graph nor its kept wiring is alive while B's graph is walked."""
+        cfg = config("full", relay=False)
+        compile_design(SPEC, cfg, 5, 4)
+        wiring = compile_design(SPEC, cfg, 5, 4).wiring  # a repeat, so its stages are kept
+        kept = weakref.ref(wiring.graph), weakref.ref(wiring)
+        del wiring
+        alive = []
+        walk = specdsl.walk
+
+        def walking(spec, m, n, report):
+            gc.collect()
+            alive.append([ref() is not None for ref in kept])
+            return walk(spec, m, n, report)
+
+        monkeypatch.setattr(specdsl, "walk", walking)
+        build_graph(SPEC, 5, 3)
+        assert alive == [[False, False]]
+
+    def test_a_spec_that_does_not_validate_raises_again(self):
+        spec = dataclasses.replace(SPEC, funcs=SPEC.funcs[:1])  # X calls a Y it lacks
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^spec does not validate at \(4, 3\)") as info:
+                compile_design(spec, config(), 4, 3)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert compile_design(SPEC, config(), 4, 3).drained
+
+    def test_a_bool_shape_is_not_the_int_shape(self):
+        graph = build_graph(SPEC, 1, 1)
+        assert build_graph(SPEC, True, 1) is not graph
 
     def test_concurrent_callers_get_sequential_reports(self):
         """Two threads, each on its own shape, interleave their calls."""

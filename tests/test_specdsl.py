@@ -473,6 +473,33 @@ class TestMalformedFunctions:
                                              r"\[kernel-output-arity\]"):
             run(spec, SimConfig(), aug)
 
+    @pytest.mark.parametrize("name,changes,of_case,rule", [
+        ("Y", {"relay": ("a", "b", "c")}, False, "relay-vector"),
+        ("X", {"tuple_arity": "4"}, False, "field-type"),
+        ("X", {"stores": ("junk",)}, False, "field-type"),
+        ("X", {"cases": ("junk",)}, False, "field-type"),
+        ("X", {"kernel": ["eliminate"]}, True, "kernel-unknown"),
+        ("Y", {"args": None}, True, "field-type"),
+        ("Y", {"cell_map": None}, False, "cell-map-arity"),
+        ("Y", {"cell_map": (5, None)}, False, "cell-map-arity"),
+        ("X", {"bounds": ("junk",)}, False, "bounds-shape"),
+    ], ids=["relay", "tuple_arity", "stores", "cases", "kernel", "args", "cell_map",
+            "cell_map_entry", "bounds"])
+    def test_wrongly_typed_field_is_reported(self, name, changes, of_case, rule):
+        """A field not of its type, of the function or of its first case, is a static
+        violation, and the function walks nothing."""
+        spec = builtin_qr_spec()
+        func = spec.func(name)
+        if of_case:
+            changes = {"cases": (dataclasses.replace(func.cases[0], **changes),) + func.cases[1:]}
+        spec = replace_func(spec, name, **changes)
+        violations = validate(spec, 4, 3).violations
+        assert (violations[0].rule, violations[0].func, violations[0].coords) == (rule, name, None)
+        assert spec.walkers[[f.name for f in spec.funcs].index(name)].domain(4, 3) == []
+        aug = AugmentedMatrix.from_parts(random_matrix(4, 3, 0), [1.0] * 4)
+        with pytest.raises(ValueError, match=rf"^spec does not validate at \(4, 3\): \[{rule}\]"):
+            run(spec, SimConfig(), aug)
+
     def test_duplicate_name_is_reported_once(self):
         spec = builtin_qr_spec()
         x, y = spec.funcs
